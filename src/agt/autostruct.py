@@ -2,11 +2,14 @@
 
 From a presentation: run bounded Knuth-Bendix completion until the word
 differences stabilise, build the candidate word acceptor and the
-multiplier automata from the difference machine, apply elementary
-projection/functionality tests (feeding failure witnesses back into
-completion), and finally run axiom checking.  Passing axiom checks
-proves the automata form a shortlex automatic structure; failing them
-abandons the attempt.
+multiplier automata from the difference machine, apply the elementary
+tests (feeding failure witnesses back into completion), and finally run
+axiom checking.  The elementary tests are exact whole-language tests:
+projection, uniqueness (M_eps is the diagonal) and functionality
+(compose(swap(M_y), M_y) is the diagonal).  Axioms are checked by
+relator halves over memoised composite multipliers.  Passing axiom
+checks proves the automata form a shortlex automatic structure; failing
+them abandons the attempt.
 """
 
 from __future__ import annotations
@@ -219,7 +222,7 @@ class AutomaticStructure:
 
 @dataclass
 class CheckFailure:
-    kind: str  # "empty" | "epsilon" | "projection" | "functionality"
+    kind: str  # "epsilon" | "projection" | "uniqueness" | "functionality"
     symbol: int | None = None  # multiplier key involved
     witness: Word | None = None
     partners: tuple[Word, ...] = ()
@@ -231,41 +234,64 @@ class ElementaryReport:
     failures: list[CheckFailure] = field(default_factory=list)
 
 
-def elementary_checks(s: AutomaticStructure, radius: int) -> ElementaryReport:
-    """The quick tests that must pass before axiom checking.
+def elementary_checks(
+    s: AutomaticStructure, state_cap: int = fsa.DEFAULT_STATE_CAP
+) -> ElementaryReport:
+    """The exact whole-language tests that must pass before axiom checking.
 
-    (a) the word acceptor is nonempty and accepts the empty word;
-    (b) each multiplier projects onto the acceptor language on both
-        coordinates (every representative can be multiplied);
-    (c) each multiplier is functional up to the given radius: every
-        accepted u of length <= radius has exactly one partner.
-    Failures carry a witness word for the retry loop.
+    (a) the word acceptor accepts the empty word;
+    (b) each multiplier projects onto L(WA) on both coordinates (every
+        representative can be multiplied, and every one is a product);
+    (c) uniqueness: M_eps is the diagonal of L(WA), so no two accepted
+        words represent the same element;
+    (d) functionality: for each generator y, compose(swap(M_y), M_y),
+        the pairs (v1, v2) with a common u related to both, is the
+        diagonal of L(WA).  With (b) it always contains the diagonal, so
+        equality says that every u has exactly one partner.
+
+    Minimized automata are canonical, so (c) and (d) are structural
+    equalities.  A uniqueness failure carries the shortest extra pair
+    (v1, v2) of M_eps; a functionality failure carries the shortest
+    extra pair and, as witness, the shortest u with (u, v1) and (u, v2)
+    both accepted.  Failures feed the retry loop as equations.
     """
     failures: list[CheckFailure] = []
     wa = s.word_acceptor
     if not wa.accepts(b""):
         return ElementaryReport(False, [CheckFailure(kind="epsilon")])
-    wa_min = fsa.minimize(wa)
-    for key, mult in sorted(s.multipliers.items(), key=lambda kv: (kv[0] is None, kv[0] or 0)):
-        proj1 = pairfsa.project_first(mult)
-        if proj1 != wa_min:
-            witness = fsa.shortest_accepted(fsa.boolean_op("minus", wa_min, proj1))
-            failures.append(CheckFailure("projection", key, witness))
+    mults = sorted(s.multipliers.items(), key=lambda kv: (kv[0] is None, kv[0] or 0))
+    for key, mult in mults:
+        for project in (pairfsa.project_first, pairfsa.project_second):
+            proj = project(mult, state_cap)
+            if proj != wa:
+                witness = fsa.shortest_accepted(fsa.boolean_op("minus", wa, proj))
+                failures.append(CheckFailure("projection", key, witness))
+                break
+    if failures:
+        return ElementaryReport(False, failures)
+    diag = pairfsa.diagonal(wa)
+
+    def extra_pair(rel: PairDfa) -> tuple[Word, Word]:
+        extra = fsa.shortest_accepted(fsa.boolean_op("minus", rel.dfa, diag.dfa))
+        return pairfsa.decode_pair(rel.pairs, extra)
+
+    for key, mult in mults:
+        if key is EPSILON_KEY:
+            if mult != diag:
+                v1, v2 = extra_pair(mult)
+                failures.append(CheckFailure("uniqueness", key, v1, (v1, v2)))
             continue
-        proj2 = pairfsa.project_second(mult)
-        if proj2 != wa_min:
-            witness = fsa.shortest_accepted(fsa.boolean_op("minus", wa_min, proj2))
-            failures.append(CheckFailure("projection", key, witness))
-    if not failures:
-        words = fsa.enumerate_words(wa, radius)
-        for key, mult in sorted(s.multipliers.items(), key=lambda kv: (kv[0] is None, kv[0] or 0)):
-            for u in words:
-                vs = pairfsa.partners(mult, u)
-                if vs is None or len(vs) != 1:
-                    failures.append(
-                        CheckFailure("functionality", key, u, tuple(vs or ()))
-                    )
-                    break
+        back = pairfsa.swap(mult)
+        both = pairfsa.compose(back, mult, state_cap)
+        if both == diag:
+            continue
+        v1, v2 = extra_pair(both)
+        common = fsa.boolean_op(
+            "and", pairfsa.slice_first(back, v1), pairfsa.slice_first(back, v2)
+        )
+        failures.append(
+            CheckFailure("functionality", key, fsa.shortest_accepted(common), (v1, v2))
+        )
     return ElementaryReport(not failures, failures)
 
 
@@ -277,28 +303,53 @@ class AxiomReport:
 
 
 def axiom_check(s: AutomaticStructure, state_cap: int = fsa.DEFAULT_STATE_CAP) -> AxiomReport:
-    """Axiom checking: composed multipliers must equal the identity
-    multiplier, for every inverse pair and every relator.
+    """Axiom checking: M_y M_{y^-1} = M_eps for every inverse pair, and
+    M(u) = M(v^-1) for every relator r = uv with |u| = ceil(|r|/2).
 
-    Equality is structural equality of canonical minimized automata.  A
-    pass proves the structure; a failure abandons the derivation.
+    M(w) is the composite multiplier of the word w, built left to right
+    as compose(M(w[:-1]), M_{w[-1]}) and memoised per call, so prefixes
+    shared by inverse pairs and relator halves are composed once; when
+    M(w^-1) is already built, M(w) is its swap.  Equality is structural
+    equality of the canonical automata that build_multiplier, compose
+    and swap return.
+
+    Checking halves is enough once the elementary checks have passed.
+    By the projection tests and functionality, each M_y is a total
+    function f_y from L(WA) onto L(WA).  The inverse-pair check
+    f_{y^-1} o f_y = id makes f_y injective, so f_y is a bijection with
+    inverse f_{y^-1}, and f_{v^-1} = (f_v)^-1 for every word v: M(v^-1)
+    is the swap of M(v).  Hence f_u = f_{v^-1} holds iff f_v o f_u = id,
+    that is iff M(uv) = M_eps.  A pass proves the structure; a failure
+    abandons the derivation.
     """
     A = s.alphabet
-    m_eps = s.multipliers[EPSILON_KEY].minimized()
+    m_eps = s.multipliers[EPSILON_KEY]
+    memo: dict[Word, PairDfa] = {b"": m_eps}
+    for y in range(A.size):
+        memo[bytes((y,))] = s.multipliers[y]
+
+    def mult(w: Word) -> PairDfa:
+        if w not in memo and A.invert(w) in memo:
+            memo[w] = pairfsa.swap(memo[A.invert(w)])
+        i = len(w)
+        while w[:i] not in memo:
+            i -= 1
+        acc = memo[w[:i]]
+        for j in range(i, len(w)):
+            acc = memo[w[: j + 1]] = pairfsa.compose(acc, s.multipliers[w[j]], state_cap)
+        return acc
+
     done = set()
     for y in range(A.size):
         pair = tuple(sorted((y, A.inverse[y])))
         if pair in done:
             continue
         done.add(pair)
-        comp = pairfsa.compose(s.multipliers[y], s.multipliers[A.inverse[y]], state_cap)
-        if comp.minimized() != m_eps:
+        if mult(bytes((y, A.inverse[y]))) != m_eps:
             return AxiomReport(False, failed_inverse=y)
     for relator in s.presentation.relators:
-        acc = s.multipliers[relator[0]]
-        for c in relator[1:]:
-            acc = pairfsa.compose(acc, s.multipliers[c], state_cap)
-        if acc.minimized() != m_eps:
+        half = (len(relator) + 1) // 2
+        if mult(relator[:half]) != mult(A.invert(relator[half:])):
             return AxiomReport(False, failed_relator=relator)
     return AxiomReport(True)
 
@@ -391,7 +442,13 @@ def derive_shortlex_structure(
             k=diff.max_difference_length(),
             reducer=rs,
         )
-        report = elementary_checks(structure, limits.check_radius)
+        try:
+            report = elementary_checks(structure, limits.state_cap)
+        except ResourceLimitError as exc:
+            lines.append(f"pass {pass_no}: elementary check resource failure: {exc}")
+            return DeriveOutcome(
+                "abandoned", structure, "\n".join(lines), str(exc), resource_limited=True
+            )
         if not report.ok:
             descs = []
             injected = 0

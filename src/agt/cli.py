@@ -73,7 +73,6 @@ def _limits(args) -> Limits:
         max_passes=args.max_passes,
         stability_window=args.stability_window,
         state_cap=state_cap,
-        check_radius=args.check_radius,
     )
 
 
@@ -86,7 +85,6 @@ def _add_limit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-passes", type=int, default=d.max_passes)
     p.add_argument("--stability-window", type=int, default=d.stability_window)
     p.add_argument("--state-cap", type=int, default=d.state_cap)
-    p.add_argument("--check-radius", type=int, default=d.check_radius)
 
 
 def _emit(args, text: str) -> None:

@@ -20,4 +20,3 @@ class Limits:
     max_passes: int = 5
     stability_window: int = 500
     state_cap: int = 10**6
-    check_radius: int = 6

@@ -1,17 +1,20 @@
 import itertools
+import time
 
 import pytest
 
-from agt import fsa, pairfsa
+from agt import autostruct, fsa, pairfsa
 from agt.autostruct import (
     EPSILON_KEY,
     AutomaticStructure,
+    CheckFailure,
     axiom_check,
     build_candidate_word_acceptor,
     build_multiplier,
     derive_shortlex_structure,
     elementary_checks,
 )
+from agt.errors import ResourceLimitError
 from agt.fsa import FAIL, Dfa
 from agt.limits import Limits
 from agt.pairfsa import PairDfa, diagonal, encode_pair
@@ -127,7 +130,7 @@ def test_multiplier_pairs_fellow_travel_in_differences(ab_alphabet, z2_structure
 
 def test_elementary_checks_pass_on_verified(z2_structure, free_structure):
     for s in (z2_structure, free_structure):
-        assert elementary_checks(s, 5).ok
+        assert elementary_checks(s).ok
 
 
 def test_elementary_checks_fail_on_starved_completion(ab_alphabet):
@@ -147,10 +150,75 @@ def test_elementary_checks_fail_on_starved_completion(ab_alphabet):
     for y in range(A.size):
         mults[y] = build_multiplier(wa, d, y)
     s = AutomaticStructure(pres, wa, mults, d, d.max_difference_length())
-    report = elementary_checks(s, 4)
+    report = elementary_checks(s)
     assert not report.ok
     assert any(f.witness is not None for f in report.failures)
-    assert {f.kind for f in report.failures} <= {"projection", "functionality", "epsilon"}
+    assert {f.kind for f in report.failures} <= {
+        "projection", "uniqueness", "functionality", "epsilon"
+    }
+
+
+def _with_multiplier(s, y, m):
+    mults = dict(s.multipliers)
+    mults[y] = m
+    return AutomaticStructure(s.presentation, s.word_acceptor, mults, s.diff_machine, s.k)
+
+
+def test_functionality_defect_beyond_short_words(ab_alphabet, z2_structure):
+    """One extra pair (a^8, a^8 b) in M_a: every u of length <= 6 still
+    has exactly one partner, but the whole-language test finds it."""
+    A = ab_alphabet
+    s = z2_structure
+    a = A.index("a")
+    m_a = s.multipliers[a]
+    pw = encode_pair(m_a.pairs, A.parse_word("a" * 8), A.parse_word("a" * 8 + "b"))
+    rows = [[FAIL] * m_a.pairs.alphabet.size for _ in range(len(pw) + 1)]
+    for i, sym in enumerate(pw):
+        rows[i][sym] = i + 1
+    one_pair = Dfa(m_a.pairs.alphabet, len(pw) + 1, 0, [len(pw)], rows)
+    bad = PairDfa(A, fsa.boolean_op("or", m_a.dfa, one_pair), m_a.pairs)
+    for u in fsa.enumerate_words(s.word_acceptor, 6):
+        assert len(pairfsa.partners(bad, u)) == 1
+    report = elementary_checks(_with_multiplier(s, a, bad))
+    assert report.failures == [
+        CheckFailure(
+            "functionality",
+            a,
+            A.parse_word("aaaaaaaa"),
+            (A.parse_word("aaaaaaaaa"), A.parse_word("aaaaaaaab")),
+        )
+    ]
+
+
+def test_uniqueness_defect(ab_alphabet, z2_structure):
+    """M_eps relating two different words fails the uniqueness test."""
+    A = ab_alphabet
+    s = z2_structure
+    m_a = s.multipliers[A.index("a")]
+    report = elementary_checks(_with_multiplier(s, EPSILON_KEY, m_a))
+    assert [f.kind for f in report.failures] == ["uniqueness"]
+    f = report.failures[0]
+    v1, v2 = f.partners
+    assert f.witness == v1 != v2
+    assert m_a.accepts_pair(v1, v2)
+
+
+def test_elementary_checks_respect_state_cap(z2_structure):
+    with pytest.raises(ResourceLimitError, match="subset construction"):
+        elementary_checks(z2_structure, 3)
+    with pytest.raises(ResourceLimitError, match="composition product"):
+        elementary_checks(z2_structure, 10)
+
+
+def test_derive_abandons_on_resource_failure_in_checks(ab_alphabet, monkeypatch):
+    real = autostruct.elementary_checks
+    monkeypatch.setattr(autostruct, "elementary_checks", lambda s, state_cap: real(s, 10))
+    out = derive_shortlex_structure(Presentation(ab_alphabet, [ab_alphabet.parse_word("abAB")]))
+    assert out.status == "abandoned"
+    assert out.resource_limited
+    assert out.transcript.splitlines()[-1].startswith(
+        "pass 1: elementary check resource failure: resource limit exceeded"
+    )
 
 
 # -- axiom checking -----------------------------------------------------------
@@ -181,6 +249,51 @@ def test_axiom_check_detects_corruption(ab_alphabet, z2_structure):
     assert report.failed_inverse is not None or report.failed_relator is not None
 
 
+def _left_to_right_axioms_hold(s):
+    """Reference: every inverse pair and every whole relator, composed
+    left to right, against M_eps."""
+    A = s.alphabet
+    m_eps = s.multipliers[EPSILON_KEY].minimized()
+    words = [bytes((y, A.inverse[y])) for y in range(A.size)] + list(s.presentation.relators)
+    for w in words:
+        acc = s.multipliers[w[0]]
+        for c in w[1:]:
+            acc = pairfsa.compose(acc, s.multipliers[c])
+        if acc.minimized() != m_eps:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "fixture_name,radius", [("s3_structure", 6), ("z2_structure", 4), ("dinf_structure", 4)]
+)
+def test_halves_axiom_check_agrees_with_full_composition(request, fixture_name, radius):
+    s = request.getfixturevalue(fixture_name)
+    checked = 0
+    for key, mult in s.multipliers.items():
+        m = mult.dfa
+        for state in fsa.live_states(m):
+            flipped = Dfa(
+                m.alphabet, m.num_states, m.initial, m.accepting ^ {state}, m.transitions
+            )
+            bad = _with_multiplier(s, key, PairDfa(s.alphabet, flipped, mult.pairs))
+            assert axiom_check(bad).ok == _left_to_right_axioms_hold(bad), (key, state)
+            checked += 1
+    assert checked > 0
+    # the relator halves themselves: each short word that is freely reduced
+    # or freely trivial, as the only relator
+    verdicts = set()
+    for w in words_up_to(s.alphabet.size, radius):
+        if not w or s.alphabet.free_reduce(w) not in (w, b""):
+            continue
+        pres = Presentation(s.alphabet, [w])
+        other = AutomaticStructure(pres, s.word_acceptor, s.multipliers, s.diff_machine, s.k)
+        verdict = axiom_check(other).ok
+        assert verdict == _left_to_right_axioms_hold(other), w
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 # -- the driver ----------------------------------------------------------------
 
 
@@ -193,6 +306,28 @@ def test_derive_b3_within_default_limits(b3_structure):
     assert b3_structure.verified
     counts = fsa.count_words_by_length(b3_structure.word_acceptor, 8)
     assert counts == BurauB3Model().sphere_sizes(8, 4)
+
+
+def test_derive_genus_two_surface_group():
+    """Sphere sizes match Cannon's closed form
+    (1+2x+2x^2+2x^3+x^4)/(1-6x-6x^2-6x^3+x^4)."""
+    A = inverse_closed_alphabet(list("abcd"), {"a": "A", "b": "B", "c": "C", "d": "D"})
+    start = time.perf_counter()
+    out = derive_shortlex_structure(Presentation(A, [A.parse_word("abABcdCD")]))
+    elapsed = time.perf_counter() - start
+    assert out.verified, out.transcript
+    assert out.structure.k == 4
+    num = [1, 2, 2, 2, 1]
+    den = [6, 6, 6, -1]  # s_n = num_n + 6 s_{n-1} + 6 s_{n-2} + 6 s_{n-3} - s_{n-4}
+    spheres: list[int] = []
+    for n in range(9):
+        spheres.append(
+            (num[n] if n < len(num) else 0)
+            + sum(c * spheres[n - 1 - i] for i, c in enumerate(den) if n - 1 - i >= 0)
+        )
+    assert spheres[:6] == [1, 8, 56, 392, 2736, 19096]
+    assert fsa.count_words_by_length(out.structure.word_acceptor, 8) == spheres
+    assert elapsed < 60.0
 
 
 def test_derive_free_rank_one():

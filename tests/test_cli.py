@@ -147,6 +147,11 @@ def test_exit_code_resource_limit(z2_file, capsys, monkeypatch):
     monkeypatch.delenv("AGT_STATE_CAP")
 
 
+def test_removed_radius_flag_is_a_usage_error(z2_file, capsys):
+    assert main(["autstructure", z2_file, "--check-radius", "6"]) == 2
+    assert "--check-radius" in capsys.readouterr().err
+
+
 def test_cli_outputs_deterministic(z2_file, tmp_path, capsys):
     out1 = tmp_path / "one"
     out2 = tmp_path / "two"
