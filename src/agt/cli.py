@@ -62,9 +62,16 @@ def _load_dfa(path: str):
 
 def _limits(args) -> Limits:
     state_cap = args.state_cap
+    if state_cap < 1:
+        raise UsageError("--state-cap must be at least 1")
     env = os.environ.get("AGT_STATE_CAP")
     if env is not None:
-        state_cap = int(env)
+        try:
+            state_cap = int(env)
+        except ValueError:
+            state_cap = 0
+        if state_cap < 1:
+            raise UsageError(f"AGT_STATE_CAP must be an integer >= 1, got {env!r}")
     return Limits(
         max_rules=args.max_rules,
         max_lhs_len=args.max_lhs_len,

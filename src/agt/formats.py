@@ -236,28 +236,78 @@ def save_structure(s: AutomaticStructure, outdir: str | Path) -> list[str]:
     return written
 
 
+def _read_bundle_json(path: Path) -> dict:
+    try:
+        data = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise UsageError(f"{path}: missing from the bundle") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise UsageError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: expected a JSON object")
+    return data
+
+
+def _parse_bundle_file(path: Path, parse):
+    """parse(data) for the JSON object in path; every malformation
+    becomes a one-line UsageError naming the file."""
+    data = _read_bundle_json(path)
+    try:
+        return parse(data)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise UsageError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
+
+
 def load_structure(bundle: str | Path) -> AutomaticStructure:
+    """Read a bundle written by :func:`save_structure`.
+
+    Any missing file, invalid JSON, missing or ill-typed field, wrong
+    kind of automaton or alphabet mismatch raises UsageError.
+    """
     path = Path(bundle)
     if not path.is_dir():
         raise UsageError(f"{bundle} is not a structure bundle directory")
-    pres = presentation_from_json(json.loads((path / PRESENTATION_FILE).read_text()))
-    wa = dfa_from_json(json.loads((path / WA_FILE).read_text()))
-    assert isinstance(wa, Dfa)
-    diff = diff_from_json(json.loads((path / DIFF_FILE).read_text()))
-    meta = json.loads((path / META_FILE).read_text())
+    pres = _parse_bundle_file(path / PRESENTATION_FILE, presentation_from_json)
+    alphabet = pres.alphabet
+    wa = _parse_bundle_file(path / WA_FILE, dfa_from_json)
+    if not isinstance(wa, Dfa) or wa.alphabet != alphabet:
+        raise UsageError(
+            f"{path / WA_FILE}: not a word acceptor over the presentation's alphabet"
+        )
+    diff = _parse_bundle_file(path / DIFF_FILE, diff_from_json)
+    if diff.alphabet != alphabet:
+        raise UsageError(f"{path / DIFF_FILE}: alphabet differs from the presentation's")
+    meta_path = path / META_FILE
+    meta = _read_bundle_json(meta_path)
+    k = meta.get("k")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise UsageError(f"{meta_path}: 'k' must be a non-negative integer")
+    verified = meta.get("verified")
+    if not isinstance(verified, bool):
+        raise UsageError(f"{meta_path}: 'verified' must be true or false")
     multipliers: dict[int | None, PairDfa] = {}
-    for key in [None, *range(pres.alphabet.size)]:
-        mp = path / _multiplier_filename(pres.alphabet, key)
-        loaded = dfa_from_json(json.loads(mp.read_text()))
-        assert isinstance(loaded, PairDfa)
+    for key in [None, *range(alphabet.size)]:
+        mp = path / _multiplier_filename(alphabet, key)
+        loaded = _parse_bundle_file(mp, dfa_from_json)
+        if not isinstance(loaded, PairDfa) or loaded.base != alphabet:
+            raise UsageError(
+                f"{mp}: not a pair automaton over the presentation's alphabet"
+            )
         multipliers[key] = loaded
-    transcript = (path / TRANSCRIPT_FILE).read_text().rstrip("\n")
+    try:
+        transcript = (path / TRANSCRIPT_FILE).read_text().rstrip("\n")
+    except FileNotFoundError:
+        raise UsageError(f"{path / TRANSCRIPT_FILE}: missing from the bundle") from None
+    except ValueError as exc:
+        raise UsageError(f"{path / TRANSCRIPT_FILE}: unreadable: {exc}") from None
     return AutomaticStructure(
         presentation=pres,
         word_acceptor=wa,
         multipliers=multipliers,
         diff_machine=diff,
-        k=meta["k"],
-        verified=meta["verified"],
+        k=k,
+        verified=verified,
         transcript=transcript,
     )

@@ -410,7 +410,9 @@ def language_is_finite(dfa: Dfa) -> int | None:
     """Exact number of accepted words, or None when the language is infinite.
 
     The language is infinite iff the live part of the automaton admits a
-    loop; otherwise the count is a DAG path count.
+    loop; otherwise the count is a DAG path count, taken in reverse of
+    the depth-first finish order (a topological order) that the loop
+    search produces.
     """
     live = live_states(dfa)
     if dfa.initial not in live:
@@ -419,6 +421,7 @@ def language_is_finite(dfa: Dfa) -> int | None:
     # cycle detection on the live subgraph
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {s: WHITE for s in live}
+    finished: list[int] = []
     stack: list[tuple[int, int]] = [(dfa.initial, 0)]
     colour[dfa.initial] = GREY
     while stack:
@@ -440,27 +443,16 @@ def language_is_finite(dfa: Dfa) -> int | None:
                 break
         if not advanced:
             colour[s] = BLACK
-    # acyclic: count accepted paths with memoized DFS
-    memo: dict[int, int] = {}
-
-    def count(s: int) -> int:
-        if s in memo:
-            return memo[s]
-        total = 1 if s in dfa.accepting else 0
+            finished.append(s)
+    # acyclic: paths from the initial state, pushed along edges
+    paths = dict.fromkeys(finished, 0)
+    paths[dfa.initial] = 1
+    for s in reversed(finished):
+        n = paths[s]
         for t in dfa.transitions[s]:
             if t in live_set:
-                total += count(t)
-        memo[s] = total
-        return total
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, len(live) + 100))
-    try:
-        return count(dfa.initial)
-    finally:
-        sys.setrecursionlimit(old)
+                paths[t] += n
+    return sum(paths[s] for s in finished if s in dfa.accepting)
 
 
 def count_words_by_length(dfa: Dfa, max_len: int) -> list[int]:

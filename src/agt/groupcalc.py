@@ -2,10 +2,14 @@
 
 Normal forms are computed by folding the multiplier automata (one
 functional partner lookup per letter), which makes the word problem,
-order, growth and enumeration immediate.  Conjugacy search follows the
-bounded-conjugator bound a^(|u|+|v|) with a = |X^+-|^k: the answer is
-tri-state, since reaching the full bound is astronomically expensive
-and anything short of it only proves "unknown".
+order, growth and enumeration immediate.  A lookup is one layered pass
+of :func:`agt.pairfsa.partners` over M_y's transition table, linear in
+|u| for a fixed structure and building no automaton, so a normal form
+of w costs O(|w|^2); lookups are memoised per structure, keyed (y, u).
+
+Conjugacy search follows the bounded-conjugator bound a^(|u|+|v|) with
+a = |X^+-|^k: the answer is tri-state, since reaching the full bound is
+astronomically expensive and anything short of it only proves "unknown".
 """
 
 from __future__ import annotations
@@ -125,29 +129,11 @@ def cone_types(s: AutomaticStructure, radius: int) -> ConeTypeResult:
     dist = element_ball(s, radius)
     classify_limit = radius - depth
 
-    sig_ids: dict = {}
-
-    def intern(x) -> int:
-        if x not in sig_ids:
-            sig_ids[x] = len(sig_ids)
-        return sig_ids[x]
-
+    ids: dict = {}
     memo: dict[tuple[Word, int], int] = {}
 
     def signature(g: Word, d: int) -> int:
-        if d == 0:
-            return intern("leaf")
-        key = (g, d)
-        got = memo.get(key)
-        if got is None:
-            items = []
-            for y in range(s.alphabet.size):
-                h = multiply(s, g, y)
-                if dist.get(h, -1) == dist[g] + 1:
-                    items.append((y, signature(h, d - 1)))
-            got = intern(frozenset(items))
-            memo[key] = got
-        return got
+        return _cone_signature(s, dist, ids, memo, g, d)
 
     classified = [g for g, dg in dist.items() if dg <= classify_limit]
     classified.sort(key=lambda w: (len(w), w))
@@ -176,6 +162,35 @@ def cone_types(s: AutomaticStructure, radius: int) -> ConeTypeResult:
         rows.append(row)
     dfa = Dfa(s.alphabet, count, class_of(b""), range(count), rows)
     return ConeTypeResult(dfa, count, radius, depth)
+
+
+def _cone_signature(
+    s: AutomaticStructure,
+    dist: dict[Word, int],
+    ids: dict,
+    memo: dict[tuple[Word, int], int],
+    g: Word,
+    d: int,
+) -> int:
+    """Id in ``ids`` of g's geodesic continuation tree cut at depth d.
+
+    A module function rather than a self-recursive closure: such a
+    closure is a reference cycle, which would keep ``dist`` and the
+    memos alive after the call until the next cyclic collection.
+    """
+    if d == 0:
+        return ids.setdefault("leaf", len(ids))
+    key = (g, d)
+    got = memo.get(key)
+    if got is None:
+        items = []
+        for y in range(s.alphabet.size):
+            h = multiply(s, g, y)
+            if dist.get(h, -1) == dist[g] + 1:
+                items.append((y, _cone_signature(s, dist, ids, memo, h, d - 1)))
+        got = ids.setdefault(frozenset(items), len(ids))
+        memo[key] = got
+    return got
 
 
 @dataclass

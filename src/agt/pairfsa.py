@@ -106,7 +106,7 @@ def decode_pair(pa: PairAlphabet, pw: bytes) -> tuple[Word, Word]:
 class PairDfa:
     """A Dfa over the pair alphabet of ``base``, accepting padded pairs."""
 
-    __slots__ = ("base", "pairs", "dfa")
+    __slots__ = ("base", "pairs", "dfa", "_by_first")
 
     def __init__(self, base: Alphabet, dfa: Dfa, pairs: PairAlphabet | None = None):
         self.base = base
@@ -114,6 +114,29 @@ class PairDfa:
         if dfa.alphabet != self.pairs.alphabet:
             raise UsageError("automaton alphabet is not the pair alphabet of base")
         self.dfa = dfa
+        self._by_first: list[dict[int, list[tuple[int, int]]]] | None = None
+
+    @property
+    def by_first(self) -> list[dict[int, list[tuple[int, int]]]]:
+        """Sparse view of the table: state -> {a: [(b, target), ...]}.
+
+        Keys a and, within each list, second letters b ascend, the pad
+        index last.  Built on first use and kept with the automaton
+        (which is immutable), so it lives and dies with it.
+        """
+        view = self._by_first
+        if view is None:
+            width = self.pairs.pad + 1
+            view = []
+            for row in self.dfa.transitions:
+                d: dict[int, list[tuple[int, int]]] = {}
+                for k, t in enumerate(row):
+                    if t != FAIL:
+                        a, b = divmod(k, width)
+                        d.setdefault(a, []).append((b, t))
+                view.append(d)
+            self._by_first = view
+        return view
 
     def accepts_pair(self, u: Word, v: Word) -> bool:
         return self.dfa.accepts(encode_pair(self.pairs, u, v))
@@ -279,26 +302,11 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
     if p.base != q.base:
         raise UsageError("compose needs a common base alphabet")
     pa = p.pairs
-    n = p.base.size
     pad = pa.pad
 
-    # sparse views: p by (state, a) -> [(b, t)], q by (state, b) -> [(c, t)]
-    p_by_a: list[dict[int, list[tuple[int, int]]]] = []
-    for row in p.dfa.transitions:
-        d: dict[int, list[tuple[int, int]]] = {}
-        for k, t in enumerate(row):
-            if t != FAIL:
-                a, b = pa.parts(k)
-                d.setdefault(a, []).append((b, t))
-        p_by_a.append(d)
-    q_by_b: list[dict[int, list[tuple[int, int]]]] = []
-    for row in q.dfa.transitions:
-        d = {}
-        for k, t in enumerate(row):
-            if t != FAIL:
-                b, c = pa.parts(k)
-                d.setdefault(b, []).append((c, t))
-        q_by_b.append(d)
+    # p read by its first letter a -> [(b, t)], q by its first letter b -> [(c, t)]
+    p_by_a = p.by_first
+    q_by_b = q.by_first
 
     # composed state: (p state, q state, output pad phase); the phase
     # (0 none, 1 u ended, 2 w ended) keeps the output string disciplined,
@@ -365,7 +373,9 @@ def slice_first(p: PairDfa, u: Word) -> Dfa:
 
     Deterministic by construction: states are (position in u, pair
     state); acceptance means the rest of u pads out to an accepting
-    state.  Exact for any partner multiplicity, including none.
+    state.  Exact for any partner multiplicity, including none.  Used
+    where an automaton of partners is needed (the functionality
+    witness); a plain lookup is :func:`partners`.
     """
     pa = p.pairs
     pad = pa.pad
@@ -409,14 +419,152 @@ def slice_first(p: PairDfa, u: Word) -> Dfa:
     return Dfa(p.base, len(order), 0, accepting, rows)
 
 
+def _live_overhang(p: PairDfa, starts: set[int]) -> set[int] | None:
+    """States reachable from ``starts`` by ($, b) moves that can still
+    reach acceptance by such moves; None when a loop runs through them
+    (then some pair (u, v) has infinitely many such v)."""
+    pad = p.pairs.pad
+    view = p.by_first
+    seen = set(starts)
+    stack = list(seen)
+    back: dict[int, list[int]] = {}
+    while stack:
+        s = stack.pop()
+        for _b, t in view[s].get(pad, ()):
+            back.setdefault(t, []).append(s)
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    stack = [s for s in seen if s in p.dfa.accepting]
+    live = set(stack)
+    while stack:
+        for s in back.get(stack.pop(), ()):
+            if s not in live:
+                live.add(s)
+                stack.append(s)
+    # a loop among live states survives peeling off those of in-degree 0
+    indeg = dict.fromkeys(live, 0)
+    for s in live:
+        for _b, t in view[s].get(pad, ()):
+            if t in indeg:
+                indeg[t] += 1
+    stack = [s for s, d in indeg.items() if d == 0]
+    peeled = 0
+    while stack:
+        peeled += 1
+        for _b, t in view[stack.pop()].get(pad, ()):
+            if t in indeg:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    stack.append(t)
+    return live if peeled == len(live) else None
+
+
 def partners(p: PairDfa, u: Word) -> list[Word] | None:
-    """Sorted list of all v with (u, v) accepted; None when infinite."""
-    sl = slice_first(p, u)
-    count = fsa.language_is_finite(sl)
-    if count is None:
+    """Shortlex-sorted list of all v with (u, v) accepted; None when infinite.
+
+    One layered pass over p's table, building no automaton:
+
+    - forward: the states reached after each prefix u_0..u_{i-1} read
+      against a letter-for-letter prefix of v;
+    - overhang: the last layer closed under ($, b) moves (v outlives u);
+    - backward: the live states at each position, those from which the
+      rest of u padded with $ ends accepting (memoised per position and
+      state) or which have a move (u_i, b) to a live state;
+    - read-out: every live path, one per partner.  A loop among the
+      live overhang states gives infinitely many partners.
+
+    Only correctly padded encodings of (u, v) are followed, as in
+    :func:`slice_first`.  Cost O(|u| * r * d), where r bounds the states
+    reached at one position (at most p's state count) and d the moves per
+    state and letter.
+    """
+    pad = p.pairs.pad
+    rows = p.dfa.transitions
+    accepting = p.dfa.accepting
+    view = p.by_first
+    nu = len(u)
+    pad_cols = [a * (pad + 1) + pad for a in u]  # the pair symbols (u_i, $)
+    pad_memo: list[dict[int, bool]] = [{} for _ in range(nu)]
+
+    def pad_ok(i: int, s: int) -> bool:
+        # reading (u_i,$)...(u_{nu-1},$) from s ends accepting
+        chain = []
+        while True:
+            if i == nu:
+                ok = s in accepting
+                break
+            ok = pad_memo[i].get(s)
+            if ok is not None:
+                break
+            chain.append((i, s))
+            s = rows[s][pad_cols[i]]
+            i += 1
+            if s == FAIL:
+                ok = False
+                break
+        for j, t in chain:
+            pad_memo[j][t] = ok
+        return ok
+
+    layers: list[set[int]] = [{p.dfa.initial}]
+    for a in u:
+        nxt = {t for s in layers[-1] for b, t in view[s].get(a, ()) if b != pad}
+        if not nxt:
+            break
+        layers.append(nxt)
+    last = len(layers) - 1
+
+    live_end = _live_overhang(p, layers[nu]) if last == nu else set()
+    if live_end is None:
         return None
-    if count == 0:
+    if last == nu:
+        live = [layers[nu] & live_end]
+    else:
+        col = pad_cols[last]
+        live = [{s for s in layers[last] if rows[s][col] != FAIL and pad_ok(last, s)}]
+    # most states have no (u_i, $) move, so that is tested before pad_ok
+    for i in range(last - 1, -1, -1):
+        a = u[i]
+        col = pad_cols[i]
+        ahead = live[-1]
+        here = set()
+        for s in layers[i]:
+            for b, t in view[s].get(a, ()):
+                if b != pad and t in ahead:
+                    here.add(s)
+                    break
+            else:
+                if rows[s][col] != FAIL and pad_ok(i, s):
+                    here.add(s)
+        live.append(here)
+    live.reverse()
+    if not live[0]:
         return []
-    out = fsa.enumerate_words(sl, len(u) + p.dfa.num_states + 1)
-    assert len(out) == count
+
+    # depth first along live nodes (i, s); v holds the path's second
+    # letters, and each entry records v's length after its letter b
+    out: list[Word] = []
+    v = bytearray()
+    todo: list[tuple[int, int, int, int]] = [(0, p.dfa.initial, 0, 0)]
+    while todo:
+        i, s, n, b = todo.pop()
+        if n:
+            del v[n - 1 :]
+            v.append(b)
+        if i < nu:
+            if rows[s][pad_cols[i]] != FAIL and pad_ok(i, s):
+                out.append(bytes(v))
+            if i < last:
+                ahead = live[i + 1]
+                for b, t in view[s].get(u[i], ()):
+                    if b != pad and t in ahead:
+                        todo.append((i + 1, t, n + 1, b))
+        else:
+            if s in accepting:
+                out.append(bytes(v))
+            for b, t in view[s].get(pad, ()):
+                if t in live_end:
+                    todo.append((i, t, n + 1, b))
+    out.sort(key=lambda w: (len(w), w))
     return out

@@ -5,8 +5,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from agt.autostruct import derive_shortlex_structure
-from agt.rewrite import Presentation
+from agt.autostruct import (
+    EPSILON_KEY,
+    AutomaticStructure,
+    build_candidate_word_acceptor,
+    build_multiplier,
+    derive_shortlex_structure,
+)
+from agt.limits import Limits
+from agt.rewrite import Completion, Presentation, system_from_presentation
+from agt.worddiff import accumulate_from_rules
 from agt.words import inverse_closed_alphabet
 
 
@@ -51,3 +59,19 @@ def b3_structure(ab_alphabet):
 @pytest.fixture(scope="session")
 def dinf_structure(coxeter_ab_alphabet):
     return _derive(coxeter_ab_alphabet, [])
+
+
+@pytest.fixture(scope="session")
+def starved_b3_structure(ab_alphabet):
+    """B3 built from a completion paused after one pair: the difference
+    set is inadequate, so the multipliers are not functional."""
+    A = ab_alphabet
+    pres = Presentation(A, [A.parse_word("abaBAB")])
+    rs = system_from_presentation(pres)
+    Completion(rs, Limits(stability_window=1)).run(pause_when=lambda c: c.processed >= 1)
+    d = accumulate_from_rules(rs)
+    wa = build_candidate_word_acceptor(d, A)
+    mults = {EPSILON_KEY: build_multiplier(wa, d, None)}
+    for y in range(A.size):
+        mults[y] = build_multiplier(wa, d, y)
+    return AutomaticStructure(pres, wa, mults, d, d.max_difference_length())

@@ -133,24 +133,10 @@ def test_elementary_checks_pass_on_verified(z2_structure, free_structure):
         assert elementary_checks(s).ok
 
 
-def test_elementary_checks_fail_on_starved_completion(ab_alphabet):
+def test_elementary_checks_fail_on_starved_completion(starved_b3_structure):
     """A premature pause leaves an inadequate difference set; the checks
     must fail and produce a witness."""
-    A = ab_alphabet
-    pres = Presentation(A, [A.parse_word("abaBAB")])
-    rs = system_from_presentation(pres)
-    comp_limits = Limits(stability_window=1)
-    from agt.rewrite import Completion
-
-    comp = Completion(rs, comp_limits)
-    comp.run(pause_when=lambda c: c.processed >= 1)
-    d = accumulate_from_rules(rs)
-    wa = build_candidate_word_acceptor(d, A)
-    mults = {EPSILON_KEY: build_multiplier(wa, d, None)}
-    for y in range(A.size):
-        mults[y] = build_multiplier(wa, d, y)
-    s = AutomaticStructure(pres, wa, mults, d, d.max_difference_length())
-    report = elementary_checks(s)
+    report = elementary_checks(starved_b3_structure)
     assert not report.ok
     assert any(f.witness is not None for f in report.failures)
     assert {f.kind for f in report.failures} <= {

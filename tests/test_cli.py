@@ -1,4 +1,8 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -163,3 +167,98 @@ def test_cli_outputs_deterministic(z2_file, tmp_path, capsys):
     assert names1 == names2
     for name in names1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def z2_bundle_master(tmp_path_factory):
+    src = tmp_path_factory.mktemp("presentation") / "z2.json"
+    src.write_text(
+        json.dumps(
+            {"generators": ["a", "b"], "inverses": {"a": "A", "b": "B"}, "relators": ["abAB"]}
+        )
+    )
+    out = tmp_path_factory.mktemp("bundle") / "z2"
+    assert main(["autstructure", str(src), "-o", str(out), "--quiet"]) == 0
+    return out
+
+
+def _edit_meta(**changes):
+    def edit(bundle):
+        meta = json.loads((bundle / "meta.json").read_text())
+        for key, value in changes.items():
+            if value is None:
+                meta.pop(key)
+            else:
+                meta[key] = value
+        (bundle / "meta.json").write_text(json.dumps(meta))
+
+    return edit
+
+
+def _copy_file(src, dst):
+    def edit(bundle):
+        shutil.copyfile(bundle / src, bundle / dst)
+
+    return edit
+
+
+def _write(name, text):
+    def edit(bundle):
+        (bundle / name).write_text(text)
+
+    return edit
+
+
+MALFORMED_BUNDLES = {
+    "meta_without_verified": _edit_meta(verified=None),
+    "meta_not_json": _write("meta.json", "{verified: true"),
+    "meta_not_an_object": _write("meta.json", "[1, 2]"),
+    "meta_without_k": _edit_meta(k=None),
+    "meta_k_is_text": _edit_meta(k="2"),
+    "meta_k_is_bool": _edit_meta(k=True),
+    "meta_verified_is_text": _edit_meta(verified="yes"),
+    "wa_holds_pair_automaton": _copy_file("m_a.json", "wa.json"),
+    "multiplier_holds_plain_automaton": _copy_file("wa.json", "m_a.json"),
+    "multiplier_missing": lambda bundle: (bundle / "m_B.json").unlink(),
+    "multiplier_without_states": _write(
+        "m_eps.json", json.dumps({"alphabet": ["a"], "inverses": {"a": "a"}})
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BUNDLES))
+def test_malformed_bundle_is_a_usage_error(case, z2_bundle_master, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(z2_bundle_master, bundle)
+    MALFORMED_BUNDLES[case](bundle)
+    assert main(["wp", str(bundle), "aB", "Ba"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_wrong_automaton_kind_rejected_under_optimisation(z2_bundle_master, tmp_path):
+    # explicit checks, not asserts: python -O must still refuse the bundle
+    bundle = tmp_path / "bundle"
+    shutil.copytree(z2_bundle_master, bundle)
+    shutil.copyfile(bundle / "m_a.json", bundle / "wa.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "agt.cli", "wp", str(bundle), "aB", "Ba"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "", "2.5"])
+def test_invalid_state_cap_variable_is_a_usage_error(value, z2_file, capsys, monkeypatch):
+    monkeypatch.setenv("AGT_STATE_CAP", value)
+    assert main(["autstructure", z2_file]) == 2
+    err = capsys.readouterr().err
+    assert "AGT_STATE_CAP" in err and err.count("\n") == 1
+
+
+def test_invalid_state_cap_flag_is_a_usage_error(z2_file, capsys):
+    assert main(["autstructure", z2_file, "--state-cap", "0"]) == 2
+    assert "--state-cap" in capsys.readouterr().err

@@ -201,6 +201,21 @@ def test_language_finiteness(ab, f2_acceptor, s3_structure, z2_structure):
     assert fsa.language_is_finite(f2_acceptor) is None
 
 
+
+def test_language_is_finite_counts_long_chain_without_recursion(ab, monkeypatch):
+    import sys
+
+    def refuse(limit):
+        raise AssertionError("language_is_finite must not touch the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = 100_000
+    # state i --a--> i + 1; states accept on every third step: a^0, a^3, ...
+    rows = [[i + 1, FAIL, FAIL, FAIL] for i in range(n - 1)] + [[FAIL] * 4]
+    chain = Dfa(ab, n, 0, range(0, n, 3), rows)
+    assert fsa.language_is_finite(chain) == len(range(0, n, 3))
+
+
 def test_growth_series_f2(f2_acceptor):
     g = fsa.growth_series(f2_acceptor, 4)
     assert g.numerator == (1, 1)

@@ -206,3 +206,106 @@ def test_pad_modes_and_validation(z2_structure):
             if state in live and len(ms) > 1:
                 row = mult.dfa.transitions[state]
                 assert not any(t in live for t in row if t != FAIL)
+
+
+# -- partner lookup against the slice-automaton route ---------------------
+
+
+def slice_route_partners(p: PairDfa, u):
+    """The lookup as a slice automaton: finiteness, then enumeration."""
+    sl = pairfsa.slice_first(p, u)
+    count = fsa.language_is_finite(sl)
+    if count is None:
+        return None
+    return fsa.enumerate_words(sl, len(u) + p.dfa.num_states + 1) if count else []
+
+
+@pytest.mark.parametrize(
+    "fixture", ["free_structure", "z2_structure", "s3_structure", "dinf_structure",
+                "b3_structure"]
+)
+def test_partners_match_slice_route_on_multipliers(fixture, request):
+    s = request.getfixturevalue(fixture)
+    A = s.alphabet
+    rng = random.Random(fixture)
+    accepted = fsa.enumerate_words(s.word_acceptor, 5)
+    rejected = []
+    while len(rejected) < 40:
+        w = bytes(rng.randrange(A.size) for _ in range(rng.randrange(1, 9)))
+        if not s.word_acceptor.accepts(w):
+            rejected.append(w)
+    for key, mult in s.multipliers.items():
+        for u in accepted + rejected:
+            got = partners(mult, u)
+            assert got == slice_route_partners(mult, u), (key, u)
+            if u in rejected:
+                assert got == []
+
+
+def test_partners_several_on_starved_b3(starved_b3_structure):
+    s = starved_b3_structure
+    words = fsa.enumerate_words(s.word_acceptor, 4)
+    most = 0
+    for y in range(s.alphabet.size):
+        mult = s.multipliers[y]
+        rel = compose(swap(mult), mult)
+        for u in words:
+            got = partners(rel, u)
+            assert got == slice_route_partners(rel, u), (y, u)
+            assert got == sorted(got, key=lambda w: (len(w), w))
+            most = max(most, len(got))
+    assert most >= 2
+
+
+def a_powers_from_empty(ab) -> PairDfa:
+    """Hand-built pair automaton for {(eps, a^n) : n >= 0}."""
+    pa = PairAlphabet(ab)
+    rows = [[FAIL] * pa.alphabet.size]
+    rows[0][pa.index(pa.pad, 0)] = 0  # ($, a)
+    return PairDfa(ab, Dfa(pa.alphabet, 1, 0, (0,), rows), pa)
+
+
+def test_partners_infinitely_many(ab):
+    # {(a^n b, a^n)} then {(eps, a^m)}: only n = 0 composes, giving {(b, a^m)}
+    rel = compose(anb_times_an(ab), a_powers_from_empty(ab))
+    assert partners(rel, ab.parse_word("b")) is None
+    assert partners(a_powers_from_empty(ab), b"") is None
+    for u in words_up_to(ab.size, 4):
+        assert partners(rel, u) == slice_route_partners(rel, u)
+        if u != ab.parse_word("b"):
+            assert partners(rel, u) == []
+    # a loop that cannot reach acceptance adds no partner (not minimized)
+    pa = PairAlphabet(ab)
+    rows = [[FAIL] * pa.alphabet.size for _ in range(2)]
+    rows[0][pa.index(pa.pad, 0)] = 1
+    rows[1][pa.index(pa.pad, 0)] = 1
+    dead_loop = PairDfa(ab, Dfa(pa.alphabet, 2, 0, (0,), rows), pa)
+    assert partners(dead_loop, b"") == [b""] == slice_route_partners(dead_loop, b"")
+    p = anb_times_an(ab)
+    assert partners(p, ab.parse_word("aab")) == [ab.parse_word("aa")]
+    assert partners(swap(p), ab.parse_word("aa")) == [ab.parse_word("aab")]
+
+
+def test_normal_form_builds_no_automaton(ab_alphabet, b3_structure, monkeypatch):
+    from agt import groupcalc
+    from agt.autostruct import AutomaticStructure
+
+    s = b3_structure
+    cold = AutomaticStructure(
+        s.presentation, s.word_acceptor, s.multipliers, s.diff_machine, s.k, verified=True
+    )
+    built = []
+    orig = Dfa.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dfa, "__init__", counting_init)
+    rng = random.Random(200)
+    w = bytes(rng.randrange(ab_alphabet.size) for _ in range(200))
+    nf = groupcalc.normal_form(cold, w)
+    assert len(cold._partner_memo) > 0
+    assert built == []
+    monkeypatch.undo()
+    assert groupcalc.normal_form(cold, nf) == nf
