@@ -14,7 +14,6 @@ them abandons the attempt.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import fsa, pairfsa
@@ -87,27 +86,14 @@ def build_candidate_word_acceptor(
                     out.add(d2 * 3 + _PAD)
         return frozenset(out)
 
-    start: frozenset[int] = frozenset()
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
+    def expand(state: frozenset[int], index: dict) -> list[int]:
         row = []
         for x in range(n):
             nxt = advance(state, x)
-            if nxt is None:
-                row.append(FAIL)
-                continue
-            if nxt not in index:
-                if len(index) >= state_cap:
-                    raise ResourceLimitError("word acceptor states", state_cap)
-                index[nxt] = len(index)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
+            row.append(FAIL if nxt is None else index[nxt])
+        return row
+
+    order, rows = fsa.explore(frozenset(), expand, state_cap, "word acceptor states")
     return fsa.minimize(Dfa(alphabet, len(order), 0, range(len(order)), rows))
 
 
@@ -138,26 +124,12 @@ def build_multiplier(
         return PairDfa(A, fsa.empty_language_dfa(pa.alphabet), pa)
 
     NOPAD, UPAD, VPAD = 0, 1, 2
-    start = (wa.initial, wa.initial, diff.initial, NOPAD)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    queue = deque([start])
+    symbols = [pa.parts(k) for k in range(pa.alphabet.size)]
 
-    def state_id(st: tuple[int, int, int, int]) -> int:
-        if st not in index:
-            if len(index) >= state_cap:
-                raise ResourceLimitError("multiplier states", state_cap)
-            index[st] = len(index)
-            order.append(st)
-            queue.append(st)
-        return index[st]
-
-    while queue:
-        su, sv, d, mode = queue.popleft()
-        row = [FAIL] * pa.alphabet.size
-        for k in range(pa.alphabet.size):
-            a, b = pa.parts(k)
+    def expand(state: tuple[int, int, int, int], index: dict) -> list[int]:
+        su, sv, d, mode = state
+        row = [FAIL] * len(symbols)
+        for k, (a, b) in enumerate(symbols):
             if a != pad and b != pad:
                 if mode != NOPAD:
                     continue
@@ -165,7 +137,7 @@ def build_multiplier(
                 tv = wa.transitions[sv][b]
                 d2 = diff.step_sym(d, k)
                 if tu != FAIL and tv != FAIL and d2 >= 0:
-                    row[k] = state_id((tu, tv, d2, NOPAD))
+                    row[k] = index[tu, tv, d2, NOPAD]
             elif b == pad:
                 # v has ended; it must be accepted where it stopped
                 if mode == NOPAD and sv not in wa.accepting:
@@ -175,7 +147,7 @@ def build_multiplier(
                 tu = wa.transitions[su][a]
                 d2 = diff.step_sym(d, k)
                 if tu != FAIL and d2 >= 0:
-                    row[k] = state_id((tu, sv, d2, VPAD))
+                    row[k] = index[tu, sv, d2, VPAD]
             else:
                 if mode == NOPAD and su not in wa.accepting:
                     continue
@@ -184,9 +156,11 @@ def build_multiplier(
                 tv = wa.transitions[sv][b]
                 d2 = diff.step_sym(d, k)
                 if tv != FAIL and d2 >= 0:
-                    row[k] = state_id((su, tv, d2, UPAD))
-        rows.append(row)
+                    row[k] = index[su, tv, d2, UPAD]
+        return row
 
+    start = (wa.initial, wa.initial, diff.initial, NOPAD)
+    order, rows = fsa.explore(start, expand, state_cap, "multiplier states")
     accepting = []
     for i, (su, sv, d, mode) in enumerate(order):
         if d != target:

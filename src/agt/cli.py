@@ -10,7 +10,6 @@ outputs.  AGT_STATE_CAP overrides the subset-construction state cap.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -32,21 +31,16 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _load_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise UsageError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: invalid JSON: {exc}") from None
+def _load(path: str, parse):
+    return formats.parse_json_file(path, parse, missing="no such file")
 
 
 def _load_presentation(path: str):
-    return formats.presentation_from_json(_load_json(path))
+    return _load(path, formats.presentation_from_json)
 
 
 def _load_matrix(path: str):
-    return formats.matrix_from_json(_load_json(path))
+    return _load(path, formats.matrix_from_json)
 
 
 def _load_structure(path: str):
@@ -54,7 +48,7 @@ def _load_structure(path: str):
 
 
 def _load_dfa(path: str):
-    m = formats.dfa_from_json(_load_json(path))
+    m = _load(path, formats.dfa_from_json)
     if isinstance(m, pairfsa.PairDfa):
         raise UsageError(f"{path} holds a pair automaton where a plain one is needed")
     return m

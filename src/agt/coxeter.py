@@ -232,13 +232,7 @@ def _subset_acceptor(
                     extra.append(img)
         shortlex_extra.append(extra)
 
-    start: frozenset[int] = frozenset()
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    queue = deque([start])
-    while queue:
-        S = queue.popleft()
+    def expand(S: frozenset[int], index: dict) -> list[int]:
         row = []
         for i in range(ctx.rank):
             if simple_ids[i] in S:
@@ -250,15 +244,10 @@ def _subset_acceptor(
                 if img is not None:
                     nxt.add(img)
             nxt.update(shortlex_extra[i])
-            key = frozenset(nxt)
-            if key not in index:
-                if len(index) >= state_cap:
-                    raise ResourceLimitError("acceptor subset states", state_cap)
-                index[key] = len(index)
-                order.append(key)
-                queue.append(key)
-            row.append(index[key])
-        rows.append(row)
+            row.append(index[frozenset(nxt)])
+        return row
+
+    order, rows = fsa.explore(frozenset(), expand, state_cap, "acceptor subset states")
     return fsa.minimize(Dfa(alphabet, len(order), 0, range(len(order)), rows))
 
 

@@ -236,11 +236,12 @@ def save_structure(s: AutomaticStructure, outdir: str | Path) -> list[str]:
     return written
 
 
-def _read_bundle_json(path: Path) -> dict:
+def read_json_object(path: str | Path, missing: str = "missing from the bundle") -> dict:
+    """The JSON object in path; a missing file is reported as ``missing``."""
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise UsageError(f"{path}: missing from the bundle") from None
+        raise UsageError(f"{path}: {missing}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -248,15 +249,15 @@ def _read_bundle_json(path: Path) -> dict:
     return data
 
 
-def _parse_bundle_file(path: Path, parse):
+def parse_json_file(path: str | Path, parse, missing: str = "missing from the bundle"):
     """parse(data) for the JSON object in path; every malformation
     becomes a one-line UsageError naming the file."""
-    data = _read_bundle_json(path)
+    data = read_json_object(path, missing)
     try:
         return parse(data)
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise UsageError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
 
 
@@ -269,18 +270,18 @@ def load_structure(bundle: str | Path) -> AutomaticStructure:
     path = Path(bundle)
     if not path.is_dir():
         raise UsageError(f"{bundle} is not a structure bundle directory")
-    pres = _parse_bundle_file(path / PRESENTATION_FILE, presentation_from_json)
+    pres = parse_json_file(path / PRESENTATION_FILE, presentation_from_json)
     alphabet = pres.alphabet
-    wa = _parse_bundle_file(path / WA_FILE, dfa_from_json)
+    wa = parse_json_file(path / WA_FILE, dfa_from_json)
     if not isinstance(wa, Dfa) or wa.alphabet != alphabet:
         raise UsageError(
             f"{path / WA_FILE}: not a word acceptor over the presentation's alphabet"
         )
-    diff = _parse_bundle_file(path / DIFF_FILE, diff_from_json)
+    diff = parse_json_file(path / DIFF_FILE, diff_from_json)
     if diff.alphabet != alphabet:
         raise UsageError(f"{path / DIFF_FILE}: alphabet differs from the presentation's")
     meta_path = path / META_FILE
-    meta = _read_bundle_json(meta_path)
+    meta = read_json_object(meta_path)
     k = meta.get("k")
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise UsageError(f"{meta_path}: 'k' must be a non-negative integer")
@@ -290,7 +291,7 @@ def load_structure(bundle: str | Path) -> AutomaticStructure:
     multipliers: dict[int | None, PairDfa] = {}
     for key in [None, *range(alphabet.size)]:
         mp = path / _multiplier_filename(alphabet, key)
-        loaded = _parse_bundle_file(mp, dfa_from_json)
+        loaded = parse_json_file(mp, dfa_from_json)
         if not isinstance(loaded, PairDfa) or loaded.base != alphabet:
             raise UsageError(
                 f"{mp}: not a pair automaton over the presentation's alphabet"

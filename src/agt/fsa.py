@@ -145,33 +145,58 @@ class Nfa:
         return frozenset(seen)
 
 
+class _StateIndex(dict):
+    """Explored state -> its number; looking up an unseen state numbers it."""
+
+    __slots__ = ("order", "state_cap", "what")
+
+    def __init__(self, state_cap: int, what: str):
+        super().__init__()
+        self.order: list = []
+        self.state_cap = state_cap
+        self.what = what
+
+    def __missing__(self, state):
+        if len(self.order) >= self.state_cap:
+            raise ResourceLimitError(self.what, self.state_cap)
+        self[state] = number = len(self.order)
+        self.order.append(state)
+        return number
+
+
+def explore(start, expand, state_cap: int, what: str) -> tuple[list, list]:
+    """Breadth-first exploration of a subset or product construction.
+
+    ``expand(state, index)`` says how one state expands, typically by
+    returning its transition row; it numbers each successor by looking
+    it up as ``index[successor]``.  A state seen for the first time gets
+    the next number, so states are numbered in discovery order with
+    ``start`` as 0, and numbering more than ``state_cap`` states raises
+    ``ResourceLimitError(what, state_cap)``.  Returns ``(order, rows)``:
+    ``order[i]`` is state ``i`` and ``rows[i]`` what ``expand`` gave
+    for it.
+    """
+    index = _StateIndex(state_cap, what)
+    index[start]  # numbered 0
+    # order grows while it is walked, which makes it the queue as well
+    return index.order, [expand(state, index) for state in index.order]
+
+
 def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Subset construction (reachable subsets only); epsilon moves are closed over."""
     k = nfa.alphabet.size
-    start = nfa.eps_closure(nfa.initials)
-    index: dict[frozenset[int], int] = {start: 0}
-    rows: list[list[int]] = []
-    queue = deque([start])
-    order = [start]
-    while queue:
-        subset = queue.popleft()
+
+    def expand(subset: frozenset[int], index: dict) -> list[int]:
         row = []
         for c in range(k):
             targets: set[int] = set()
             for s in subset:
                 targets |= nfa.transitions.get((s, c), set())
-            if targets:
-                closed = nfa.eps_closure(targets)
-                if closed not in index:
-                    if len(index) >= state_cap:
-                        raise ResourceLimitError("subset construction states", state_cap)
-                    index[closed] = len(index)
-                    queue.append(closed)
-                    order.append(closed)
-                row.append(index[closed])
-            else:
-                row.append(FAIL)
-        rows.append(row)
+            row.append(index[nfa.eps_closure(targets)] if targets else FAIL)
+        return row
+
+    start = nfa.eps_closure(nfa.initials)
+    order, rows = explore(start, expand, state_cap, "subset construction states")
     accepting = [i for i, subset in enumerate(order) if subset & nfa.accepting]
     return Dfa(nfa.alphabet, len(order), 0, accepting, rows)
 
@@ -326,29 +351,22 @@ def _complete_step(dfa: Dfa, state: int, c: int) -> int:
     return dfa.transitions[state][c]
 
 
-def _product(m1: Dfa, m2: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
+def _product(
+    m1: Dfa, m2: Dfa, keep: Callable[[bool, bool], bool], state_cap: int = DEFAULT_STATE_CAP
+) -> Dfa:
     if m1.alphabet != m2.alphabet:
         raise UsageError("boolean operations need a common alphabet")
     k = m1.alphabet.size
-    start = (m1.initial, m2.initial)
-    index = {start: 0}
-    rows: list[list[int]] = []
-    order = [start]
-    queue = deque([start])
-    while queue:
-        s1, s2 = queue.popleft()
+
+    def expand(pair: tuple[int, int], index: dict) -> list[int]:
+        s1, s2 = pair
         row = []
         for c in range(k):
             t = (_complete_step(m1, s1, c), _complete_step(m2, s2, c))
-            if t == (FAIL, FAIL):
-                row.append(FAIL)
-                continue
-            if t not in index:
-                index[t] = len(index)
-                order.append(t)
-                queue.append(t)
-            row.append(index[t])
-        rows.append(row)
+            row.append(FAIL if t == (FAIL, FAIL) else index[t])
+        return row
+
+    order, rows = explore((m1.initial, m2.initial), expand, state_cap, "product states")
     accepting = [
         i
         for i, (s1, s2) in enumerate(order)

@@ -14,7 +14,7 @@ from collections import deque
 from typing import Iterable
 
 from . import fsa
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError
 from .fsa import FAIL, DEFAULT_STATE_CAP, Dfa, Nfa
 from .words import Alphabet, Word
 
@@ -313,24 +313,10 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
     # while p and q enforce the middle word's own padding internally.
     NOPH, UPAD, WPAD = 0, 1, 2
     nfa = Nfa(pa.alphabet)
-    index: dict[tuple[int, int, int], int] = {}
 
-    def state_id(sp: int, sq: int, ph: int) -> int:
-        key = (sp, sq, ph)
-        if key not in index:
-            if len(index) >= state_cap:
-                raise ResourceLimitError("composition product states", state_cap)
-            index[key] = nfa.add_state()
-            if sp in p.dfa.accepting and sq in q.dfa.accepting:
-                nfa.accepting.add(index[key])
-            todo.append(key)
-        return index[key]
-
-    todo: deque[tuple[int, int, int]] = deque()
-    nfa.initials = {state_id(p.dfa.initial, q.dfa.initial, NOPH)}
-    while todo:
-        sp, sq, ph = todo.popleft()
-        src = index[(sp, sq, ph)]
+    def expand(state: tuple[int, int, int], index: dict) -> None:
+        sp, sq, ph = state
+        src = index[state]
         pd = p_by_a[sp]
         qd = q_by_b[sq]
         for a, pairs_pb in pd.items():
@@ -338,7 +324,7 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
                 for c, tq in qd.get(b, ()):
                     if a == pad and c == pad:
                         # middle word outlives both u and w: no output
-                        nfa.add_eps(src, state_id(tp, tq, ph))
+                        nfa.add_eps(src, index[tp, tq, ph])
                         continue
                     if a != pad and c != pad:
                         nph = NOPH
@@ -352,7 +338,7 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
                         nph = WPAD
                         if ph == UPAD:
                             continue
-                    nfa.add_transition(src, pa.index(a, c), state_id(tp, tq, nph))
+                    nfa.add_transition(src, pa.index(a, c), index[tp, tq, nph])
         # q's pair string is exhausted (both v and w ended) while u continues
         if ph != UPAD:
             for a, pairs_pb in pd.items():
@@ -360,11 +346,18 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
                     continue
                 for b, tp in pairs_pb:
                     if b == pad:
-                        nfa.add_transition(src, pa.index(a, pad), state_id(tp, sq, WPAD))
+                        nfa.add_transition(src, pa.index(a, pad), index[tp, sq, WPAD])
         # p's pair string is exhausted (both u and v ended) while w continues
         if ph != WPAD:
             for c, tq in qd.get(pad, ()):
-                nfa.add_transition(src, pa.index(pad, c), state_id(sp, tq, UPAD))
+                nfa.add_transition(src, pa.index(pad, c), index[sp, tq, UPAD])
+
+    start = (p.dfa.initial, q.dfa.initial, NOPH)
+    order, _ = fsa.explore(start, expand, state_cap, "composition product states")
+    nfa.num_states = len(order)
+    nfa.initials = {0}
+    p_acc, q_acc = p.dfa.accepting, q.dfa.accepting
+    nfa.accepting = {i for i, (sp, sq, _) in enumerate(order) if sp in p_acc and sq in q_acc}
     return PairDfa(p.base, fsa.minimize(fsa.determinize(nfa, state_cap)), pa)
 
 

@@ -6,15 +6,10 @@ match, so results are deterministic.  Completion processes critical
 pairs first-in first-out, orienting unresolved pairs into new rules,
 deleting rules whose left side becomes reducible (their equation is
 re-queued) and re-reducing right sides.
-
-The reduction inner loop is the package's hot kernel: a compiled
-version is used when available, with a pure-Python fallback selected at
-import time (set AGT_PURE_PYTHON=1 to force the fallback).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from array import array
 from collections import deque
@@ -25,15 +20,66 @@ from .errors import UsageError
 from .limits import Limits
 from .words import Alphabet, Word
 
-if os.environ.get("AGT_PURE_PYTHON"):
-    from . import _reduce_py as _kernel
-else:
-    try:
-        from . import _reduce_cy as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _reduce_py as _kernel
 
-KERNEL_NAME: str = _kernel.KERNEL_NAME
+# -- the reduction kernel ----------------------------------------------
+#
+# The trie over left-hand sides is a flat table ``next_tab`` of width
+# ``n_syms`` per node (node 0 is the root, -1 means no edge) and
+# ``node_rule`` holds the rule index ending at a node (-1 for none).
+
+
+def _reduce_word(word, next_tab, node_rule, rhs_list, n_syms, max_lhs):
+    """Replace the leftmost, lowest-indexed matching left-hand side until
+    the word is irreducible.  Right-hand sides never exceed their
+    left-hand sides in length, so the buffer only shrinks."""
+    buf = bytearray(word)
+    i = 0
+    while i < len(buf):
+        node = 0
+        best_rule = -1
+        best_len = 0
+        j = i
+        n = len(buf)
+        while j < n:
+            node = next_tab[node * n_syms + buf[j]]
+            if node < 0:
+                break
+            j += 1
+            r = node_rule[node]
+            if r >= 0 and (best_rule < 0 or r < best_rule):
+                best_rule = r
+                best_len = j - i
+        if best_rule < 0:
+            i += 1
+            continue
+        buf[i : i + best_len] = rhs_list[best_rule]
+        i = i - max_lhs + 1
+        if i < 0:
+            i = 0
+    return bytes(buf)
+
+
+def _leftmost_match(word, next_tab, node_rule, n_syms):
+    """(position, rule index, match length) of the leftmost lowest-indexed
+    match, or None when the word is irreducible."""
+    n = len(word)
+    for i in range(n):
+        node = 0
+        best_rule = -1
+        best_len = 0
+        j = i
+        while j < n:
+            node = next_tab[node * n_syms + word[j]]
+            if node < 0:
+                break
+            j += 1
+            r = node_rule[node]
+            if r >= 0 and (best_rule < 0 or r < best_rule):
+                best_rule = r
+                best_len = j - i
+        if best_rule >= 0:
+            return i, best_rule, best_len
+    return None
 
 
 class Presentation:
@@ -166,13 +212,13 @@ class RewriteSystem:
 
     def reduce(self, w: Word) -> Word:
         """Normal form of w under leftmost lowest-indexed rewriting."""
-        return _kernel.reduce_word(
+        return _reduce_word(
             w, self._next, self._node_rule, self._rhs, self._n_syms, self.max_lhs_len
         )
 
     def is_reducible(self, w: Word) -> bool:
         return (
-            _kernel.leftmost_match(w, self._next, self._node_rule, self._n_syms)
+            _leftmost_match(w, self._next, self._node_rule, self._n_syms)
             is not None
         )
 

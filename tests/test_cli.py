@@ -262,3 +262,29 @@ def test_invalid_state_cap_variable_is_a_usage_error(value, z2_file, capsys, mon
 def test_invalid_state_cap_flag_is_a_usage_error(z2_file, capsys):
     assert main(["autstructure", z2_file, "--state-cap", "0"]) == 2
     assert "--state-cap" in capsys.readouterr().err
+
+
+# case -> (command, file content or None for no file, part of the message)
+MALFORMED_FILES = {
+    "automaton_without_states": (
+        ["fsa", "min"], {"alphabet": ["a"], "inverses": {"a": "a"}}, "KeyError: 'states'"
+    ),
+    "automaton_not_an_object": (["fsa", "min"], [1, 2], "expected a JSON object"),
+    "relator_not_a_word": (
+        ["kb"], {"generators": ["a"], "inverses": {"a": "A"}, "relators": [5]}, "AttributeError"
+    ),
+    "matrix_row_not_numbers": (["cox", "wa"], {"m": [[1, "x"], [3]]}, "ValueError"),
+    "matrix_missing": (["cox", "wa"], None, "no such file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_input_file_is_a_usage_error(case, tmp_path, capsys):
+    command, content, message = MALFORMED_FILES[case]
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err

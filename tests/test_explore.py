@@ -1,0 +1,85 @@
+"""fsa.explore and the state cap of every construction built on it."""
+
+import pytest
+
+from agt import fsa, pairfsa
+from agt.autostruct import build_candidate_word_acceptor, build_multiplier
+from agt.coxeter import CoxeterMatrix, build_shortlex_word_acceptor
+from agt.errors import ResourceLimitError
+
+A2 = CoxeterMatrix([[1, 3], [3, 1]])
+
+
+def test_explore_numbers_states_in_discovery_order():
+    # x -> (2x, 3x) mod 7 from 1 reaches the six units
+    def expand(x, index):
+        return [index[2 * x % 7], index[3 * x % 7]]
+
+    order, rows = fsa.explore(1, expand, 6, "units")
+    assert order == [1, 2, 3, 4, 6, 5]
+    assert rows == [[1, 2], [3, 4], [4, 1], [0, 5], [5, 3], [2, 0]]
+    with pytest.raises(ResourceLimitError) as exc:
+        fsa.explore(1, expand, 5, "units")
+    assert (exc.value.which, exc.value.cap) == ("units", 5)
+
+
+# construction -> (its cap message, fixtures, build(*fixtures, state_cap))
+CONSTRUCTIONS = {
+    "determinize": (
+        "subset construction states",
+        ["z2_structure"],
+        lambda z2, cap: pairfsa.project_first(z2.multipliers[0], cap),
+    ),
+    "product": (
+        "product states",
+        ["z2_structure", "free_structure"],
+        lambda z2, f2, cap: fsa._product(
+            z2.word_acceptor, f2.word_acceptor, lambda a, b: a and not b, cap
+        ),
+    ),
+    "word_acceptor": (
+        "word acceptor states",
+        ["z2_structure"],
+        lambda z2, cap: build_candidate_word_acceptor(z2.diff_machine, z2.alphabet, cap),
+    ),
+    "multiplier": (
+        "multiplier states",
+        ["free_structure"],
+        lambda f2, cap: build_multiplier(f2.word_acceptor, f2.diff_machine, 0, cap),
+    ),
+    "compose": (
+        "composition product states",
+        ["z2_structure"],
+        lambda z2, cap: pairfsa.compose(z2.multipliers[0], z2.multipliers[2], cap),
+    ),
+    "coxeter_acceptor": (
+        "acceptor subset states",
+        [],
+        lambda cap: build_shortlex_word_acceptor(A2, state_cap=cap),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_state_cap_is_the_number_of_explored_states(name, request, monkeypatch):
+    what, fixtures, build = CONSTRUCTIONS[name]
+    args = [request.getfixturevalue(f) for f in fixtures]
+    explored = []
+    real = fsa.explore
+
+    def recording(start, expand, state_cap, label):
+        order, rows = real(start, expand, state_cap, label)
+        explored.append((label, len(order)))
+        return order, rows
+
+    monkeypatch.setattr(fsa, "explore", recording)
+    expected = build(*args, fsa.DEFAULT_STATE_CAP)
+    monkeypatch.undo()
+    n = max(count for w, count in explored if w == what)
+    # this construction's exploration is the largest one the build makes
+    assert all(count <= n for _, count in explored), explored
+
+    assert build(*args, n) == expected
+    with pytest.raises(ResourceLimitError) as exc:
+        build(*args, n - 1)
+    assert (exc.value.which, exc.value.cap) == (what, n - 1)

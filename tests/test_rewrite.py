@@ -6,7 +6,6 @@ from agt import fsa
 from agt.errors import UsageError
 from agt.limits import Limits
 from agt.rewrite import (
-    KERNEL_NAME,
     Completion,
     Presentation,
     RewriteSystem,
@@ -248,22 +247,3 @@ def test_completion_determinism(ab):
         return rs.dump()
 
     assert run() == run()
-
-
-def test_kernel_name_exposed():
-    assert KERNEL_NAME in ("cython", "python")
-
-
-def test_kernels_agree(ab):
-    from agt import _reduce_py
-
-    rs = system_from_presentation(z2_presentation(ab))
-    knuth_bendix(rs)
-    rng = random.Random(31)
-    for _ in range(500):
-        w = random_word(rng, ab.size)
-        fast = rs.reduce(w)
-        slow = _reduce_py.reduce_word(
-            w, rs._next, rs._node_rule, rs._rhs, rs._n_syms, rs.max_lhs_len
-        )
-        assert fast == slow
