@@ -260,9 +260,8 @@ def elementary_checks(
         if both == diag:
             continue
         v1, v2 = extra_pair(both)
-        common = fsa.boolean_op(
-            "and", pairfsa.slice_first(back, v1), pairfsa.slice_first(back, v2)
-        )
+        slices = [pairfsa.slice_first(back, v, state_cap) for v in (v1, v2)]
+        common = fsa.boolean_op("and", *slices)
         failures.append(
             CheckFailure("functionality", key, fsa.shortest_accepted(common), (v1, v2))
         )

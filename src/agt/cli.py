@@ -10,6 +10,7 @@ outputs.  AGT_STATE_CAP overrides the subset-construction state cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -41,10 +42,6 @@ def _load_presentation(path: str):
 
 def _load_matrix(path: str):
     return _load(path, formats.matrix_from_json)
-
-
-def _load_structure(path: str):
-    return formats.load_structure(path)
 
 
 def _load_dfa(path: str):
@@ -133,53 +130,46 @@ def cmd_autstructure(args) -> int:
     return EXIT_RESOURCE if outcome.resource_limited else EXIT_ABANDONED
 
 
-def _checked_word(s, text: str):
-    try:
-        return s.alphabet.parse_word(text)
-    except UsageError:
-        raise
-
-
 def cmd_reduce(args) -> int:
-    s = _load_structure(args.bundle)
-    w = _checked_word(s, args.word)
+    s = formats.load_structure(args.bundle)
+    w = s.alphabet.parse_word(args.word)
     nf = groupcalc.normal_form(s, w)
     sys.stdout.write(s.alphabet.format_word(nf) + "\n")
     return EXIT_OK
 
 
 def cmd_wp(args) -> int:
-    s = _load_structure(args.bundle)
+    s = formats.load_structure(args.bundle)
     same = groupcalc.word_problem(
-        s, _checked_word(s, args.word1), _checked_word(s, args.word2)
+        s, s.alphabet.parse_word(args.word1), s.alphabet.parse_word(args.word2)
     )
     sys.stdout.write(("equal" if same else "distinct") + "\n")
     return EXIT_OK
 
 
 def cmd_order(args) -> int:
-    s = _load_structure(args.bundle)
+    s = formats.load_structure(args.bundle)
     n = groupcalc.group_order(s)
     sys.stdout.write(("infinite" if n is None else str(n)) + "\n")
     return EXIT_OK
 
 
 def cmd_growth(args) -> int:
-    s = _load_structure(args.bundle)
+    s = formats.load_structure(args.bundle)
     g = groupcalc.growth(s, args.terms)
     _emit(args, formats.dumps(formats.growth_to_json(g)))
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    s = _load_structure(args.bundle)
+    s = formats.load_structure(args.bundle)
     words = groupcalc.enumerate_elements(s, args.max_len)
     _emit(args, "".join(s.alphabet.format_word(w) + "\n" for w in words))
     return EXIT_OK
 
 
 def cmd_conetypes(args) -> int:
-    s = _load_structure(args.bundle)
+    s = formats.load_structure(args.bundle)
     result = groupcalc.cone_types(s, args.radius)
     sys.stdout.write(
         f"cone types: {result.count} (approximate at radius {result.radius}, "
@@ -193,9 +183,9 @@ def cmd_conetypes(args) -> int:
 
 
 def cmd_conj(args) -> int:
-    s = _load_structure(args.bundle)
-    u = _checked_word(s, args.word1)
-    v = _checked_word(s, args.word2)
+    s = formats.load_structure(args.bundle)
+    u = s.alphabet.parse_word(args.word1)
+    v = s.alphabet.parse_word(args.word2)
     ans = groupcalc.conjugacy_search(s, u, v, args.max_len)
     bound = groupcalc.conjugacy_bound(s, u, v)
     if ans.status == "conjugate":
@@ -246,6 +236,7 @@ def cmd_fsa(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agt",

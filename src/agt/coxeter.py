@@ -11,7 +11,6 @@ without the shortlex-precedence term.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -276,16 +275,6 @@ def build_geodesic_acceptor(
     """Acceptor for all geodesic words: the same subset construction
     without the shortlex-precedence term."""
     return _subset_acceptor(matrix, names, False, state_cap, root_cap)
-
-
-@dataclass
-class _ReflectionElement:
-    """Dense matrix of a group element in the reflection representation."""
-
-    cols: tuple[Root, ...]  # images of the simple roots
-
-    def __hash__(self) -> int:
-        return hash(self.cols)
 
 
 def reflection_action(ctx: FieldContext, word, start: Root) -> Root:

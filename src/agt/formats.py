@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .autostruct import EPSILON_KEY, AutomaticStructure
+from .autostruct import AutomaticStructure
 from .coxeter import CoxeterMatrix
 from .errors import UsageError
 from .fsa import Dfa, GrowthSeries
@@ -236,12 +236,23 @@ def save_structure(s: AutomaticStructure, outdir: str | Path) -> list[str]:
     return written
 
 
+def _not_an_integer(text: str):
+    raise UsageError(f"non-integer number {text}")
+
+
 def read_json_object(path: str | Path, missing: str = "missing from the bundle") -> dict:
-    """The JSON object in path; a missing file is reported as ``missing``."""
+    """The JSON object in path; a missing file is reported as ``missing``.
+
+    No agt format has a non-integer number, so a float, NaN or Infinity
+    is an error here, before any parser sees it.
+    """
     try:
-        data = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        data = json.loads(text, parse_float=_not_an_integer, parse_constant=_not_an_integer)
     except FileNotFoundError:
         raise UsageError(f"{path}: {missing}") from None
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):

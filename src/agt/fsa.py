@@ -55,7 +55,7 @@ class Dfa:
         for row in rows:
             if len(row) != k:
                 raise UsageError("transition row width must match alphabet size")
-            if any(t != FAIL and not 0 <= t < num_states for t in row):
+            if min(row) < FAIL or max(row) >= num_states:
                 raise UsageError("transition target out of range")
         self.alphabet = alphabet
         self.num_states = num_states
@@ -108,43 +108,6 @@ class Dfa:
         )
 
 
-class Nfa:
-    """Nondeterministic automaton used as an intermediate during construction.
-
-    Mutable and single-owner: build it up, then :func:`determinize`.
-    Supports multiple initial states and epsilon moves.
-    """
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.num_states = 0
-        self.initials: set[int] = set()
-        self.accepting: set[int] = set()
-        self.transitions: dict[tuple[int, int], set[int]] = {}
-        self.eps: dict[int, set[int]] = {}
-
-    def add_state(self) -> int:
-        self.num_states += 1
-        return self.num_states - 1
-
-    def add_transition(self, src: int, symbol: int, dst: int) -> None:
-        self.transitions.setdefault((src, symbol), set()).add(dst)
-
-    def add_eps(self, src: int, dst: int) -> None:
-        self.eps.setdefault(src, set()).add(dst)
-
-    def eps_closure(self, states: Iterable[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            s = stack.pop()
-            for t in self.eps.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-
 class _StateIndex(dict):
     """Explored state -> its number; looking up an unseen state numbers it."""
 
@@ -182,23 +145,55 @@ def explore(start, expand, state_cap: int, what: str) -> tuple[list, list]:
     return index.order, [expand(state, index) for state in index.order]
 
 
-def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """Subset construction (reachable subsets only); epsilon moves are closed over."""
-    k = nfa.alphabet.size
+def determinize(
+    alphabet: Alphabet,
+    start,
+    moves: Callable,
+    accepting: Callable,
+    state_cap: int = DEFAULT_STATE_CAP,
+    what: str = "subset construction states",
+) -> Dfa:
+    """Subset construction over a nondeterministic machine given by moves.
 
-    def expand(subset: frozenset[int], index: dict) -> list[int]:
-        row = []
-        for c in range(k):
-            targets: set[int] = set()
-            for s in subset:
-                targets |= nfa.transitions.get((s, c), set())
-            row.append(index[nfa.eps_closure(targets)] if targets else FAIL)
+    ``moves(state)`` lists a state's ``(symbol, target)`` moves, with
+    ``None`` as the symbol of an epsilon move; it is asked once per
+    state.  ``accepting(state)`` says whether a state accepts.  Only the
+    subsets reachable from ``start`` are built, each closed under
+    epsilon moves, and a subset's row comes from the moves its members
+    have.  Subsets are numbered by :func:`explore` under ``state_cap``
+    and ``what``.
+    """
+    known: dict = {}  # state -> (its epsilon targets, its other moves)
+
+    def closure(states: set) -> frozenset:
+        stack = list(states)
+        while stack:
+            s = stack.pop()
+            if s not in known:
+                m = moves(s)
+                known[s] = [t for c, t in m if c is None], [ct for ct in m if ct[0] is not None]
+            for t in known[s][0]:
+                if t not in states:
+                    states.add(t)
+                    stack.append(t)
+        return frozenset(states)
+
+    def expand(subset: frozenset, index: dict) -> list[int]:
+        targets: dict[int, set] = {}
+        for s in subset:
+            for c, t in known[s][1]:
+                if c in targets:
+                    targets[c].add(t)
+                else:
+                    targets[c] = {t}
+        row = [FAIL] * alphabet.size
+        for c in sorted(targets):
+            row[c] = index[closure(targets[c])]
         return row
 
-    start = nfa.eps_closure(nfa.initials)
-    order, rows = explore(start, expand, state_cap, "subset construction states")
-    accepting = [i for i, subset in enumerate(order) if subset & nfa.accepting]
-    return Dfa(nfa.alphabet, len(order), 0, accepting, rows)
+    order, rows = explore(closure({start}), expand, state_cap, what)
+    accept = [i for i, subset in enumerate(order) if any(map(accepting, subset))]
+    return Dfa(alphabet, len(order), 0, accept, rows)
 
 
 # -- minimization ------------------------------------------------------
@@ -207,14 +202,11 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 def _reachable(dfa: Dfa) -> list[int]:
     seen = [False] * dfa.num_states
     seen[dfa.initial] = True
-    queue = deque([dfa.initial])
     order = [dfa.initial]
-    while queue:
-        s = queue.popleft()
+    for s in order:  # order grows while it is walked, so it is the queue
         for t in dfa.transitions[s]:
             if t != FAIL and not seen[t]:
                 seen[t] = True
-                queue.append(t)
                 order.append(t)
     return order
 
@@ -319,36 +311,19 @@ def minimize(dfa: Dfa) -> Dfa:
     rep: dict[int, int] = {}
     for s in range(n):
         rep.setdefault(block_of[s], s)
-    number = {init_block: 0}
-    order = [init_block]
-    queue = deque([init_block])
-    while queue:
-        blk = queue.popleft()
-        row = table[rep[blk]]
-        for c in range(k):
-            tb = block_of[row[c]]
-            if tb != dead_block and tb not in number:
-                number[tb] = len(number)
-                order.append(tb)
-                queue.append(tb)
-    rows = []
-    for blk in order:
-        row = table[rep[blk]]
-        rows.append(
-            [number[block_of[t]] if block_of[t] != dead_block else FAIL for t in row]
-        )
-    new_accepting = [number[blk] for blk in order if rep[blk] in accepting]
+
+    def expand(blk: int, index: dict) -> list[int]:
+        return [
+            FAIL if block_of[t] == dead_block else index[block_of[t]]
+            for t in table[rep[blk]]
+        ]
+
+    order, rows = explore(init_block, expand, len(partition), "minimized states")
+    new_accepting = [i for i, blk in enumerate(order) if rep[blk] in accepting]
     return Dfa(dfa.alphabet, len(order), 0, new_accepting, rows)
 
 
 # -- boolean algebra ---------------------------------------------------
-
-
-def _complete_step(dfa: Dfa, state: int, c: int) -> int:
-    # FAIL behaves as an explicit absorbing non-accepting state.
-    if state == FAIL:
-        return FAIL
-    return dfa.transitions[state][c]
 
 
 def _product(
@@ -362,7 +337,7 @@ def _product(
         s1, s2 = pair
         row = []
         for c in range(k):
-            t = (_complete_step(m1, s1, c), _complete_step(m2, s2, c))
+            t = (m1.step(s1, c), m2.step(s2, c))
             row.append(FAIL if t == (FAIL, FAIL) else index[t])
         return row
 
@@ -375,13 +350,11 @@ def _product(
     return Dfa(m1.alphabet, len(order), 0, accepting, rows)
 
 
-def complement(m: Dfa) -> Dfa:
-    k = m.alphabet.size
-    n = m.num_states
-    rows = [[t if t != FAIL else n for t in row] for row in m.transitions]
-    rows.append([n] * k)
-    accepting = [s for s in range(n + 1) if s not in m.accepting]
-    return minimize(Dfa(m.alphabet, n + 1, m.initial, accepting, rows))
+_KEEP: dict[str, Callable[[bool, bool], bool]] = {
+    "and": lambda a, b: a and b,
+    "or": lambda a, b: a or b,
+    "minus": lambda a, b: a and not b,
+}
 
 
 def boolean_op(kind: str, m1: Dfa, m2: Dfa | None = None) -> Dfa:
@@ -389,16 +362,12 @@ def boolean_op(kind: str, m1: Dfa, m2: Dfa | None = None) -> Dfa:
     if kind == "not":
         if m2 is not None:
             raise UsageError("'not' takes a single automaton")
-        return complement(m1)
+        kind, m1, m2 = "minus", all_words_dfa(m1.alphabet), m1
     if m2 is None:
         raise UsageError(f"'{kind}' needs two automata")
-    if kind == "and":
-        return minimize(_product(m1, m2, lambda a, b: a and b))
-    if kind == "or":
-        return minimize(_product(m1, m2, lambda a, b: a or b))
-    if kind == "minus":
-        return minimize(_product(m1, m2, lambda a, b: a and not b))
-    raise UsageError(f"unknown boolean op {kind!r}")
+    if kind not in _KEEP:
+        raise UsageError(f"unknown boolean op {kind!r}")
+    return minimize(_product(m1, m2, _KEEP[kind]))
 
 
 def equivalent(m1: Dfa, m2: Dfa) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fsa, pairfsa
-from .autostruct import EPSILON_KEY, AutomaticStructure
+from .autostruct import AutomaticStructure
 from .errors import IntegrityError, UsageError
 from .fsa import Dfa, GrowthSeries
 from .words import Word

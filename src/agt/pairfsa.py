@@ -11,11 +11,10 @@ boundaries.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
 
 from . import fsa
 from .errors import UsageError
-from .fsa import FAIL, DEFAULT_STATE_CAP, Dfa, Nfa
+from .fsa import FAIL, DEFAULT_STATE_CAP, Dfa
 from .words import Alphabet, Word
 
 PAD_NAME = "$"
@@ -264,25 +263,19 @@ def swap(p: PairDfa) -> PairDfa:
 def project_first(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """The language {u : some v with (u, v) accepted}.
 
-    Second coordinates are erased; symbols ($, b) become epsilon moves
+    Second coordinates are erased; moves ($, b) become epsilon moves
     (v outlives u), then determinize and minimize.
     """
-    pa = p.pairs
-    nfa = Nfa(p.base)
-    for _ in range(p.dfa.num_states):
-        nfa.add_state()
-    nfa.initials = {p.dfa.initial}
-    nfa.accepting = set(p.dfa.accepting)
-    for s in range(p.dfa.num_states):
-        for k, t in enumerate(p.dfa.transitions[s]):
-            if t == FAIL:
-                continue
-            a, _b = pa.parts(k)
-            if a == pa.pad:
-                nfa.add_eps(s, t)
-            else:
-                nfa.add_transition(s, a, t)
-    return fsa.minimize(fsa.determinize(nfa, state_cap))
+    pad = p.pairs.pad
+    view = p.by_first
+
+    def moves(s: int) -> list[tuple[int | None, int]]:
+        return [(None if a == pad else a, t) for a, bt in view[s].items() for _b, t in bt]
+
+    det = fsa.determinize(
+        p.base, p.dfa.initial, moves, p.dfa.accepting.__contains__, state_cap
+    )
+    return fsa.minimize(det)
 
 
 def project_second(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -292,39 +285,40 @@ def project_second(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairDfa:
     """Relation composition {(u, w) : some v, (u,v) in p and (v,w) in q}.
 
-    Built as a product NFA over reachable state pairs that guesses the
-    middle word: on an output symbol (a, c) the middle letter b ranges
-    over the base alphabet and $; portions of the middle word extending
-    past both u and w are consumed by epsilon moves (p reads ($,b)
-    while q reads (b,$)), so arbitrary middle-word overhang is handled
-    exactly by the closure.
+    Determinized from a product machine over state pairs that guesses
+    the middle word: on an output symbol (a, c) the middle letter b
+    ranges over the base alphabet and $; portions of the middle word
+    extending past both u and w are consumed by epsilon moves (p reads
+    ($,b) while q reads (b,$)), so arbitrary middle-word overhang is
+    handled exactly by the closure.  The cap counts the states of the
+    determinized product.
     """
     if p.base != q.base:
         raise UsageError("compose needs a common base alphabet")
     pa = p.pairs
     pad = pa.pad
+    width = pad + 1  # pair symbol (a, c) is a * width + c
 
     # p read by its first letter a -> [(b, t)], q by its first letter b -> [(c, t)]
     p_by_a = p.by_first
     q_by_b = q.by_first
 
-    # composed state: (p state, q state, output pad phase); the phase
+    # product state: (p state, q state, output pad phase); the phase
     # (0 none, 1 u ended, 2 w ended) keeps the output string disciplined,
     # while p and q enforce the middle word's own padding internally.
     NOPH, UPAD, WPAD = 0, 1, 2
-    nfa = Nfa(pa.alphabet)
 
-    def expand(state: tuple[int, int, int], index: dict) -> None:
+    def moves(state: tuple[int, int, int]) -> list:
         sp, sq, ph = state
-        src = index[state]
         pd = p_by_a[sp]
         qd = q_by_b[sq]
+        out = []
         for a, pairs_pb in pd.items():
             for b, tp in pairs_pb:
                 for c, tq in qd.get(b, ()):
                     if a == pad and c == pad:
                         # middle word outlives both u and w: no output
-                        nfa.add_eps(src, index[tp, tq, ph])
+                        out.append((None, (tp, tq, ph)))
                         continue
                     if a != pad and c != pad:
                         nph = NOPH
@@ -338,7 +332,7 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
                         nph = WPAD
                         if ph == UPAD:
                             continue
-                    nfa.add_transition(src, pa.index(a, c), index[tp, tq, nph])
+                    out.append((a * width + c, (tp, tq, nph)))
         # q's pair string is exhausted (both v and w ended) while u continues
         if ph != UPAD:
             for a, pairs_pb in pd.items():
@@ -346,22 +340,26 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
                     continue
                 for b, tp in pairs_pb:
                     if b == pad:
-                        nfa.add_transition(src, pa.index(a, pad), index[tp, sq, WPAD])
+                        out.append((a * width + pad, (tp, sq, WPAD)))
         # p's pair string is exhausted (both u and v ended) while w continues
         if ph != WPAD:
             for c, tq in qd.get(pad, ()):
-                nfa.add_transition(src, pa.index(pad, c), index[sp, tq, UPAD])
+                out.append((pad * width + c, (sp, tq, UPAD)))
+        return out
 
-    start = (p.dfa.initial, q.dfa.initial, NOPH)
-    order, _ = fsa.explore(start, expand, state_cap, "composition product states")
-    nfa.num_states = len(order)
-    nfa.initials = {0}
     p_acc, q_acc = p.dfa.accepting, q.dfa.accepting
-    nfa.accepting = {i for i, (sp, sq, _) in enumerate(order) if sp in p_acc and sq in q_acc}
-    return PairDfa(p.base, fsa.minimize(fsa.determinize(nfa, state_cap)), pa)
+    det = fsa.determinize(
+        pa.alphabet,
+        (p.dfa.initial, q.dfa.initial, NOPH),
+        moves,
+        lambda state: state[0] in p_acc and state[1] in q_acc,
+        state_cap,
+        "composition product states",
+    )
+    return PairDfa(p.base, fsa.minimize(det), pa)
 
 
-def slice_first(p: PairDfa, u: Word) -> Dfa:
+def slice_first(p: PairDfa, u: Word, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Dfa over the base alphabet accepting {v : (u, v) in L(p)}.
 
     Deterministic by construction: states are (position in u, pair
@@ -372,6 +370,7 @@ def slice_first(p: PairDfa, u: Word) -> Dfa:
     """
     pa = p.pairs
     pad = pa.pad
+    rows = p.dfa.transitions
     m = p.dfa.num_states
     nu = len(u)
     # pad_ok[i][s]: reading (u_i,$)...(u_{nu-1},$) from s ends accepting
@@ -381,35 +380,22 @@ def slice_first(p: PairDfa, u: Word) -> Dfa:
     for i in range(nu - 1, -1, -1):
         sym = pa.index(u[i], pad)
         for s in range(m):
-            t = p.dfa.transitions[s][sym]
+            t = rows[s][sym]
             pad_ok[i][s] = t != FAIL and pad_ok[i + 1][t]
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
 
-    def state_id(i: int, s: int) -> int:
-        key = (i, s)
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
-    state_id(0, p.dfa.initial)
-    rows: list[list[int]] = []
-    pos = 0
-    while pos < len(order):
-        i, s = order[pos]
-        pos += 1
+    def expand(state: tuple[int, int], index: dict) -> list[int]:
+        i, s = state
+        # v reads its next letter b against u_i, or against $ once u ended
+        a, j = (u[i], i + 1) if i < nu else (pad, nu)
         row = []
         for b in range(p.base.size):
-            if i < nu:
-                t = p.dfa.transitions[s][pa.index(u[i], b)]
-                row.append(state_id(i + 1, t) if t != FAIL else FAIL)
-            else:
-                t = p.dfa.transitions[s][pa.index(pad, b)]
-                row.append(state_id(nu, t) if t != FAIL else FAIL)
-        rows.append(row)
+            t = rows[s][pa.index(a, b)]
+            row.append(FAIL if t == FAIL else index[j, t])
+        return row
+
+    order, table = fsa.explore((0, p.dfa.initial), expand, state_cap, "slice states")
     accepting = [k for k, (i, s) in enumerate(order) if pad_ok[i][s]]
-    return Dfa(p.base, len(order), 0, accepting, rows)
+    return Dfa(p.base, len(order), 0, accepting, table)
 
 
 def _live_overhang(p: PairDfa, starts: set[int]) -> set[int] | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import UsageError
@@ -57,29 +57,6 @@ def _reduce_word(word, next_tab, node_rule, rhs_list, n_syms, max_lhs):
         if i < 0:
             i = 0
     return bytes(buf)
-
-
-def _leftmost_match(word, next_tab, node_rule, n_syms):
-    """(position, rule index, match length) of the leftmost lowest-indexed
-    match, or None when the word is irreducible."""
-    n = len(word)
-    for i in range(n):
-        node = 0
-        best_rule = -1
-        best_len = 0
-        j = i
-        while j < n:
-            node = next_tab[node * n_syms + word[j]]
-            if node < 0:
-                break
-            j += 1
-            r = node_rule[node]
-            if r >= 0 and (best_rule < 0 or r < best_rule):
-                best_rule = r
-                best_len = j - i
-        if best_rule >= 0:
-            return i, best_rule, best_len
-    return None
 
 
 class Presentation:
@@ -214,12 +191,6 @@ class RewriteSystem:
         """Normal form of w under leftmost lowest-indexed rewriting."""
         return _reduce_word(
             w, self._next, self._node_rule, self._rhs, self._n_syms, self.max_lhs_len
-        )
-
-    def is_reducible(self, w: Word) -> bool:
-        return (
-            _leftmost_match(w, self._next, self._node_rule, self._n_syms)
-            is not None
         )
 
     def copy(self) -> "RewriteSystem":

@@ -81,9 +81,6 @@ class Alphabet:
         except KeyError:
             raise UsageError(f"unknown symbol {name!r}") from None
 
-    def symbol_inverse(self, i: int) -> int:
-        return self.inverse[i]
-
     # -- word helpers -------------------------------------------------
 
     def word(self, names: Iterable[str]) -> Word:
@@ -144,10 +141,6 @@ class Alphabet:
             else:
                 out.append(c)
         return bytes(out)
-
-    def is_freely_reduced(self, w: Word) -> bool:
-        inv = self.inverse
-        return all(inv[w[i]] != w[i + 1] for i in range(len(w) - 1))
 
 
 def inverse_closed_alphabet(

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -264,8 +265,30 @@ def test_invalid_state_cap_flag_is_a_usage_error(z2_file, capsys):
     assert "--state-cap" in capsys.readouterr().err
 
 
-# case -> (command, file content or None for no file, part of the message)
+def _float_target(name):
+    def edit(bundle):
+        data = json.loads((bundle / name).read_text())
+        data["transitions"][0][0] = 1.5
+        (bundle / name).write_text(json.dumps(data))
+        return bundle / name
+
+    return edit
+
+
+FLOAT_TARGET = {
+    "alphabet": ["a"], "inverses": {"a": "a"}, "states": 2, "initial": 0,
+    "accepting": [1], "transitions": [[1.5], [0]],
+}
+
+# case -> (command, file content or None for no file, part of the message);
+# a callable content edits a copy of the Z2 bundle and returns the file it broke
 MALFORMED_FILES = {
+    "automaton_float_target": (["fsa", "min"], FLOAT_TARGET, "non-integer number 1.5"),
+    "automaton_float_states": (
+        ["fsa", "min"], {**FLOAT_TARGET, "states": 2.0, "transitions": [[1], [0]]},
+        "non-integer number 2.0",
+    ),
+    "bundle_float_target": (["order"], _float_target("m_a.json"), "non-integer number 1.5"),
     "automaton_without_states": (
         ["fsa", "min"], {"alphabet": ["a"], "inverses": {"a": "a"}}, "KeyError: 'states'"
     ),
@@ -279,12 +302,29 @@ MALFORMED_FILES = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
-def test_malformed_input_file_is_a_usage_error(case, tmp_path, capsys):
+def test_malformed_input_file_is_a_usage_error(case, tmp_path, capsys, request):
     command, content, message = MALFORMED_FILES[case]
-    path = tmp_path / "input.json"
-    if content is not None:
+    arg = path = tmp_path / "input.json"
+    if callable(content):
+        arg = tmp_path / "bundle"
+        shutil.copytree(request.getfixturevalue("z2_bundle_master"), arg)
+        path = content(arg)
+    elif content is not None:
         path.write_text(json.dumps(content))
-    assert main([*command, str(path)]) == 2
+    assert main([*command, str(arg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
     assert message in err and "Traceback" not in err
+
+
+def test_repeated_commands_leave_no_cyclic_garbage(z2_bundle_master, capsys):
+    # the parser is built once per process, not once per call
+    main(["wp", str(z2_bundle_master), "ab", "ba"])
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["wp", str(z2_bundle_master), "ab", "ba"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == "equal\nequal\n"

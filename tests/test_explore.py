@@ -52,6 +52,11 @@ CONSTRUCTIONS = {
         ["z2_structure"],
         lambda z2, cap: pairfsa.compose(z2.multipliers[0], z2.multipliers[2], cap),
     ),
+    "slice": (
+        "slice states",
+        ["z2_structure"],
+        lambda z2, cap: pairfsa.slice_first(z2.multipliers[0], b"\x00\x02", cap),
+    ),
     "coxeter_acceptor": (
         "acceptor subset states",
         [],

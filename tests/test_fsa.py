@@ -5,7 +5,7 @@ import pytest
 
 from agt import fsa
 from agt.errors import UsageError
-from agt.fsa import FAIL, Dfa, Nfa
+from agt.fsa import FAIL, Dfa
 from agt.words import Alphabet, inverse_closed_alphabet
 
 
@@ -61,42 +61,45 @@ def test_accepts_freely_reduced_examples(ab, f2_acceptor):
 
 
 def test_determinize_already_deterministic(ab, f2_acceptor):
-    nfa = Nfa(ab)
-    for _ in range(f2_acceptor.num_states):
-        nfa.add_state()
-    nfa.initials = {f2_acceptor.initial}
-    nfa.accepting = set(f2_acceptor.accepting)
-    for s, row in enumerate(f2_acceptor.transitions):
-        for c, t in enumerate(row):
-            if t != FAIL:
-                nfa.add_transition(s, c, t)
-    det = fsa.determinize(nfa)
+    def moves(s):
+        return [(c, t) for c, t in enumerate(f2_acceptor.transitions[s]) if t != FAIL]
+
+    det = fsa.determinize(
+        ab, f2_acceptor.initial, moves, f2_acceptor.accepting.__contains__
+    )
+    assert det == f2_acceptor
     assert language_set(det, 5) == language_set(f2_acceptor, 5)
 
 
 def test_determinize_contains_symbol(ab):
-    # 2-state NFA for "words containing the symbol a"
-    nfa = Nfa(ab)
-    nfa.add_state()
-    nfa.add_state()
-    nfa.initials = {0}
-    nfa.accepting = {1}
-    for c in range(ab.size):
-        nfa.add_transition(0, c, 0)
-        nfa.add_transition(1, c, 1)
-    nfa.add_transition(0, 0, 1)
-    det = fsa.determinize(nfa)
-    assert det.num_states == 2
+    # "words containing the symbol a": state 0 guesses where the a is,
+    # and the start state "s" enters 0 by an epsilon move
+    asked = []
+
+    def moves(s):
+        asked.append(s)
+        if s == "s":
+            return [(None, 0)]
+        loops = [(c, s) for c in range(ab.size)]
+        return loops + [(0, 1)] if s == 0 else loops
+
+    det = fsa.determinize(ab, "s", moves, lambda s: s == 1)
+    assert sorted(asked, key=str) == [0, 1, "s"]  # each state asked once
+    assert det.num_states == 3  # subsets {s, 0}, {0, 1} and {0}
+    assert fsa.minimize(det).num_states == 2
     expected = {w for w in words_up_to(ab.size, 8) if 0 in w}
     assert language_set(det, 8) == expected
 
 
 def test_determinize_empty_language(ab):
-    nfa = Nfa(ab)
-    nfa.add_state()
-    nfa.initials = {0}
-    det = fsa.determinize(nfa)
+    det = fsa.determinize(ab, 0, lambda s: [], lambda s: False)
     assert fsa.language_is_finite(det) == 0
+
+
+@pytest.mark.parametrize("target", [2, -2])
+def test_dfa_rejects_a_target_out_of_range(ab, target):
+    with pytest.raises(UsageError, match="transition target out of range"):
+        Dfa(ab, 2, 0, [1], [[1, 0, FAIL, 0], [0, FAIL, target, 1]])
 
 
 # -- minimize -------------------------------------------------------------
