@@ -1,16 +1,18 @@
-"""Coxeter groups from root-system dominance.
+"""Coxeter groups from their small roots.
 
 The reflection representation acts on exact cyclotomic coordinates in
-the simple-root basis; a positive root dominates another when their
-inner product is at least 1, and the finitely many positive roots that
-dominate no others (the small roots) are the state alphabet of the
-shortlex word acceptor.  The geodesic acceptor is the same construction
-without the shortlex-precedence term.
+the simple-root basis.  The small roots (Brink & Howlett 1993) are the
+positive roots that dominate no other positive root, where alpha is
+said to dominate beta when every group element sending alpha negative
+also sends beta negative.  They are finitely many, and they are the
+state alphabet of the shortlex word acceptor.  ``small_roots`` builds
+them by their closure characterisation, one exact inner product per
+root and generator, with no dominance test.  The geodesic acceptor is
+the same construction without the shortlex-precedence term.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,7 +22,7 @@ from .errors import ResourceLimitError, UsageError
 from .fsa import FAIL, Dfa
 from .words import Alphabet
 
-DEFAULT_ROOT_CAP = 100_000
+DEFAULT_ROOT_CAP = 100_000  # guard on the size of the small-root closure
 
 Root = tuple[Element, ...]
 
@@ -83,20 +85,6 @@ class FieldContext:
             for i in range(self.rank)
         )
 
-    def inner(self, u: Root, v: Root) -> Element:
-        """Bilinear form value <u, v>, exact."""
-        if len(u) != self.rank or len(v) != self.rank:
-            raise UsageError("root rank mismatch")
-        F = self.field
-        total = F.zero
-        for i, ui in enumerate(u):
-            if F.is_zero(ui):
-                continue
-            for j, vj in enumerate(v):
-                if not F.is_zero(vj):
-                    total = F.add(total, F.mul(F.mul(ui, vj), self.form[i][j]))
-        return total
-
     def inner_simple(self, i: int, v: Root) -> Element:
         """<e_i, v> without building the one-hot root."""
         F = self.field
@@ -113,17 +101,6 @@ class FieldContext:
         out = list(v)
         out[i] = F.sub(out[i], c)
         return tuple(out)
-
-    def root_sign(self, v: Root) -> int:
-        """+1 for a positive root, -1 negative, 0 for zero; raises if the
-        coordinates are not sign-coherent."""
-        signs = {self.field.sign(c) for c in v}
-        signs.discard(0)
-        if not signs:
-            return 0
-        if len(signs) > 1:
-            raise UsageError("root coordinates are not sign-coherent")
-        return signs.pop()
 
     def format_root(self, v: Root) -> str:
         F = self.field
@@ -143,51 +120,34 @@ class FieldContext:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def dominates(ctx: FieldContext, alpha: Root, beta: Root) -> bool:
-    """Positive root alpha dominates beta (alpha != beta) iff their inner
-    product is at least 1 (exact sign test)."""
-    if alpha == beta:
-        raise UsageError("dominance is between distinct positive roots")
-    if ctx.root_sign(alpha) <= 0 or ctx.root_sign(beta) <= 0:
-        raise UsageError("dominance needs positive roots")
-    ip = ctx.inner(alpha, beta)
-    return ctx.field.sign(ctx.field.sub(ip, ctx.field.one)) >= 0
+def small_roots(matrix: CoxeterMatrix) -> tuple[FieldContext, list[Root]]:
+    """The finite set of small roots, simple roots first, then in
+    breadth-first order of discovery.
 
-
-def small_roots(
-    matrix: CoxeterMatrix, root_cap: int = DEFAULT_ROOT_CAP
-) -> tuple[FieldContext, list[Root]]:
-    """The finite set of positive roots dominating no others.
-
-    Breadth-first closure from the simple roots: a child r_i(beta) is
-    kept when it is a new positive root, the expansion gate
-    -1 < <e_i, beta> holds (otherwise the child dominates beta), and it
-    dominates none of the small roots found so far.
+    Brink & Howlett, Math. Ann. 296 (1993); Björner & Brenti,
+    *Combinatorics of Coxeter Groups* (2005), §4.7: the set of small
+    roots is the smallest subset of the positive roots that contains the
+    simple roots and contains s_i(beta) whenever beta is in it and
+    -1 < B(e_i, beta) < 0.  For such beta the child
+    beta + 2|B(e_i, beta)| e_i is positive and deeper than beta, so
+    neither a sign test nor a dominance test is needed.
     """
     ctx = FieldContext(matrix)
     F = ctx.field
-    minus_one = F.from_rational(Fraction(-1))
     found: list[Root] = list(ctx.simple_roots)
     seen = set(found)
-    queue = deque(found)
-    while queue:
-        beta = queue.popleft()
+    for beta in found:  # found grows while it is walked: it is the queue
         for i in range(ctx.rank):
-            child = ctx.reflect(i, beta)
-            if child == beta or child in seen:
+            c = ctx.inner_simple(i, beta)
+            if F.sign(c) >= 0 or F.sign(F.add(c, F.one)) <= 0:
                 continue
-            if ctx.root_sign(child) <= 0:
+            child = beta[:i] + (F.sub(beta[i], F.scale(2, c)),) + beta[i + 1 :]
+            if child in seen:
                 continue
-            gate = F.sign(F.sub(ctx.inner_simple(i, beta), minus_one))
-            if gate <= 0:
-                continue
-            if any(g != child and dominates(ctx, child, g) for g in found):
-                continue
-            if len(found) >= root_cap:
-                raise ResourceLimitError("small root set size", root_cap)
+            if len(found) >= DEFAULT_ROOT_CAP:
+                raise ResourceLimitError("small root set size", DEFAULT_ROOT_CAP)
             found.append(child)
             seen.add(child)
-            queue.append(child)
     return ctx, found
 
 
@@ -207,10 +167,9 @@ def _subset_acceptor(
     names: Sequence[str] | None,
     shortlex: bool,
     state_cap: int,
-    root_cap: int,
 ) -> Dfa:
     alphabet = _coxeter_alphabet(matrix, names)
-    ctx, delta = small_roots(matrix, root_cap)
+    ctx, delta = small_roots(matrix)
     root_id = {r: i for i, r in enumerate(delta)}
     simple_ids = [root_id[r] for r in ctx.simple_roots]
     # generator precedence is alphabet position; cache reflections on small roots
@@ -254,7 +213,6 @@ def build_shortlex_word_acceptor(
     matrix: CoxeterMatrix,
     names: Sequence[str] | None = None,
     state_cap: int = fsa.DEFAULT_STATE_CAP,
-    root_cap: int = DEFAULT_ROOT_CAP,
 ) -> Dfa:
     """Word acceptor for the shortlex normal forms over the standard
     generators (precedence = listed order).
@@ -263,47 +221,14 @@ def build_shortlex_word_acceptor(
     when e_i lies in S and otherwise maps S to the small-root part of
     {x_i(a) : a in S} + {e_i} + {x_i(e_k) : x_k before x_i}.
     """
-    return _subset_acceptor(matrix, names, True, state_cap, root_cap)
+    return _subset_acceptor(matrix, names, True, state_cap)
 
 
 def build_geodesic_acceptor(
     matrix: CoxeterMatrix,
     names: Sequence[str] | None = None,
     state_cap: int = fsa.DEFAULT_STATE_CAP,
-    root_cap: int = DEFAULT_ROOT_CAP,
 ) -> Dfa:
     """Acceptor for all geodesic words: the same subset construction
     without the shortlex-precedence term."""
-    return _subset_acceptor(matrix, names, False, state_cap, root_cap)
-
-
-def reflection_action(ctx: FieldContext, word, start: Root) -> Root:
-    """Apply the reflections of a word (leftmost letter acts last) to a root."""
-    v = start
-    for c in reversed(bytes(word)):
-        v = ctx.reflect(c, v)
-    return v
-
-
-def dominance_semi_oracle(
-    ctx: FieldContext, alpha: Root, beta: Root, depth: int
-) -> bool:
-    """Definitional dominance check over all group elements up to the
-    given word length: every w sending alpha negative must send beta
-    negative.  A bounded search: True here is consistency, not proof."""
-    frontier: list[tuple[Root, Root]] = [(alpha, beta)]
-    seen = {(alpha, beta)}
-    for _ in range(depth):
-        nxt = []
-        for wa, wb in frontier:
-            for i in range(ctx.rank):
-                pa = ctx.reflect(i, wa)
-                pb = ctx.reflect(i, wb)
-                if (pa, pb) in seen:
-                    continue
-                seen.add((pa, pb))
-                if ctx.root_sign(pa) < 0 and ctx.root_sign(pb) > 0:
-                    return False
-                nxt.append((pa, pb))
-        frontier = nxt
-    return True
+    return _subset_acceptor(matrix, names, False, state_cap)

@@ -236,11 +236,18 @@ def _empty_dfa(alphabet: Alphabet) -> Dfa:
 def minimize(dfa: Dfa) -> Dfa:
     """Canonical minimal automaton for the language of ``dfa``.
 
-    Hopcroft partition refinement on the trimmed automaton, then a
-    breadth-first renumbering from the initial state.  Equal languages
-    give structurally identical results, which is the automaton
-    equality used everywhere else.
+    Hopcroft partition refinement on the trimmed automaton, then
+    :func:`canonical` on the quotient.  Equal languages give
+    structurally identical results, which is the automaton equality
+    used everywhere else.
     """
+    # the refinement's tables are freed before the renumbering runs
+    return canonical(_hopcroft_quotient(dfa))
+
+
+def _hopcroft_quotient(dfa: Dfa) -> Dfa:
+    """The quotient of the trimmed automaton by language equivalence:
+    one state per class, numbered as the refinement found them."""
     reach = _reachable(dfa)
     live = _co_reachable(dfa, reach)
     if dfa.initial not in live:
@@ -307,20 +314,35 @@ def minimize(dfa: Dfa) -> Dfa:
     if init_block == dead_block:
         return _empty_dfa(dfa.alphabet)
 
-    # BFS renumbering of live blocks from the initial block.
+    # one state per block; the dead block is unreachable, moves into it FAIL
     rep: dict[int, int] = {}
     for s in range(n):
         rep.setdefault(block_of[s], s)
+    rows = [
+        [FAIL if block_of[t] == dead_block else block_of[t] for t in table[rep[blk]]]
+        if blk != dead_block else [FAIL] * k
+        for blk in range(len(partition))
+    ]
+    quotient_accepting = [blk for blk, s in rep.items() if s in accepting]
+    return Dfa(dfa.alphabet, len(partition), init_block, quotient_accepting, rows)
 
-    def expand(blk: int, index: dict) -> list[int]:
-        return [
-            FAIL if block_of[t] == dead_block else index[block_of[t]]
-            for t in table[rep[blk]]
-        ]
 
-    order, rows = explore(init_block, expand, len(partition), "minimized states")
-    new_accepting = [i for i, blk in enumerate(order) if rep[blk] in accepting]
-    return Dfa(dfa.alphabet, len(order), 0, new_accepting, rows)
+def canonical(dfa: Dfa) -> Dfa:
+    """Breadth-first renumbering of the states reachable from the
+    initial state, symbols in ascending order.
+
+    On a minimal automaton this is the canonical form that ``minimize``
+    returns.  Permuting the symbols keeps an automaton minimal, so a
+    permuted copy of a minimal automaton needs only this step.
+    """
+    order, rows = explore(
+        dfa.initial,
+        lambda s, index: [FAIL if t == FAIL else index[t] for t in dfa.transitions[s]],
+        dfa.num_states,
+        "canonical states",
+    )
+    accepting = [i for i, s in enumerate(order) if s in dfa.accepting]
+    return Dfa(dfa.alphabet, len(order), 0, accepting, rows)
 
 
 # -- boolean algebra ---------------------------------------------------

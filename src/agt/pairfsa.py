@@ -10,8 +10,6 @@ boundaries.
 
 from __future__ import annotations
 
-from collections import deque
-
 from . import fsa
 from .errors import UsageError
 from .fsa import FAIL, DEFAULT_STATE_CAP, Dfa
@@ -162,74 +160,6 @@ def equivalent(p: PairDfa, q: PairDfa) -> bool:
     return p.base == q.base and fsa.equivalent(p.dfa, q.dfa)
 
 
-def pad_modes(p: PairDfa) -> dict[int, set[str]]:
-    """Pad phases under which each reachable state can be entered.
-
-    Modes are "noPad", "leftPadded", "rightPadded"; a clean pair
-    automaton assigns each live state a single mode.
-    """
-    pa = p.pairs
-    modes: dict[int, set[str]] = {p.dfa.initial: {"noPad"}}
-    queue = deque([(p.dfa.initial, "noPad")])
-    while queue:
-        s, mode = queue.popleft()
-        row = p.dfa.transitions[s]
-        for k, t in enumerate(row):
-            if t == FAIL:
-                continue
-            a, b = pa.parts(k)
-            if a == pa.pad:
-                nmode = "leftPadded"
-            elif b == pa.pad:
-                nmode = "rightPadded"
-            else:
-                nmode = "noPad"
-            if nmode != mode and mode != "noPad":
-                continue  # discipline-violating path; flagged by validate_padding
-            cur = modes.setdefault(t, set())
-            if nmode not in cur:
-                cur.add(nmode)
-                queue.append((t, nmode))
-    return modes
-
-
-def validate_padding(p: PairDfa) -> None:
-    """Check that no accepted string violates the padding discipline.
-
-    Tracks (state, mode) reachability; a transition that resumes a
-    padded side must not be able to reach acceptance.
-    """
-    pa = p.pairs
-    live = set(fsa.live_states(p.dfa))
-    seen = {(p.dfa.initial, "noPad")}
-    queue = deque(seen)
-    while queue:
-        s, mode = queue.popleft()
-        row = p.dfa.transitions[s]
-        for k, t in enumerate(row):
-            if t == FAIL:
-                continue
-            a, b = pa.parts(k)
-            if a == pa.pad:
-                nmode = "leftPadded"
-            elif b == pa.pad:
-                nmode = "rightPadded"
-            else:
-                nmode = "noPad"
-            bad = (mode == "leftPadded" and nmode != "leftPadded") or (
-                mode == "rightPadded" and nmode != "rightPadded"
-            )
-            if bad:
-                if t in live:
-                    raise UsageError(
-                        f"padding discipline violated at state {s} on symbol {k}"
-                    )
-                continue
-            if (t, nmode) not in seen:
-                seen.add((t, nmode))
-                queue.append((t, nmode))
-
-
 def diagonal(m: Dfa) -> PairDfa:
     """Identity relation on L(m): accepts exactly the pairs (w, w), w in L(m)."""
     pa = PairAlphabet(m.alphabet)
@@ -247,7 +177,12 @@ def diagonal(m: Dfa) -> PairDfa:
 
 
 def swap(p: PairDfa) -> PairDfa:
-    """Coordinate swap: accepts (v, u) iff p accepts (u, v)."""
+    """Coordinate swap: accepts (v, u) iff p accepts (u, v).
+
+    ``p`` must be minimal, as every pair automaton built here is:
+    permuting the symbols keeps it minimal, so the result needs only
+    :func:`fsa.canonical`, not a second minimisation.
+    """
     pa = p.pairs
     perm = [pa.index(*reversed(pa.parts(k))) for k in range(pa.alphabet.size)]
     rows = []
@@ -257,7 +192,7 @@ def swap(p: PairDfa) -> PairDfa:
             new_row[perm[k]] = t
         rows.append(new_row)
     d = Dfa(pa.alphabet, p.dfa.num_states, p.dfa.initial, p.dfa.accepting, rows)
-    return PairDfa(p.base, fsa.minimize(d), pa)
+    return PairDfa(p.base, fsa.canonical(d), pa)
 
 
 def project_first(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:

@@ -1,12 +1,19 @@
-"""Independent group models used as test oracles.
+"""Independent group models and definitional checks used as test oracles.
 
 Each model multiplies elements without touching the package's rewriting
 or automata: integer vectors, permutations, affine maps, and the
 reduced Burau representation.  Symbols are indexed to match the
 alphabets built in conftest.
+
+The root-system checks (inner products, signs, depth and dominance of
+roots) take the package's ``FieldContext`` as ``ctx`` and use only its
+field arithmetic, form and reflections; the padding checks read a pair
+automaton's table.  Nothing here imports the package.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 
 class GroupModel:
@@ -232,3 +239,177 @@ def cyclic_conjugacy_oracle(u: tuple, v: tuple, inv=(1, 0, 3, 2)) -> bool:
     if len(cu) != len(cv):
         return False
     return any(cv == cu[i:] + cu[:i] for i in range(max(1, len(cu))))
+
+
+# -- Coxeter root systems ------------------------------------------------------
+
+
+def inner(ctx, u, v):
+    """Bilinear form value B(u, v), exact."""
+    F = ctx.field
+    total = F.zero
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            if not F.is_zero(ui) and not F.is_zero(vj):
+                total = F.add(total, F.mul(F.mul(ui, vj), ctx.form[i][j]))
+    return total
+
+
+def root_sign(ctx, v) -> int:
+    """+1 for a positive root, -1 negative, 0 for zero; raises if the
+    coordinates are not sign-coherent."""
+    signs = {ctx.field.sign(c) for c in v}
+    signs.discard(0)
+    if not signs:
+        return 0
+    if len(signs) > 1:
+        raise AssertionError("root coordinates are not sign-coherent")
+    return signs.pop()
+
+
+def root_depth(ctx, beta) -> int:
+    """dp(beta): the least length of a group element sending the
+    positive root beta negative.  A non-simple positive root has some
+    B(e_i, beta) > 0, and then dp(r_i(beta)) = dp(beta) - 1."""
+    depth = 1
+    while beta not in ctx.simple_roots:
+        i = next(i for i, e in enumerate(ctx.simple_roots)
+                 if ctx.field.sign(inner(ctx, e, beta)) > 0)
+        beta = ctx.reflect(i, beta)
+        depth += 1
+    return depth
+
+
+def dominates(ctx, alpha, beta) -> bool:
+    """Positive root alpha dominates beta (alpha != beta) iff
+    B(alpha, beta) >= 1 and dp(alpha) > dp(beta).  The inner product
+    alone is symmetric; of two such roots only the deeper dominates."""
+    if alpha == beta:
+        raise ValueError("dominance is between distinct positive roots")
+    if root_sign(ctx, alpha) <= 0 or root_sign(ctx, beta) <= 0:
+        raise ValueError("dominance needs positive roots")
+    F = ctx.field
+    if F.sign(F.sub(inner(ctx, alpha, beta), F.one)) < 0:
+        return False
+    return root_depth(ctx, alpha) > root_depth(ctx, beta)
+
+
+def dominance_semi_oracle(ctx, alpha, beta, depth: int) -> bool:
+    """Definitional dominance check over all group elements up to the
+    given word length: every w sending alpha negative must send beta
+    negative.  A bounded search: True here is consistency, not proof."""
+    frontier = [(alpha, beta)]
+    seen = {(alpha, beta)}
+    for _ in range(depth):
+        nxt = []
+        for wa, wb in frontier:
+            for i in range(ctx.rank):
+                pa = ctx.reflect(i, wa)
+                pb = ctx.reflect(i, wb)
+                if (pa, pb) in seen:
+                    continue
+                seen.add((pa, pb))
+                if root_sign(ctx, pa) < 0 and root_sign(ctx, pb) > 0:
+                    return False
+                nxt.append((pa, pb))
+        frontier = nxt
+    return True
+
+
+def positive_roots_by_depth(ctx, max_depth: int) -> list[list]:
+    """Positive roots of depth 1..max_depth, one list per depth: depth
+    d+1 holds r_i(beta) for beta of depth d and B(e_i, beta) < 0."""
+    layers = [list(ctx.simple_roots)]
+    seen = set(layers[0])
+    for _ in range(max_depth - 1):
+        nxt = []
+        for beta in layers[-1]:
+            for i, e in enumerate(ctx.simple_roots):
+                if ctx.field.sign(inner(ctx, e, beta)) < 0:
+                    child = ctx.reflect(i, beta)
+                    if child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
+        layers.append(nxt)
+    return layers
+
+
+# -- padding of pair automata ----------------------------------------------------
+
+FAIL = -1  # the package's undefined transition
+
+
+def _pad_mode(pairs, symbol: int) -> str:
+    a, b = pairs.parts(symbol)
+    if a == pairs.pad:
+        return "leftPadded"
+    if b == pairs.pad:
+        return "rightPadded"
+    return "noPad"
+
+
+def _live_states(table, accepting) -> set[int]:
+    """States from which an accepting state can be reached."""
+    back: dict[int, list[int]] = {}
+    for s, row in enumerate(table):
+        for t in row:
+            if t != FAIL:
+                back.setdefault(t, []).append(s)
+    live = set(accepting)
+    stack = list(live)
+    while stack:
+        for s in back.get(stack.pop(), ()):
+            if s not in live:
+                live.add(s)
+                stack.append(s)
+    return live
+
+
+def pad_modes(p) -> dict[int, set[str]]:
+    """Pad phases under which each reachable state of the pair automaton
+    ``p`` can be entered.
+
+    Modes are "noPad", "leftPadded", "rightPadded"; a clean pair
+    automaton assigns each live state a single mode.
+    """
+    d = p.dfa
+    modes: dict[int, set[str]] = {d.initial: {"noPad"}}
+    queue = deque([(d.initial, "noPad")])
+    while queue:
+        s, mode = queue.popleft()
+        for k, t in enumerate(d.transitions[s]):
+            if t == FAIL:
+                continue
+            nmode = _pad_mode(p.pairs, k)
+            if nmode != mode and mode != "noPad":
+                continue  # discipline-violating path; flagged by validate_padding
+            cur = modes.setdefault(t, set())
+            if nmode not in cur:
+                cur.add(nmode)
+                queue.append((t, nmode))
+    return modes
+
+
+def validate_padding(p) -> None:
+    """Check that no accepted string of ``p`` violates the padding
+    discipline: a transition that resumes a padded side must not be able
+    to reach acceptance."""
+    d = p.dfa
+    live = _live_states(d.transitions, d.accepting)
+    seen = {(d.initial, "noPad")}
+    queue = deque(seen)
+    while queue:
+        s, mode = queue.popleft()
+        for k, t in enumerate(d.transitions[s]):
+            if t == FAIL:
+                continue
+            nmode = _pad_mode(p.pairs, k)
+            if mode != "noPad" and nmode != mode:
+                if t in live:
+                    raise AssertionError(
+                        f"padding discipline violated at state {s} on symbol {k}"
+                    )
+                continue
+            if (t, nmode) not in seen:
+                seen.add((t, nmode))
+                queue.append((t, nmode))

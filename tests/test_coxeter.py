@@ -1,30 +1,73 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from agt import fsa
+from agt import coxeter, fsa
 from agt.autostruct import derive_shortlex_structure
 from agt.coxeter import (
     CoxeterMatrix,
     FieldContext,
     build_geodesic_acceptor,
     build_shortlex_word_acceptor,
-    dominance_semi_oracle,
-    dominates,
-    reflection_action,
     small_roots,
 )
-from agt.errors import UsageError
+from agt.errors import ResourceLimitError, UsageError
 from agt.rewrite import Presentation
 from agt.words import inverse_closed_alphabet
 
-from oracles import AffineA2Model, DInfinityModel, SignedPermModel, s3_model
+from oracles import (
+    AffineA2Model,
+    DInfinityModel,
+    SignedPermModel,
+    dominance_semi_oracle,
+    dominates,
+    inner,
+    positive_roots_by_depth,
+    root_sign,
+    s3_model,
+)
 
 A2 = CoxeterMatrix([[1, 3], [3, 1]])
 B2 = CoxeterMatrix([[1, 4], [4, 1]])
 DINF = CoxeterMatrix([[1, 0], [0, 1]])
 AFFINE_A2 = CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+
+
+def linear(*orders):
+    """Coxeter matrix of a path diagram with the given edge orders."""
+    n = len(orders) + 1
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, k in enumerate(orders):
+        m[i][i + 1] = m[i + 1][i] = k
+    return CoxeterMatrix(m)
+
+
+def triangle(p, q, r):
+    return CoxeterMatrix([[1, p, r], [p, 1, q], [r, q, 1]])
+
+
+# The Coxeter groups of the benchmark corpus: finite, affine, hyperbolic.
+CORPUS = {
+    "A4": linear(3, 3, 3),
+    "D4": CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]),
+    "H3": linear(5, 3),
+    "F4": linear(3, 4, 3),
+    "E6": CoxeterMatrix([
+        [1, 3, 2, 2, 2, 2],
+        [3, 1, 3, 2, 2, 2],
+        [2, 3, 1, 3, 2, 3],
+        [2, 2, 3, 1, 3, 2],
+        [2, 2, 2, 3, 1, 2],
+        [2, 2, 3, 2, 2, 1],
+    ]),
+    "A2aff": triangle(3, 3, 3),
+    "C3aff": linear(4, 3, 4),
+    "T237": triangle(2, 3, 7),
+    "T245": triangle(2, 4, 5),
+    "T246": triangle(2, 4, 6),
+}
 
 
 def coxeter_presentation(matrix, names):
@@ -50,11 +93,12 @@ def test_inner_product_examples():
     ctx = FieldContext(A2)
     F = ctx.field
     e1, e2 = ctx.simple_roots
-    assert F.as_rational(ctx.inner(e1, e2)) == Fraction(-1, 2)
-    assert F.as_rational(ctx.inner(e1, e1)) == 1
+    assert F.as_rational(inner(ctx, e1, e2)) == Fraction(-1, 2)
+    assert F.as_rational(inner(ctx, e1, e1)) == 1
+    assert F.as_rational(ctx.inner_simple(0, e2)) == Fraction(-1, 2)
     ctx_inf = FieldContext(DINF)
     assert ctx_inf.field.as_rational(
-        ctx_inf.inner(ctx_inf.simple_roots[0], ctx_inf.simple_roots[1])
+        inner(ctx_inf, ctx_inf.simple_roots[0], ctx_inf.simple_roots[1])
     ) == -1
 
 
@@ -84,7 +128,7 @@ def test_reflection_involutive_and_form_preserving():
         v = roots[rng.randrange(len(roots))]
         i = rng.randrange(ctx.rank)
         assert ctx.reflect(i, ctx.reflect(i, u)) == u
-        assert ctx.inner(ctx.reflect(i, u), ctx.reflect(i, v)) == ctx.inner(u, v)
+        assert inner(ctx, ctx.reflect(i, u), ctx.reflect(i, v)) == inner(ctx, u, v)
 
 
 def test_orbit_roots_sign_coherent():
@@ -102,7 +146,7 @@ def test_orbit_roots_sign_coherent():
                         nxt.append(w)
             frontier = nxt
         for v in seen:
-            assert ctx.root_sign(v) in (-1, 1)  # raises if not coherent
+            assert root_sign(ctx, v) in (-1, 1)  # raises if not coherent
 
 
 def test_dominance_examples():
@@ -111,6 +155,9 @@ def test_dominance_examples():
     r = ctx.reflect(0, e2)  # 2e1 + e2
     assert dominates(ctx, r, e1)
     assert dominance_semi_oracle(ctx, r, e1, 10)
+    # dominance is not symmetric: r_1 sends e1 negative and r to e2
+    assert not dominates(ctx, e1, r)
+    assert not dominance_semi_oracle(ctx, e1, r, 10)
     # A2: no distinct positive pair dominates
     ctx2 = FieldContext(A2)
     f1, f2 = ctx2.simple_roots
@@ -125,12 +172,29 @@ def test_dominance_examples():
 
 
 def test_dominance_consistent_with_semi_oracle():
-    for matrix, depth in ((A2, 6), (B2, 6), (DINF, 8)):
-        ctx, roots = small_roots(matrix)
-        for a in roots:
-            for b in roots:
-                if a != b and dominates(ctx, a, b):
-                    assert dominance_semi_oracle(ctx, a, b, depth)
+    """Positive roots of depth <= 3, every pair in both directions.
+
+    Two distinct positive roots with B >= 1 are comparable: exactly one
+    dominates the other, and the bounded search must agree on both
+    orders (it finds the witness against the wrong one).  Pairs with
+    B < 1 are incomparable, and the search has nothing to confirm."""
+    # finite groups have no comparable pairs: there |B(a, b)| < 1
+    expected = {"A2aff": 3, "T245": 2, "T246": 2, "Dinf": 6}
+    for name, matrix in {"A2": A2, "B2": B2, "Dinf": DINF, **CORPUS}.items():
+        ctx = FieldContext(matrix)
+        F = ctx.field
+        roots = [r for layer in positive_roots_by_depth(ctx, 3) for r in layer]
+        comparable = 0
+        for x, a in enumerate(roots):
+            for b in roots[x + 1 :]:
+                if F.sign(F.sub(inner(ctx, a, b), F.one)) < 0:
+                    assert not dominates(ctx, a, b) and not dominates(ctx, b, a)
+                    continue
+                comparable += 1
+                assert dominates(ctx, a, b) != dominates(ctx, b, a)
+                for p, q in ((a, b), (b, a)):
+                    assert dominates(ctx, p, q) == dominance_semi_oracle(ctx, p, q, 6)
+        assert comparable == expected.get(name, 0), name
 
 
 def test_small_roots_right_angled():
@@ -150,8 +214,47 @@ def test_small_roots_examples():
     assert len(roots3) == 6
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_other_roots_dominate_a_small_root(name):
+    """Every positive root of depth <= 4 that the gate does not list
+    dominates some listed root, so none is small."""
+    ctx, roots = small_roots(CORPUS[name])
+    listed = set(roots)
+    others = [
+        r for layer in positive_roots_by_depth(ctx, 4) for r in layer if r not in listed
+    ]
+    for r in others:
+        assert any(dominates(ctx, r, g) for g in roots), ctx.format_root(r)
+    # in the finite groups every positive root is small
+    expected = {"A2aff": 6, "C3aff": 2, "T237": 2, "T245": 6, "T246": 7}
+    assert len(others) == expected.get(name, 0)
+
+
+def test_h4_small_roots_and_acceptor():
+    """H4: all 60 positive roots are small, and the shortlex acceptor
+    counts the 14400 group elements, within a generous time limit."""
+    h4 = linear(5, 3, 3)
+    start = time.perf_counter()
+    ctx, roots = small_roots(h4)
+    assert len(roots) == 60
+    wa = build_shortlex_word_acceptor(h4)
+    assert fsa.language_is_finite(wa) == 14400
+    assert time.perf_counter() - start < 60.0
+
+
+def test_small_root_cap(monkeypatch):
+    monkeypatch.setattr(coxeter, "DEFAULT_ROOT_CAP", 2)
+    with pytest.raises(ResourceLimitError) as exc:
+        small_roots(A2)
+    assert (exc.value.which, exc.value.cap) == ("small root set size", 2)
+    with pytest.raises(ResourceLimitError):
+        build_geodesic_acceptor(A2)
+    monkeypatch.setattr(coxeter, "DEFAULT_ROOT_CAP", 3)
+    assert len(small_roots(A2)[1]) == 3
+
+
 def test_small_roots_pairwise_non_dominating():
-    for matrix in (A2, B2, DINF, AFFINE_A2):
+    for matrix in (A2, B2, DINF, AFFINE_A2, *CORPUS.values()):
         ctx, roots = small_roots(matrix)
         for a in roots:
             for b in roots:
@@ -247,14 +350,6 @@ def test_affine_a2_counts_match_kb_pipeline():
     assert fsa.count_words_by_length(wa_cox, 8) == fsa.count_words_by_length(
         out.structure.word_acceptor, 8
     )
-
-
-def test_reflection_action_word_order():
-    # word "ab" acts as r_a(r_b(v)): leftmost letter acts last
-    ctx = FieldContext(A2)
-    e1, e2 = ctx.simple_roots
-    w = bytes([0, 1])
-    assert reflection_action(ctx, w, e1) == ctx.reflect(0, ctx.reflect(1, e1))
 
 
 def test_geodesic_acceptor_matches_model_distances():

@@ -148,6 +148,8 @@ def test_minimize_canonical_on_language_equal_pairs(ab):
             rows[perm[s]] = [FAIL if t == FAIL else perm[t] for t in m.transitions[s]]
         scrambled = Dfa(ab, n, perm[m.initial], [perm[s] for s in m.accepting], rows)
         assert fsa.minimize(scrambled) == m
+        # already minimal: renumbering alone recovers the canonical form
+        assert fsa.canonical(scrambled) == m
 
 
 # -- boolean ops ----------------------------------------------------------

@@ -18,9 +18,10 @@ from agt.pairfsa import (
     project_first,
     project_second,
     swap,
-    validate_padding,
 )
 from agt.words import inverse_closed_alphabet
+
+from oracles import pad_modes, validate_padding
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,25 @@ def test_swap(ab):
     s = swap(p)
     assert s.accepts_pair(ab.parse_word("aa"), ab.parse_word("aab"))
     assert not s.accepts_pair(ab.parse_word("aab"), ab.parse_word("aa"))
+
+
+@pytest.mark.parametrize(
+    "fixture", ["free_structure", "z2_structure", "s3_structure", "dinf_structure",
+                "b3_structure"]
+)
+def test_swap_is_the_minimized_permutation(fixture, request):
+    """Permuting the symbols of a minimal automaton keeps it minimal, so
+    renumbering alone gives what a full minimisation would."""
+    for mult in request.getfixturevalue(fixture).multipliers.values():
+        pa = mult.pairs
+        perm = [pa.index(*reversed(pa.parts(k))) for k in range(pa.alphabet.size)]
+        rows = [[FAIL] * pa.alphabet.size for _ in range(mult.dfa.num_states)]
+        for s, row in enumerate(mult.dfa.transitions):
+            for k, t in enumerate(row):
+                rows[s][perm[k]] = t
+        d = Dfa(pa.alphabet, mult.dfa.num_states, mult.dfa.initial, mult.dfa.accepting, rows)
+        assert swap(mult) == PairDfa(mult.base, fsa.minimize(d), pa)
+        assert swap(swap(mult)) == mult
 
 
 def test_compose_diagonal_identity(ab, f2_acceptor=None):
@@ -200,7 +220,7 @@ def test_pad_modes_and_validation(z2_structure):
     # with several entry modes must have no live continuation
     for mult in z2_structure.multipliers.values():
         validate_padding(mult)
-        modes = pairfsa.pad_modes(mult)
+        modes = pad_modes(mult)
         live = set(fsa.live_states(mult.dfa))
         for state, ms in modes.items():
             if state in live and len(ms) > 1:
