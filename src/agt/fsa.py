@@ -6,7 +6,9 @@ implicit and never counted in ``num_states``).  Minimized automata are
 canonical: states are live (reachable and co-reachable) and numbered
 breadth-first from the initial state with symbols taken in alphabet
 order, so two minimized automata accept the same language iff they are
-structurally equal.
+structurally equal.  Minimization reads defined transitions only: one
+trim pass finds the reachable and live states and the moves into each,
+and Hopcroft refinement runs on the live states with no sink state.
 
 Language analytics (finiteness, counting, growth series) are exact over
 arbitrary-precision integers; growth series are returned as integer
@@ -199,44 +201,39 @@ def determinize(
 # -- minimization ------------------------------------------------------
 
 
-def _reachable(dfa: Dfa) -> list[int]:
-    seen = [False] * dfa.num_states
-    seen[dfa.initial] = True
-    order = [dfa.initial]
-    for s in order:  # order grows while it is walked, so it is the queue
-        for t in dfa.transitions[s]:
-            if t != FAIL and not seen[t]:
-                seen[t] = True
-                order.append(t)
-    return order
+def _trim(dfa: Dfa) -> tuple[list[int], set[int], dict[int, list[tuple[int, int]]]]:
+    """One pass over the defined moves of the reachable part of ``dfa``.
 
-
-def _co_reachable(dfa: Dfa, states: Sequence[int]) -> set[int]:
-    back: dict[int, list[int]] = {s: [] for s in states}
-    in_set = set(states)
-    for s in states:
-        for t in dfa.transitions[s]:
-            if t in in_set:
-                back[t].append(s)
-    live = set(s for s in states if s in dfa.accepting)
-    queue = deque(live)
-    while queue:
-        s = queue.popleft()
-        for p in back[s]:
-            if p not in live:
-                live.add(p)
-                queue.append(p)
-    return live
-
-
-def _empty_dfa(alphabet: Alphabet) -> Dfa:
-    return Dfa(alphabet, 1, 0, (), [[FAIL] * alphabet.size])
+    Returns ``(reach, live, into)``: the states reachable from the
+    initial state in breadth-first order, those among them that can
+    also reach acceptance, and for each reachable state ``t`` the
+    ``(symbol, state)`` moves that enter it.
+    """
+    into: dict[int, list[tuple[int, int]]] = {dfa.initial: []}
+    reach = [dfa.initial]
+    for s in reach:  # reach grows while it is walked, so it is the queue
+        for c, t in enumerate(dfa.transitions[s]):
+            if t == FAIL:
+                continue
+            if t in into:
+                into[t].append((c, s))
+            else:
+                into[t] = [(c, s)]
+                reach.append(t)
+    stack = [s for s in reach if s in dfa.accepting]
+    live = set(stack)
+    while stack:
+        for _c, s in into[stack.pop()]:
+            if s not in live:
+                live.add(s)
+                stack.append(s)
+    return reach, live, into
 
 
 def minimize(dfa: Dfa) -> Dfa:
     """Canonical minimal automaton for the language of ``dfa``.
 
-    Hopcroft partition refinement on the trimmed automaton, then
+    Hopcroft partition refinement on the live states, then
     :func:`canonical` on the quotient.  Equal languages give
     structurally identical results, which is the automaton equality
     used everywhere else.
@@ -246,51 +243,38 @@ def minimize(dfa: Dfa) -> Dfa:
 
 
 def _hopcroft_quotient(dfa: Dfa) -> Dfa:
-    """The quotient of the trimmed automaton by language equivalence:
-    one state per class, numbered as the refinement found them."""
-    reach = _reachable(dfa)
-    live = _co_reachable(dfa, reach)
-    if dfa.initial not in live:
-        return _empty_dfa(dfa.alphabet)
-    live_order = [s for s in reach if s in live]
-    remap = {s: i for i, s in enumerate(live_order)}
-    n = len(live_order)
-    k = dfa.alphabet.size
-    sink = n  # explicit dead state during refinement
-    table = [
-        [remap.get(t, sink) if t != FAIL else sink for t in dfa.transitions[s]]
-        for s in live_order
-    ]
-    table.append([sink] * k)
-    accepting = {remap[s] for s in live_order if s in dfa.accepting}
+    """The quotient of the live states by language equivalence: one
+    state per class, numbered as the refinement found them.
 
-    # Hopcroft refinement over n+1 states.
+    Refinement reads only defined moves between live states, and a move
+    to a state that is not live is FAIL in the quotient.  With no sink
+    state a splitter's complement is not implied, so both initial blocks
+    start in the work list (Valmari & Lehtinen, "Efficient minimization
+    of DFAs with partial transition functions", STACS 2008).
+    """
+    _reach, live, into = _trim(dfa)
+    if dfa.initial not in live:
+        return empty_language_dfa(dfa.alphabet)
+    block_of = [FAIL] * dfa.num_states  # FAIL for states that are not live
     partition: list[set[int]] = []
-    block_of = [0] * (n + 1)
-    acc = set(accepting)
-    rest = set(range(n + 1)) - acc
-    for block in (acc, rest):
+    acc = live & dfa.accepting
+    for block in (acc, live - acc):
         if block:
             for s in block:
                 block_of[s] = len(partition)
             partition.append(block)
-    back: list[list[list[int]]] = [[[] for _ in range(n + 1)] for _ in range(k)]
-    for s in range(n + 1):
-        row = table[s]
-        for c in range(k):
-            back[c][row[c]].append(s)
     work = deque(range(len(partition)))
     in_work = set(work)
     while work:
         b = work.popleft()
         in_work.discard(b)
-        splitter = list(partition[b])
-        for c in range(k):
-            pre: set[int] = set()
-            for t in splitter:
-                pre.update(back[c][t])
+        pre: dict[int, set[int]] = {}  # symbol -> states it moves into block b
+        for t in partition[b]:
+            for c, s in into[t]:
+                pre.setdefault(c, set()).add(s)
+        for states in pre.values():
             touched: dict[int, set[int]] = {}
-            for s in pre:
+            for s in states:
                 touched.setdefault(block_of[s], set()).add(s)
             for blk, inside in touched.items():
                 block = partition[blk]
@@ -309,22 +293,13 @@ def _hopcroft_quotient(dfa: Dfa) -> Dfa:
                     work.append(smaller)
                     in_work.add(smaller)
 
-    dead_block = block_of[sink]
-    init_block = block_of[0]
-    if init_block == dead_block:
-        return _empty_dfa(dfa.alphabet)
-
-    # one state per block; the dead block is unreachable, moves into it FAIL
-    rep: dict[int, int] = {}
-    for s in range(n):
-        rep.setdefault(block_of[s], s)
+    # one state per block, read off any member
     rows = [
-        [FAIL if block_of[t] == dead_block else block_of[t] for t in table[rep[blk]]]
-        if blk != dead_block else [FAIL] * k
-        for blk in range(len(partition))
+        [FAIL if t == FAIL else block_of[t] for t in dfa.transitions[next(iter(block))]]
+        for block in partition
     ]
-    quotient_accepting = [blk for blk, s in rep.items() if s in accepting]
-    return Dfa(dfa.alphabet, len(partition), init_block, quotient_accepting, rows)
+    accepting = [i for i, block in enumerate(partition) if not block.isdisjoint(dfa.accepting)]
+    return Dfa(dfa.alphabet, len(partition), block_of[dfa.initial], accepting, rows)
 
 
 def canonical(dfa: Dfa) -> Dfa:
@@ -402,7 +377,7 @@ def all_words_dfa(alphabet: Alphabet) -> Dfa:
 
 
 def empty_language_dfa(alphabet: Alphabet) -> Dfa:
-    return _empty_dfa(alphabet)
+    return Dfa(alphabet, 1, 0, (), [[FAIL] * alphabet.size])
 
 
 # -- language analytics ------------------------------------------------
@@ -410,58 +385,37 @@ def empty_language_dfa(alphabet: Alphabet) -> Dfa:
 
 def live_states(dfa: Dfa) -> list[int]:
     """States both reachable from the initial and able to reach acceptance."""
-    reach = _reachable(dfa)
-    co = _co_reachable(dfa, reach)
-    return [s for s in reach if s in co]
+    reach, live, _into = _trim(dfa)
+    return [s for s in reach if s in live]
 
 
 def language_is_finite(dfa: Dfa) -> int | None:
     """Exact number of accepted words, or None when the language is infinite.
 
-    The language is infinite iff the live part of the automaton admits a
-    loop; otherwise the count is a DAG path count, taken in reverse of
-    the depth-first finish order (a topological order) that the loop
-    search produces.
+    Live states are peeled in order of zero in-degree among live moves.
+    A state left over lies on a loop or after one, so the language is
+    infinite; otherwise the peel order is topological, and path counts
+    from the initial state are pushed along it.
     """
     live = live_states(dfa)
-    if dfa.initial not in live:
-        return 0
-    live_set = set(live)
-    # cycle detection on the live subgraph
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {s: WHITE for s in live}
-    finished: list[int] = []
-    stack: list[tuple[int, int]] = [(dfa.initial, 0)]
-    colour[dfa.initial] = GREY
-    while stack:
-        s, i = stack.pop()
-        row = dfa.transitions[s]
-        advanced = False
-        while i < len(row):
-            t = row[i]
-            i += 1
-            if t not in live_set:
-                continue
-            if colour[t] == GREY:
-                return None
-            if colour[t] == WHITE:
-                stack.append((s, i))
-                colour[t] = GREY
-                stack.append((t, 0))
-                advanced = True
-                break
-        if not advanced:
-            colour[s] = BLACK
-            finished.append(s)
-    # acyclic: paths from the initial state, pushed along edges
-    paths = dict.fromkeys(finished, 0)
-    paths[dfa.initial] = 1
-    for s in reversed(finished):
-        n = paths[s]
+    indeg = dict.fromkeys(live, 0)
+    for s in live:
         for t in dfa.transitions[s]:
-            if t in live_set:
-                paths[t] += n
-    return sum(paths[s] for s in finished if s in dfa.accepting)
+            if t in indeg:
+                indeg[t] += 1
+    paths = dict.fromkeys(live, 0)
+    paths[dfa.initial] = 1
+    order = [s for s in live if indeg[s] == 0]
+    for s in order:  # order grows while it is walked
+        for t in dfa.transitions[s]:
+            if t in indeg:
+                paths[t] += paths[s]
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    order.append(t)
+    if len(order) < len(live):
+        return None
+    return sum(paths[s] for s in order if s in dfa.accepting)
 
 
 def count_words_by_length(dfa: Dfa, max_len: int) -> list[int]:

@@ -138,11 +138,8 @@ class PairDfa:
     def accepts_pair(self, u: Word, v: Word) -> bool:
         return self.dfa.accepts(encode_pair(self.pairs, u, v))
 
-    def minimized(self) -> "PairDfa":
-        return PairDfa(self.base, fsa.minimize(self.dfa), self.pairs)
-
     def is_empty(self) -> bool:
-        return fsa.language_is_finite(self.dfa) == 0
+        return fsa.shortest_accepted(self.dfa) is None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairDfa):
@@ -154,10 +151,6 @@ class PairDfa:
 
     def __repr__(self) -> str:
         return f"PairDfa(states={self.dfa.num_states}, base={list(self.base.names)!r})"
-
-
-def equivalent(p: PairDfa, q: PairDfa) -> bool:
-    return p.base == q.base and fsa.equivalent(p.dfa, q.dfa)
 
 
 def diagonal(m: Dfa) -> PairDfa:

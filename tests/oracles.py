@@ -413,3 +413,39 @@ def validate_padding(p) -> None:
             if (t, nmode) not in seen:
                 seen.add((t, nmode))
                 queue.append((t, nmode))
+
+
+# -- minimality of automata -------------------------------------------------------
+
+
+def minimal_state_count(num_states, initial, accepting, rows) -> int:
+    """State count of the minimal automaton of a partial DFA, FAIL states
+    not counted, by Moore refinement.
+
+    ``rows[s][c]`` is the target of state ``s`` on symbol ``c``, or FAIL.
+    The states reachable from ``initial`` and one explicit dead state,
+    the target of every FAIL, are split by acceptance and then by the
+    classes of their successors until no class splits.  The dead class
+    holds every state that cannot reach acceptance and is not counted;
+    the empty language still counts one state.
+    """
+    reach = [initial]
+    seen = {initial}
+    for s in reach:
+        for t in rows[s]:
+            if t != FAIL and t not in seen:
+                seen.add(t)
+                reach.append(t)
+    width = len(rows[initial])
+    succ = {s: rows[s] for s in reach}
+    succ[FAIL] = [FAIL] * width
+    cls = {s: int(s in accepting) for s in succ}
+    n_classes = len(set(cls.values()))
+    while True:
+        sig = {s: (cls[s], tuple(cls[t] for t in row)) for s, row in succ.items()}
+        ids: dict = {}
+        cls = {s: ids.setdefault(v, len(ids)) for s, v in sig.items()}
+        if len(ids) == n_classes:
+            break
+        n_classes = len(ids)
+    return max(1, n_classes - 1)

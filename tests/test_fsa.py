@@ -8,6 +8,8 @@ from agt.errors import UsageError
 from agt.fsa import FAIL, Dfa
 from agt.words import Alphabet, inverse_closed_alphabet
 
+from oracles import minimal_state_count
+
 
 def words_up_to(n_syms, max_len):
     for length in range(max_len + 1):
@@ -150,6 +152,35 @@ def test_minimize_canonical_on_language_equal_pairs(ab):
         assert fsa.minimize(scrambled) == m
         # already minimal: renumbering alone recovers the canonical form
         assert fsa.canonical(scrambled) == m
+
+
+def random_partial_dfa(rng, alphabet, p_fail):
+    """Random states plus a dead state (a non-accepting loop that random
+    moves may enter) and an accepting state that no move enters."""
+    n = rng.randint(1, 10)
+    dead, unreachable = n, n + 1
+    rows = [
+        [FAIL if rng.random() < p_fail else rng.randrange(n + 1) for _ in range(alphabet.size)]
+        for _ in range(n)
+    ]
+    rows.append([rng.choice([FAIL, dead]) for _ in range(alphabet.size)])
+    rows.append([rng.randrange(n + 1) for _ in range(alphabet.size)])
+    accepting = [s for s in range(n) if rng.random() < 0.4] + [unreachable]
+    return Dfa(alphabet, n + 2, rng.randrange(n), accepting, rows)
+
+
+@pytest.mark.parametrize("p_fail", [0.0, 0.3, 0.6, 0.9])
+@pytest.mark.parametrize("n_syms", [1, 2, 4])
+def test_minimize_state_count_matches_moore_oracle(p_fail, n_syms):
+    alphabet = Alphabet([f"x{i}" for i in range(n_syms)], list(range(n_syms)))
+    rng = random.Random(f"{p_fail}/{n_syms}")
+    for _ in range(150):
+        m = random_partial_dfa(rng, alphabet, p_fail)
+        mm = fsa.minimize(m)
+        assert mm.num_states == minimal_state_count(
+            m.num_states, m.initial, m.accepting, m.transitions
+        )
+        assert fsa.minimize(mm) == mm
 
 
 # -- boolean ops ----------------------------------------------------------

@@ -134,7 +134,7 @@ def test_compose_diagonal_identity(ab, f2_acceptor=None):
         )
     )
     d = diagonal(lang)
-    assert pairfsa.equivalent(compose(d, d), d)
+    assert compose(d, d) == d
 
 
 def test_compose_with_empty_is_empty(ab):
@@ -144,12 +144,23 @@ def test_compose_with_empty_is_empty(ab):
     assert compose(empty, d).is_empty()
 
 
+def test_is_empty_on_empty_and_nonempty_multipliers(ab, z2_structure):
+    for m in z2_structure.multipliers.values():
+        assert not m.is_empty()
+    # a loop on every pair symbol; the accepting state is unreachable
+    pa = PairAlphabet(ab)
+    rows = [[0] * pa.alphabet.size, [1] * pa.alphabet.size]
+    empty = PairDfa(ab, Dfa(pa.alphabet, 2, 0, [1], rows), pa)
+    assert empty.is_empty()
+    assert compose(z2_structure.multipliers[0], empty).is_empty()
+
+
 def test_compose_multipliers_z2(z2_structure):
     s = z2_structure
-    m_eps = s.multipliers[EPSILON_KEY].minimized()
+    m_eps = s.multipliers[EPSILON_KEY]
     m_a = s.multipliers[0]
     m_inv_a = s.multipliers[1]
-    assert compose(m_a, m_inv_a).minimized() == m_eps
+    assert compose(m_a, m_inv_a) == m_eps
 
 
 def test_compose_agrees_with_relational_join(ab):
