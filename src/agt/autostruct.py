@@ -15,12 +15,13 @@ them abandons the attempt.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import fsa, pairfsa
 from .errors import ResourceLimitError
 from .fsa import FAIL, Dfa
 from .limits import Limits
-from .pairfsa import PairDfa
+from .pairfsa import PairAlphabet, PairDfa
 from .rewrite import Completion, Presentation, RewriteSystem, system_from_presentation
 from .words import Alphabet, Word
 from .worddiff import WordDifferenceMachine, accumulate_from_rules
@@ -97,82 +98,84 @@ def build_candidate_word_acceptor(
     return fsa.minimize(Dfa(alphabet, len(order), 0, range(len(order)), rows))
 
 
-def build_multiplier(
-    wa: Dfa,
-    diff: WordDifferenceMachine,
-    y: int | None,
-    state_cap: int = fsa.DEFAULT_STATE_CAP,
-) -> PairDfa:
-    """Multiplier automaton M_y: accepts (u, v) iff both are accepted by
-    the word acceptor (pad-aware) and the difference run ends at the
-    state of the reduced word of y (the empty word for y = None).
+class MultiplierProduct(NamedTuple):
+    """The padded product of two word-acceptor runs with the difference
+    machine, explored once for every multiplier.
 
-    Direct product of two word-acceptor runs with the difference
-    machine; a padded side must be accepted at the moment its padding
-    starts and is frozen afterwards.
+    ``labels[i]`` is the difference state of product state ``i`` when
+    both runs end accepted for its pad mode, and FAIL otherwise: only
+    which label accepts depends on the multiplier's key.
     """
-    A = wa.alphabet
+
+    pairs: PairAlphabet
+    rows: tuple[tuple[int, ...], ...]
+    labels: list[int]
+
+
+def build_multipliers(
+    wa: Dfa, diff: WordDifferenceMachine, state_cap: int = fsa.DEFAULT_STATE_CAP
+) -> dict[int | None, PairDfa]:
+    """All multipliers, M_eps first, then M_y for each generator y.
+
+    M_y accepts (u, v) iff both are accepted by the word acceptor
+    (pad-aware) and the difference run ends at the state of the reduced
+    word of y (the empty word for M_eps).  The product state is
+    (u's WA state, v's WA state, difference, pad mode); a padded side
+    must be accepted at the moment its padding starts and is frozen
+    afterwards.  The product is explored once and each multiplier
+    minimised from its own accepting set (the general multiplier of
+    Epstein et al., *Word Processing in Groups*, 1992).
+    """
     pa = diff.pairs
     pad = pa.pad
-    if y is None:
-        target_word = b""
-    else:
-        target_word = diff.reducer.reduce(bytes((y,))) if diff.reducer else bytes((y,))
-    target = diff.state_of(target_word)
-    if target is None:
-        # reported by the caller: the multiplier is empty
-        return PairDfa(A, fsa.empty_language_dfa(pa.alphabet), pa)
-
     NOPAD, UPAD, VPAD = 0, 1, 2
     symbols = [pa.parts(k) for k in range(pa.alphabet.size)]
+    acc = wa.accepting
 
     def expand(state: tuple[int, int, int, int], index: dict) -> list[int]:
         su, sv, d, mode = state
         row = [FAIL] * len(symbols)
         for k, (a, b) in enumerate(symbols):
-            if a != pad and b != pad:
-                if mode != NOPAD:
-                    continue
-                tu = wa.transitions[su][a]
-                tv = wa.transitions[sv][b]
-                d2 = diff.step_sym(d, k)
-                if tu != FAIL and tv != FAIL and d2 >= 0:
-                    row[k] = index[tu, tv, d2, NOPAD]
-            elif b == pad:
-                # v has ended; it must be accepted where it stopped
-                if mode == NOPAD and sv not in wa.accepting:
-                    continue
-                if mode == UPAD:
-                    continue
-                tu = wa.transitions[su][a]
-                d2 = diff.step_sym(d, k)
-                if tu != FAIL and d2 >= 0:
-                    row[k] = index[tu, sv, d2, VPAD]
+            d2 = diff.step_sym(d, k)
+            if d2 < 0:
+                continue
+            if b == pad:  # v has ended; it must be accepted where it stopped
+                go = mode == VPAD or mode == NOPAD and sv in acc
+                nxt = (wa.transitions[su][a], sv, d2, VPAD)
+            elif a == pad:
+                go = mode == UPAD or mode == NOPAD and su in acc
+                nxt = (su, wa.transitions[sv][b], d2, UPAD)
             else:
-                if mode == NOPAD and su not in wa.accepting:
-                    continue
-                if mode == VPAD:
-                    continue
-                tv = wa.transitions[sv][b]
-                d2 = diff.step_sym(d, k)
-                if tv != FAIL and d2 >= 0:
-                    row[k] = index[su, tv, d2, UPAD]
+                go = mode == NOPAD
+                nxt = (wa.transitions[su][a], wa.transitions[sv][b], d2, NOPAD)
+            if go and nxt[0] != FAIL and nxt[1] != FAIL:
+                row[k] = index[nxt]
         return row
 
     start = (wa.initial, wa.initial, diff.initial, NOPAD)
     order, rows = fsa.explore(start, expand, state_cap, "multiplier states")
-    accepting = []
-    for i, (su, sv, d, mode) in enumerate(order):
-        if d != target:
-            continue
-        if mode == NOPAD and su in wa.accepting and sv in wa.accepting:
-            accepting.append(i)
-        elif mode == VPAD and su in wa.accepting:
-            accepting.append(i)
-        elif mode == UPAD and sv in wa.accepting:
-            accepting.append(i)
-    d = Dfa(pa.alphabet, len(order), 0, accepting, rows)
-    return PairDfa(A, fsa.minimize(d), pa)
+    labels = [
+        d if (mode == UPAD or su in acc) and (mode == VPAD or sv in acc) else FAIL
+        for su, sv, d, mode in order
+    ]
+    product = MultiplierProduct(pa, tuple(map(tuple, rows)), labels)
+    del order, rows  # only the product stays alive across the minimisations
+    reduce = diff.reducer.reduce if diff.reducer else bytes
+    keys = (EPSILON_KEY, *range(wa.alphabet.size))
+    words = {key: reduce(b"" if key is None else bytes((key,))) for key in keys}
+    return {key: build_multiplier(product, diff.state_of(w)) for key, w in words.items()}
+
+
+def build_multiplier(product: MultiplierProduct, target: int | None) -> PairDfa:
+    """One multiplier of the explored product: the states labelled
+    ``target`` accept, then minimise.
+
+    A target that is not a difference state (None) labels no state, so
+    the multiplier is the one-state empty automaton.
+    """
+    pa, rows, labels = product
+    accepting = [i for i, d in enumerate(labels) if d == target]
+    return PairDfa(pa.base, fsa.minimize(Dfa(pa.alphabet, len(rows), 0, accepting, rows)), pa)
 
 
 @dataclass
@@ -389,10 +392,7 @@ def derive_shortlex_structure(
             lines.append(f"pass {pass_no}: diffs={diff.num_states} k={diff.max_difference_length()}")
             wa = build_candidate_word_acceptor(diff, A, limits.state_cap)
             lines.append(f"pass {pass_no}: wa states={wa.num_states} (+sink={wa.num_states_with_sink})")
-            multipliers: dict[int | None, PairDfa] = {}
-            multipliers[EPSILON_KEY] = build_multiplier(wa, diff, None, limits.state_cap)
-            for y in range(A.size):
-                multipliers[y] = build_multiplier(wa, diff, y, limits.state_cap)
+            multipliers = build_multipliers(wa, diff, limits.state_cap)
             sizes = " ".join(
                 f"m_{A.names[y] if y is not None else 'eps'}={m.dfa.num_states}"
                 for y, m in sorted(multipliers.items(), key=lambda kv: (kv[0] is not None, kv[0] or 0))

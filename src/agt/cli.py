@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Subcommands: kb, autstructure, reduce, wp, order, growth, enumerate,
-conetypes, conj, cox {wa,geo,roots}, fsa {min,and,or,not,eq}.
+conetypes, conj, cox {wa,geo,roots}, fsa {min,and,or,not,minus,eq}.
 Exit codes: 0 success/verified, 1 procedure abandoned, 2 usage error,
 3 resource limit.  Identical inputs and limits give byte-identical
 outputs.  AGT_STATE_CAP overrides the subset-construction state cap.
@@ -51,18 +51,24 @@ def _load_dfa(path: str):
     return m
 
 
-def _limits(args) -> Limits:
-    state_cap = args.state_cap
-    if state_cap < 1:
-        raise UsageError("--state-cap must be at least 1")
+def _state_cap(default: int) -> int:
+    """AGT_STATE_CAP when it is set, else ``default``."""
     env = os.environ.get("AGT_STATE_CAP")
-    if env is not None:
-        try:
-            state_cap = int(env)
-        except ValueError:
-            state_cap = 0
-        if state_cap < 1:
-            raise UsageError(f"AGT_STATE_CAP must be an integer >= 1, got {env!r}")
+    if env is None:
+        return default
+    try:
+        state_cap = int(env)
+    except ValueError:
+        state_cap = 0
+    if state_cap < 1:
+        raise UsageError(f"AGT_STATE_CAP must be an integer >= 1, got {env!r}")
+    return state_cap
+
+
+def _limits(args) -> Limits:
+    if args.state_cap < 1:
+        raise UsageError("--state-cap must be at least 1")
+    state_cap = _state_cap(args.state_cap)
     return Limits(
         max_rules=args.max_rules,
         max_lhs_len=args.max_lhs_len,
@@ -206,7 +212,8 @@ def cmd_cox(args) -> int:
         _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
     builder = build_shortlex_word_acceptor if args.what == "wa" else build_geodesic_acceptor
-    wa = builder(matrix, args.names.split(",") if args.names else None)
+    names = args.names.split(",") if args.names else None
+    wa = builder(matrix, names, _state_cap(fsa.DEFAULT_STATE_CAP))
     count = fsa.language_is_finite(wa)
     sys.stdout.write(
         f"states: {wa.num_states} language: "
@@ -326,10 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
-    except (UsageError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except AgtError as exc:
+    except (AgtError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -187,11 +187,7 @@ def diff_from_json(data: dict) -> WordDifferenceMachine:
     pa = PairAlphabet(base)
     words = tuple(base.parse_word(w) for w in data["states"])
     table = tuple(tuple(row) for row in data["transitions"])
-    index = {w: i for i, w in enumerate(words)}
-    inverse_state = tuple(
-        index.get(base.free_reduce(base.invert(w)), -1) for w in words
-    )
-    return WordDifferenceMachine(base, pa, words, table, inverse_state, None)
+    return WordDifferenceMachine(base, pa, words, table, None)
 
 
 # -- structure bundles -------------------------------------------------

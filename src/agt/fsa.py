@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError, UsageError
 from .words import Alphabet, Word
@@ -239,12 +239,13 @@ def minimize(dfa: Dfa) -> Dfa:
     used everywhere else.
     """
     # the refinement's tables are freed before the renumbering runs
-    return canonical(_hopcroft_quotient(dfa))
+    return canonical(dfa.alphabet, *_hopcroft_quotient(dfa))
 
 
-def _hopcroft_quotient(dfa: Dfa) -> Dfa:
-    """The quotient of the live states by language equivalence: one
-    state per class, numbered as the refinement found them.
+def _hopcroft_quotient(dfa: Dfa) -> tuple[int, set[int], list[list[int]]]:
+    """The quotient of the live states by language equivalence, as
+    ``(initial, accepting, rows)``: one state per class, numbered as
+    the refinement found them.
 
     Refinement reads only defined moves between live states, and a move
     to a state that is not live is FAIL in the quotient.  With no sink
@@ -254,7 +255,7 @@ def _hopcroft_quotient(dfa: Dfa) -> Dfa:
     """
     _reach, live, into = _trim(dfa)
     if dfa.initial not in live:
-        return empty_language_dfa(dfa.alphabet)
+        return 0, set(), [[FAIL] * dfa.alphabet.size]
     block_of = [FAIL] * dfa.num_states  # FAIL for states that are not live
     partition: list[set[int]] = []
     acc = live & dfa.accepting
@@ -298,26 +299,27 @@ def _hopcroft_quotient(dfa: Dfa) -> Dfa:
         [FAIL if t == FAIL else block_of[t] for t in dfa.transitions[next(iter(block))]]
         for block in partition
     ]
-    accepting = [i for i, block in enumerate(partition) if not block.isdisjoint(dfa.accepting)]
-    return Dfa(dfa.alphabet, len(partition), block_of[dfa.initial], accepting, rows)
+    accepting = {i for i, block in enumerate(partition) if not block.isdisjoint(dfa.accepting)}
+    return block_of[dfa.initial], accepting, rows
 
 
-def canonical(dfa: Dfa) -> Dfa:
-    """Breadth-first renumbering of the states reachable from the
-    initial state, symbols in ascending order.
+def canonical(
+    alphabet: Alphabet, initial: int, accepting: AbstractSet[int], rows: Sequence[Sequence[int]]
+) -> Dfa:
+    """Breadth-first renumbering of the states reachable from
+    ``initial`` in the table ``rows``, symbols in ascending order.
 
     On a minimal automaton this is the canonical form that ``minimize``
     returns.  Permuting the symbols keeps an automaton minimal, so a
     permuted copy of a minimal automaton needs only this step.
     """
-    order, rows = explore(
-        dfa.initial,
-        lambda s, index: [FAIL if t == FAIL else index[t] for t in dfa.transitions[s]],
-        dfa.num_states,
+    order, new_rows = explore(
+        initial,
+        lambda s, index: [FAIL if t == FAIL else index[t] for t in rows[s]],
+        len(rows),
         "canonical states",
     )
-    accepting = [i for i, s in enumerate(order) if s in dfa.accepting]
-    return Dfa(dfa.alphabet, len(order), 0, accepting, rows)
+    return Dfa(alphabet, len(order), 0, [i for i, s in enumerate(order) if s in accepting], new_rows)
 
 
 # -- boolean algebra ---------------------------------------------------

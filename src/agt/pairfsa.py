@@ -184,8 +184,7 @@ def swap(p: PairDfa) -> PairDfa:
         for k, t in enumerate(row):
             new_row[perm[k]] = t
         rows.append(new_row)
-    d = Dfa(pa.alphabet, p.dfa.num_states, p.dfa.initial, p.dfa.accepting, rows)
-    return PairDfa(p.base, fsa.canonical(d), pa)
+    return PairDfa(p.base, fsa.canonical(pa.alphabet, p.dfa.initial, p.dfa.accepting, rows), pa)
 
 
 def project_first(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:

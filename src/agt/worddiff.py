@@ -17,7 +17,7 @@ from .words import Word
 
 
 class WordDifferenceMachine:
-    __slots__ = ("alphabet", "pairs", "words", "index", "table", "inverse_state", "reducer")
+    __slots__ = ("alphabet", "pairs", "words", "index", "table", "reducer")
 
     def __init__(
         self,
@@ -25,7 +25,6 @@ class WordDifferenceMachine:
         pairs: PairAlphabet,
         words: tuple[Word, ...],
         table: tuple[tuple[int, ...], ...],
-        inverse_state: tuple[int, ...],
         reducer: RewriteSystem | None,
     ):
         self.alphabet = alphabet
@@ -33,7 +32,6 @@ class WordDifferenceMachine:
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
         self.table = table
-        self.inverse_state = inverse_state
         self.reducer = reducer
 
     @property
@@ -102,10 +100,10 @@ def accumulate_from_rules(rs: RewriteSystem) -> WordDifferenceMachine:
         m = max(len(u), len(v))
         for i in range(1, m + 1):
             ordered.setdefault(red(inv(u[:i]) + v[:i]), None)
-    # inversion closure (reduced inverses are states too)
+    # inversion closure (reduced inverses are states too); the list
+    # grows while it is walked
     work = list(ordered)
-    while work:
-        d = work.pop(0)
+    for d in work:
         di = red(inv(d))
         if di not in ordered:
             ordered[di] = None
@@ -126,5 +124,4 @@ def accumulate_from_rules(rs: RewriteSystem) -> WordDifferenceMachine:
             if d2 in index:
                 row[k] = index[d2]
         table.append(tuple(row))
-    inverse_state = tuple(index[red(inv(d))] for d in words)
-    return WordDifferenceMachine(A, pa, words, tuple(table), inverse_state, rs)
+    return WordDifferenceMachine(A, pa, words, tuple(table), rs)

@@ -6,10 +6,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from agt.autostruct import (
-    EPSILON_KEY,
     AutomaticStructure,
     build_candidate_word_acceptor,
-    build_multiplier,
+    build_multipliers,
     derive_shortlex_structure,
 )
 from agt.limits import Limits
@@ -71,7 +70,4 @@ def starved_b3_structure(ab_alphabet):
     Completion(rs, Limits(stability_window=1)).run(pause_when=lambda c: c.processed >= 1)
     d = accumulate_from_rules(rs)
     wa = build_candidate_word_acceptor(d, A)
-    mults = {EPSILON_KEY: build_multiplier(wa, d, None)}
-    for y in range(A.size):
-        mults[y] = build_multiplier(wa, d, y)
-    return AutomaticStructure(pres, wa, mults, d, d.max_difference_length())
+    return AutomaticStructure(pres, wa, build_multipliers(wa, d), d, d.max_difference_length())

@@ -10,7 +10,7 @@ from agt.autostruct import (
     CheckFailure,
     axiom_check,
     build_candidate_word_acceptor,
-    build_multiplier,
+    build_multipliers,
     derive_shortlex_structure,
     elementary_checks,
 )
@@ -68,7 +68,7 @@ def test_candidate_acceptor_trivial_difference_set(ab_alphabet):
     machine = accumulate_from_rules(RewriteSystem(A))
     # swap in the free-group reducer so diagonal steps reduce inverse pairs
     machine = type(machine)(
-        A, machine.pairs, machine.words, machine.table, machine.inverse_state, rs
+        A, machine.pairs, machine.words, machine.table, rs
     )
     wa = build_candidate_word_acceptor(machine, A)
     for w in words_up_to(A.size, 5):
@@ -106,8 +106,42 @@ def test_multiplier_empty_word_acceptor(ab_alphabet):
     knuth_bendix(rs)
     d = accumulate_from_rules(rs)
     empty_wa = fsa.empty_language_dfa(A)
-    m = build_multiplier(empty_wa, d, A.index("a"))
+    m = build_multipliers(empty_wa, d)[A.index("a")]
     assert m.is_empty()
+
+
+def test_derivation_explores_one_multiplier_product_per_pass(ab_alphabet, monkeypatch):
+    A = ab_alphabet
+    explored = []
+    real = fsa.explore
+
+    def recording(start, expand, state_cap, what):
+        explored.append(what)
+        return real(start, expand, state_cap, what)
+
+    monkeypatch.setattr(fsa, "explore", recording)
+    pres = Presentation(A, [A.parse_word("abAB")])
+    out = derive_shortlex_structure(pres, Limits(stability_window=5))
+    passes = out.transcript.count(": wa states=")
+    assert out.verified and passes == 3, out.transcript
+    assert explored.count("multiplier states") == passes
+
+
+def test_multipliers_of_the_trivial_difference_machine(ab_alphabet):
+    """A system with no rules has the one difference state, the empty
+    word, and no defined move.  M_eps accepts (eps, eps) alone, and no
+    generator is a difference state, so no product state carries an
+    M_y label and each M_y is the one-state empty automaton."""
+    A = ab_alphabet
+    d = accumulate_from_rules(RewriteSystem(A))
+    assert d.words == (b"",)
+    mults = build_multipliers(build_candidate_word_acceptor(d, A), d)
+    assert list(mults) == [EPSILON_KEY, *range(A.size)]
+    assert mults[EPSILON_KEY] == diagonal(Dfa(A, 1, 0, [0], [[FAIL] * A.size]))
+    empty = PairDfa(A, fsa.empty_language_dfa(d.pairs.alphabet))
+    for y in range(A.size):
+        assert d.state_of(d.reducer.reduce(bytes((y,)))) is None
+        assert mults[y] == empty
 
 
 def test_multiplier_pairs_fellow_travel_in_differences(ab_alphabet, z2_structure):

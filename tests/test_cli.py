@@ -260,6 +260,29 @@ def test_invalid_state_cap_variable_is_a_usage_error(value, z2_file, capsys, mon
     assert "AGT_STATE_CAP" in err and err.count("\n") == 1
 
 
+@pytest.fixture()
+def a3_file(tmp_path):
+    p = tmp_path / "a3.json"
+    p.write_text(json.dumps({"rank": 3, "m": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]}))
+    return str(p)
+
+
+def test_cox_acceptor_obeys_the_state_cap_variable(a3_file, capsys, monkeypatch):
+    # A3's shortlex acceptor explores 24 subset states
+    monkeypatch.setenv("AGT_STATE_CAP", "5")
+    assert main(["cox", "wa", a3_file]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "acceptor subset states (cap 5)" in err
+
+
+def test_cox_invalid_state_cap_variable_is_a_usage_error(a3_file, capsys, monkeypatch):
+    monkeypatch.setenv("AGT_STATE_CAP", "abc")
+    assert main(["cox", "geo", a3_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "AGT_STATE_CAP" in err and err.count("\n") == 1
+
+
 def test_invalid_state_cap_flag_is_a_usage_error(z2_file, capsys):
     assert main(["autstructure", z2_file, "--state-cap", "0"]) == 2
     assert "--state-cap" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 import pytest
 
 from agt import fsa, pairfsa
-from agt.autostruct import build_candidate_word_acceptor, build_multiplier
+from agt.autostruct import build_candidate_word_acceptor, build_multipliers
 from agt.coxeter import CoxeterMatrix, build_shortlex_word_acceptor
 from agt.errors import ResourceLimitError
 
@@ -45,7 +45,7 @@ CONSTRUCTIONS = {
     "multiplier": (
         "multiplier states",
         ["free_structure"],
-        lambda f2, cap: build_multiplier(f2.word_acceptor, f2.diff_machine, 0, cap),
+        lambda f2, cap: build_multipliers(f2.word_acceptor, f2.diff_machine, cap),
     ),
     "compose": (
         "composition product states",

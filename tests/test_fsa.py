@@ -151,7 +151,7 @@ def test_minimize_canonical_on_language_equal_pairs(ab):
         scrambled = Dfa(ab, n, perm[m.initial], [perm[s] for s in m.accepting], rows)
         assert fsa.minimize(scrambled) == m
         # already minimal: renumbering alone recovers the canonical form
-        assert fsa.canonical(scrambled) == m
+        assert fsa.canonical(ab, scrambled.initial, scrambled.accepting, scrambled.transitions) == m
 
 
 def random_partial_dfa(rng, alphabet, p_fail):

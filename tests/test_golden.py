@@ -1,0 +1,73 @@
+"""SHA-256 pins on tables that must stay byte-identical.
+
+Identical inputs and limits give byte-identical outputs, and a change
+that only restructures a construction must not move a single byte of
+what it builds.  Each digest covers one structure's transcript, word
+acceptor and every multiplier table (epsilon first, then generator
+order), or one Coxeter acceptor, in the JSON encoding of the bundle
+files.  A failing pin means an output changed: if the change is meant,
+say so and re-pin; if not, it is a regression.
+"""
+
+import hashlib
+
+import pytest
+
+from agt import formats
+from agt.coxeter import CoxeterMatrix, build_geodesic_acceptor, build_shortlex_word_acceptor
+
+
+def _digest(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _structure_texts(s):
+    yield s.transcript
+    yield formats.dumps(formats.dfa_to_json(s.word_acceptor))
+    for key in sorted(s.multipliers, key=lambda k: (k is not None, k or 0)):
+        yield formats.dumps(formats.pairdfa_to_json(s.multipliers[key]))
+
+
+STRUCTURES = {
+    "free_structure": "75bf5c45384bed5d0fe603eeb82d3d98462ac50d2a4c9a4c98c66740f76f7459",
+    "z2_structure": "a410a16146d374af15895309878264fc99248bdfacbaa8fe676859a30a8c7c86",
+    "s3_structure": "081c60983143c199c88714a91a32b5bebc3d4600cfcebc2eae738e94ac534588",
+    "b3_structure": "1161b34995ba767044c54e70d43f6881f9fabac017945a02fa8d64a7e754abfd",
+    "dinf_structure": "e70920f304829037e31c4be8901253e9c37f14c5fd06db69a737acfcb0ff49c3",
+    "starved_b3_structure": "e08c830f5a1b09510805cbb3deae73e474e82cca03cf82df0e0a51251ae246b0",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(STRUCTURES))
+def test_structure_tables_are_pinned(fixture, request):
+    s = request.getfixturevalue(fixture)
+    assert _digest(_structure_texts(s)) == STRUCTURES[fixture]
+
+
+def _path(*orders):
+    m = [[1 if i == j else 2 for j in range(len(orders) + 1)] for i in range(len(orders) + 1)]
+    for i, k in enumerate(orders):
+        m[i][i + 1] = m[i + 1][i] = k
+    return CoxeterMatrix(m)
+
+
+COXETER = {"A3": _path(3, 3), "B3": _path(4, 3), "H3": _path(5, 3)}
+ACCEPTORS = {
+    ("A3", "shortlex"): "c9305450e2fb7839e05c58623c1510f914ed039dbed60404a926794069c87cb9",
+    ("A3", "geodesic"): "fb991376e5f9e03fc323d27395842c2e782c66561fe26d17709296652b97d1fd",
+    ("B3", "shortlex"): "4a476cbd7dbe8c165f7b1c9aef04cb88972f99372181aa646c2b30e83101da8b",
+    ("B3", "geodesic"): "9dd3a4497322e234d210135b2934bdacd9a8e00e2485ac5fcad92b5cae2157e1",
+    ("H3", "shortlex"): "da4b02a903bce4c8579ff8970c9c82adcf62de98f1a76519e8642249b44864a7",
+    ("H3", "geodesic"): "bac9e7a99196ef186f9f787f49309b1ba9fb1793e08b4e329a15a7d42994c019",
+}
+
+
+@pytest.mark.parametrize("group,kind", sorted(ACCEPTORS))
+def test_coxeter_acceptors_are_pinned(group, kind):
+    build = build_shortlex_word_acceptor if kind == "shortlex" else build_geodesic_acceptor
+    wa = build(COXETER[group])
+    assert _digest([formats.dumps(formats.dfa_to_json(wa))]) == ACCEPTORS[group, kind]
