@@ -28,7 +28,7 @@ from .worddiff import WordDifferenceMachine, accumulate_from_rules
 
 EPSILON_KEY = None  # multiplier map key for the identity multiplier
 
-_LT, _GT, _PAD = 0, 1, 2
+_LT, _GT, _PAD, _EQ = 0, 1, 2, 3  # a candidate v's standing against u
 
 
 def build_candidate_word_acceptor(
@@ -38,64 +38,37 @@ def build_candidate_word_acceptor(
     a word v <_slex u' whose difference run ends at the empty difference.
 
     Rejecting on prefixes keeps the language prefix-closed (shortlex
-    normal forms are).  The subset construction tracks, per candidate v,
-    the current difference state together with the shortlex comparison
-    status (still equal / lex-smaller / lex-bigger / v already ended);
-    the always-present "v equals u so far" run is implicit.
+    normal forms are).  One ``fsa.determinize`` tracks the runs of
+    candidates v as items (difference, v lex-smaller / lex-bigger /
+    ended and padded), plus the item "v equals u so far", which moves
+    to itself on every letter and so lies in every subset.  A move that
+    completes a witness (the empty difference, v smaller or ended) is a
+    move to FAIL.
     """
     n = alphabet.size
     eps = diff.initial
     pad = diff.pairs.pad
     step = diff.step
+    equal = eps * 4 + _EQ
 
-    def advance(items: frozenset[int], x: int) -> frozenset[int] | None:
-        """None means a witness completed: u' has a smaller equal word."""
-        out = set()
-        # expansions of the implicit equal-so-far run
-        for y in range(n):
-            if y == x:
-                continue
-            d2 = step(eps, x, y)
-            if d2 >= 0:
-                if y < x and d2 == eps:
-                    return None
-                out.add(d2 * 3 + (_LT if y < x else _GT))
-        d2 = step(eps, x, pad)
-        if d2 >= 0:
-            if d2 == eps:
-                return None
-            out.add(d2 * 3 + _PAD)
-        for item in items:
-            d, flag = divmod(item, 3)
-            if flag == _PAD:
-                d2 = step(d, x, pad)
-                if d2 >= 0:
-                    if d2 == eps:
-                        return None
-                    out.add(d2 * 3 + _PAD)
-            else:
-                for y in range(n):
-                    d2 = step(d, x, y)
-                    if d2 >= 0:
-                        if flag == _LT and d2 == eps:
-                            return None
-                        out.add(d2 * 3 + flag)
-                d2 = step(d, x, pad)
-                if d2 >= 0:
-                    if d2 == eps:
-                        return None
-                    out.add(d2 * 3 + _PAD)
-        return frozenset(out)
-
-    def expand(state: frozenset[int], index: dict) -> list[int]:
-        row = []
+    def moves(item: int) -> list[tuple[int, int]]:
+        d, flag = divmod(item, 4)
+        out = []
         for x in range(n):
-            nxt = advance(state, x)
-            row.append(FAIL if nxt is None else index[nxt])
-        return row
+            if flag == _EQ:
+                out.append((x, item))
+                runs = [(y, _LT if y < x else _GT) for y in range(n) if y != x]
+            else:
+                runs = [] if flag == _PAD else [(y, flag) for y in range(n)]
+            for y, f in runs + [(pad, _PAD)]:
+                d2 = step(d, x, y)
+                if d2 >= 0:
+                    out.append((x, FAIL if d2 == eps and f != _GT else d2 * 4 + f))
+        return out
 
-    order, rows = fsa.explore(frozenset(), expand, state_cap, "word acceptor states")
-    return fsa.minimize(Dfa(alphabet, len(order), 0, range(len(order)), rows))
+    return fsa.minimize(fsa.determinize(
+        alphabet, equal, moves, lambda item: item == equal, state_cap, "word acceptor states"
+    ))
 
 
 class MultiplierProduct(NamedTuple):
@@ -217,8 +190,10 @@ def elementary_checks(
     """The exact whole-language tests that must pass before axiom checking.
 
     (a) the word acceptor accepts the empty word;
-    (b) each multiplier projects onto L(WA) on both coordinates (every
-        representative can be multiplied, and every one is a product);
+    (b) each generator's M_y projects onto L(WA) on both coordinates
+        (every representative can be multiplied, and every one is a
+        product).  M_eps is left out: it holds (u, u) for every accepted
+        u, and (c) implies its projections anyway;
     (c) uniqueness: M_eps is the diagonal of L(WA), so no two accepted
         words represent the same element;
     (d) functionality: for each generator y, compose(swap(M_y), M_y),
@@ -238,6 +213,8 @@ def elementary_checks(
         return ElementaryReport(False, [CheckFailure(kind="epsilon")])
     mults = sorted(s.multipliers.items(), key=lambda kv: (kv[0] is None, kv[0] or 0))
     for key, mult in mults:
+        if key is EPSILON_KEY:
+            continue
         for project in (pairfsa.project_first, pairfsa.project_second):
             proj = project(mult, state_cap)
             if proj != wa:

@@ -10,6 +10,7 @@ outputs.  AGT_STATE_CAP overrides the subset-construction state cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -66,18 +67,13 @@ def _state_cap(default: int) -> int:
 
 
 def _limits(args) -> Limits:
-    if args.state_cap < 1:
-        raise UsageError("--state-cap must be at least 1")
-    state_cap = _state_cap(args.state_cap)
-    return Limits(
-        max_rules=args.max_rules,
-        max_lhs_len=args.max_lhs_len,
-        max_rhs_len=args.max_rhs_len,
-        max_seconds=args.max_seconds,
-        max_passes=args.max_passes,
-        stability_window=args.stability_window,
-        state_cap=state_cap,
-    )
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(Limits)}
+    for name, value in values.items():
+        if value is not None and not value > 0:  # NaN is not > 0 either
+            least = "a number greater than 0" if name == "max_seconds" else "at least 1"
+            raise UsageError(f"--{name.replace('_', '-')} must be {least}, got {value}")
+    values["state_cap"] = _state_cap(values["state_cap"])
+    return Limits(**values)
 
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
@@ -112,11 +108,7 @@ def cmd_kb(args) -> int:
         f"confluent: {rs.confluent}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")
-    _emit_rules = formats.rules_dump(rs)
-    if args.output:
-        Path(args.output).write_text(_emit_rules)
-    else:
-        sys.stdout.write(_emit_rules)
+    _emit(args, formats.rules_dump(rs))
     return EXIT_OK
 
 

@@ -162,8 +162,9 @@ def determinize(
     state.  ``accepting(state)`` says whether a state accepts.  Only the
     subsets reachable from ``start`` are built, each closed under
     epsilon moves, and a subset's row comes from the moves its members
-    have.  Subsets are numbered by :func:`explore` under ``state_cap``
-    and ``what``.
+    have.  A move on a symbol may target ``FAIL``: a subset with such a
+    member has no move on that symbol, and ``FAIL`` is never expanded.
+    Subsets are numbered by :func:`explore` under ``state_cap``/``what``.
     """
     known: dict = {}  # state -> (its epsilon targets, its other moves)
 
@@ -190,7 +191,8 @@ def determinize(
                     targets[c] = {t}
         row = [FAIL] * alphabet.size
         for c in sorted(targets):
-            row[c] = index[closure(targets[c])]
+            if FAIL not in targets[c]:
+                row[c] = index[closure(targets[c])]
         return row
 
     order, rows = explore(closure({start}), expand, state_cap, what)

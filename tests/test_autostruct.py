@@ -17,10 +17,10 @@ from agt.autostruct import (
 from agt.errors import ResourceLimitError
 from agt.fsa import FAIL, Dfa
 from agt.limits import Limits
-from agt.pairfsa import PairDfa, diagonal, encode_pair
+from agt.pairfsa import PairAlphabet, PairDfa, diagonal, encode_pair
 from agt.rewrite import Presentation, RewriteSystem, knuth_bendix, system_from_presentation
 from agt.words import inverse_closed_alphabet
-from agt.worddiff import accumulate_from_rules
+from agt.worddiff import WordDifferenceMachine, accumulate_from_rules
 
 from oracles import BurauB3Model, FreeGroupModel, ZSquaredModel, s3_model
 
@@ -62,18 +62,36 @@ def test_candidate_acceptor_f2_is_freely_reduced(ab_alphabet, free_structure):
 
 
 def test_candidate_acceptor_trivial_difference_set(ab_alphabet):
-    # state set {empty} over the free basis: freely reduced words all accepted
+    """The one-state machine {empty} of the free group, its table
+    computed by the free-group reducer: only the diagonal moves (x, x)
+    are defined, so the equal run alone must never reject."""
     A = ab_alphabet
     rs = system_from_presentation(Presentation(A, []))
-    machine = accumulate_from_rules(RewriteSystem(A))
-    # swap in the free-group reducer so diagonal steps reduce inverse pairs
-    machine = type(machine)(
-        A, machine.pairs, machine.words, machine.table, rs
-    )
-    wa = build_candidate_word_acceptor(machine, A)
-    for w in words_up_to(A.size, 5):
-        if A.free_reduce(w) == w:
-            assert wa.accepts(w)
+    pa = PairAlphabet(A)
+    row = []
+    for k in range(pa.alphabet.size):
+        a, b = pa.parts(k)
+        left = bytes((A.inverse[a],)) if a != pa.pad else b""
+        right = bytes((b,)) if b != pa.pad else b""
+        row.append(0 if rs.reduce(left + right) == b"" else FAIL)
+    machine = WordDifferenceMachine(A, pa, (b"",), (tuple(row),), rs)
+    assert all(machine.step(0, x, x) == 0 for x in range(A.size))
+    assert build_candidate_word_acceptor(machine, A) == fsa.all_words_dfa(A)
+
+
+def test_word_acceptor_is_one_subset_construction(z2_structure, monkeypatch):
+    calls = []
+    real = fsa.determinize
+
+    def recording(alphabet, start, moves, accepting, state_cap, what):
+        calls.append(what)
+        return real(alphabet, start, moves, accepting, state_cap, what)
+
+    monkeypatch.setattr(fsa, "determinize", recording)
+    s = z2_structure
+    wa = build_candidate_word_acceptor(s.diff_machine, s.alphabet)
+    assert calls == ["word acceptor states"]
+    assert wa == s.word_acceptor
 
 
 def test_acceptor_prefix_closed(z2_structure, b3_structure, s3_structure):

@@ -288,6 +288,25 @@ def test_invalid_state_cap_flag_is_a_usage_error(z2_file, capsys):
     assert "--state-cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-rules", "-5"),
+        ("--max-lhs-len", "0"),
+        ("--max-rhs-len", "0"),
+        ("--max-seconds", "nan"),
+        ("--max-passes", "-2"),
+        ("--stability-window", "0"),
+        ("--state-cap", "0"),
+    ],
+)
+def test_limit_flag_out_of_range_is_a_usage_error(flag, value, z2_file, capsys):
+    for command in ("kb", "autstructure"):
+        assert main([command, z2_file, flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
 def _float_target(name):
     def edit(bundle):
         data = json.loads((bundle / name).read_text())

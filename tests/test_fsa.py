@@ -93,6 +93,23 @@ def test_determinize_contains_symbol(ab):
     assert language_set(det, 8) == expected
 
 
+def test_determinize_fail_target_kills_the_symbol(ab):
+    # in the subset {1, 2}, state 1 moves to FAIL on symbol 0 while
+    # state 2 moves to itself: the subset has no move on 0, the other
+    # symbols still proceed, and FAIL is never asked for its moves
+    asked = []
+
+    def moves(s):
+        asked.append(s)
+        if s == 0:
+            return [(c, t) for t in (1, 2) for c in range(ab.size)]
+        return [(c, FAIL if s == 1 and c == 0 else s) for c in range(ab.size)]
+
+    det = fsa.determinize(ab, 0, moves, lambda s: s == 2)
+    assert sorted(asked) == [0, 1, 2]
+    assert det == Dfa(ab, 2, 0, [1], [[1, 1, 1, 1], [FAIL, 1, 1, 1]])
+
+
 def test_determinize_empty_language(ab):
     det = fsa.determinize(ab, 0, lambda s: [], lambda s: False)
     assert fsa.language_is_finite(det) == 0
