@@ -24,7 +24,7 @@ from .coxeter import (
     small_roots,
 )
 from .errors import AgtError, ResourceLimitError, UsageError
-from .limits import Limits
+from .limits import Limits, check_limit
 from .rewrite import Completion, system_from_presentation
 
 EXIT_OK = 0
@@ -69,9 +69,7 @@ def _state_cap(default: int) -> int:
 def _limits(args) -> Limits:
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(Limits)}
     for name, value in values.items():
-        if value is not None and not value > 0:  # NaN is not > 0 either
-            least = "a number greater than 0" if name == "max_seconds" else "at least 1"
-            raise UsageError(f"--{name.replace('_', '-')} must be {least}, got {value}")
+        check_limit(name, value, f"--{name.replace('_', '-')}")
     values["state_cap"] = _state_cap(values["state_cap"])
     return Limits(**values)
 
@@ -198,7 +196,7 @@ def cmd_conj(args) -> int:
 def cmd_cox(args) -> int:
     matrix = _load_matrix(args.matrix)
     if args.what == "roots":
-        ctx, roots = small_roots(matrix)
+        ctx, roots, _ = small_roots(matrix)
         lines = [f"conductor: {ctx.field.conductor}", f"small roots: {len(roots)}"]
         lines += [ctx.format_root(r) for r in roots]
         _emit(args, "\n".join(lines) + "\n")

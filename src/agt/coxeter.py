@@ -7,8 +7,9 @@ said to dominate beta when every group element sending alpha negative
 also sends beta negative.  They are finitely many, and they are the
 state alphabet of the shortlex word acceptor.  ``small_roots`` builds
 them by their closure characterisation, one exact inner product per
-root and generator, with no dominance test.  The geodesic acceptor is
-the same construction without the shortlex-precedence term.
+root and generator, with no dominance test; the same products give the
+action of each s_i on the small roots, so the acceptors do no field
+arithmetic.  The geodesic acceptor omits the shortlex-precedence term.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class FieldContext:
         return total
 
     def reflect(self, i: int, v: Root) -> Root:
-        """r_i(v) = v - 2 <v, e_i> e_i (involutive, form-preserving)."""
+        """r_i(v) = v - 2 <v, e_i> e_i (involutive, form-preserving): the
+        reference the action table of ``small_roots`` is tested against."""
         F = self.field
         c = F.scale(2, self.inner_simple(i, v))
         out = list(v)
@@ -120,9 +122,11 @@ class FieldContext:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def small_roots(matrix: CoxeterMatrix) -> tuple[FieldContext, list[Root]]:
+def small_roots(
+    matrix: CoxeterMatrix,
+) -> tuple[FieldContext, list[Root], list[list[int | None]]]:
     """The finite set of small roots, simple roots first, then in
-    breadth-first order of discovery.
+    breadth-first order of discovery, and the action of each s_i on it.
 
     Brink & Howlett, Math. Ann. 296 (1993); Björner & Brenti,
     *Combinatorics of Coxeter Groups* (2005), §4.7: the set of small
@@ -131,24 +135,36 @@ def small_roots(matrix: CoxeterMatrix) -> tuple[FieldContext, list[Root]]:
     -1 < B(e_i, beta) < 0.  For such beta the child
     beta + 2|B(e_i, beta)| e_i is positive and deeper than beta, so
     neither a sign test nor a dominance test is needed.
+
+    ``action[i][r]`` is the index of s_i(roots[r]) in ``roots``, or None
+    when that image is not a small root, decided by the same
+    c = B(e_i, beta): c = 0 fixes beta; -1 < c < 0 gives the child,
+    recorded in both directions; c > 0 gives the parent, recorded from
+    its side (None for beta = e_i, whose image is -e_i); c <= -1 gives
+    no small root.
     """
     ctx = FieldContext(matrix)
     F = ctx.field
     found: list[Root] = list(ctx.simple_roots)
-    seen = set(found)
-    for beta in found:  # found grows while it is walked: it is the queue
+    index = {r: k for k, r in enumerate(found)}
+    action: list[list[int | None]] = [[None] * ctx.rank for _ in range(ctx.rank)]
+    for b, beta in enumerate(found):  # found grows while it is walked: it is the queue
         for i in range(ctx.rank):
             c = ctx.inner_simple(i, beta)
-            if F.sign(c) >= 0 or F.sign(F.add(c, F.one)) <= 0:
-                continue
-            child = beta[:i] + (F.sub(beta[i], F.scale(2, c)),) + beta[i + 1 :]
-            if child in seen:
-                continue
-            if len(found) >= DEFAULT_ROOT_CAP:
-                raise ResourceLimitError("small root set size", DEFAULT_ROOT_CAP)
-            found.append(child)
-            seen.add(child)
-    return ctx, found
+            if F.is_zero(c):
+                action[i][b] = b
+            elif F.sign(c) < 0 < F.sign(F.add(c, F.one)):
+                child = beta[:i] + (F.sub(beta[i], F.scale(2, c)),) + beta[i + 1 :]
+                k = index.get(child)
+                if k is None:
+                    if len(found) >= DEFAULT_ROOT_CAP:
+                        raise ResourceLimitError("small root set size", DEFAULT_ROOT_CAP)
+                    k = index[child] = len(found)
+                    found.append(child)
+                    for row in action:
+                        row.append(None)
+                action[i][b], action[i][k] = k, b
+    return ctx, found, action
 
 
 def _coxeter_alphabet(matrix: CoxeterMatrix, names: Sequence[str] | None) -> Alphabet:
@@ -169,39 +185,21 @@ def _subset_acceptor(
     state_cap: int,
 ) -> Dfa:
     alphabet = _coxeter_alphabet(matrix, names)
-    ctx, delta = small_roots(matrix)
-    root_id = {r: i for i, r in enumerate(delta)}
-    simple_ids = [root_id[r] for r in ctx.simple_roots]
-    # generator precedence is alphabet position; cache reflections on small roots
-    reflect_small: list[list[int | None]] = []
-    for i in range(ctx.rank):
-        row: list[int | None] = []
-        for r in delta:
-            img = ctx.reflect(i, r)
-            row.append(root_id.get(img))
-        reflect_small.append(row)
-    shortlex_extra: list[list[int]] = []
-    for i in range(ctx.rank):
-        extra = []
-        if shortlex:
-            for k in range(i):
-                img = root_id.get(ctx.reflect(i, ctx.simple_roots[k]))
-                if img is not None:
-                    extra.append(img)
-        shortlex_extra.append(extra)
+    action = small_roots(matrix)[2]
+    # simple root i is root i; generator precedence is alphabet position
+    shortlex_extra = [
+        [k for k in action[i][:i] if k is not None] if shortlex else []
+        for i in range(matrix.rank)
+    ]
 
     def expand(S: frozenset[int], index: dict) -> list[int]:
         row = []
-        for i in range(ctx.rank):
-            if simple_ids[i] in S:
+        for i, images in enumerate(action):
+            if i in S:
                 row.append(FAIL)
                 continue
-            nxt = {simple_ids[i]}
-            for rid in S:
-                img = reflect_small[i][rid]
-                if img is not None:
-                    nxt.add(img)
-            nxt.update(shortlex_extra[i])
+            nxt = {i, *shortlex_extra[i]}
+            nxt.update(images[r] for r in S if images[r] is not None)
             row.append(index[frozenset(nxt)])
         return row
 
@@ -219,7 +217,8 @@ def build_shortlex_word_acceptor(
 
     States are reachable subsets S of the small roots; reading x_i fails
     when e_i lies in S and otherwise maps S to the small-root part of
-    {x_i(a) : a in S} + {e_i} + {x_i(e_k) : x_k before x_i}.
+    {x_i(a) : a in S} + {e_i} + {x_i(e_k) : x_k before x_i}, each image
+    read from the action table of ``small_roots``: no field arithmetic.
     """
     return _subset_acceptor(matrix, names, True, state_cap)
 

@@ -56,17 +56,8 @@ class CyclotomicField:
         self.conductor = conductor
         poly = _cyclotomic_poly(conductor)
         self.degree = len(poly) - 1
-        # reduction table: zeta^k for k in [degree, 2*degree-2]
-        reductions: list[tuple[Fraction, ...]] = []
-        base = [Fraction(-c, poly[-1]) for c in poly[:-1]]
-        cur = list(base)
-        reductions.append(tuple(cur))
-        for _ in range(self.degree - 2):
-            shifted = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            cur = [s + top * b for s, b in zip(shifted, base)]
-            reductions.append(tuple(cur))
-        self._reductions = reductions
+        # zeta^k for k = degree, degree + 1, ...; _power_reduction extends it
+        self._reductions = [tuple(Fraction(-c, poly[-1]) for c in poly[:-1])]
         self.zero: Element = tuple([Fraction(0)] * self.degree)
         self.one: Element = self.from_rational(Fraction(1))
 
@@ -97,12 +88,10 @@ class CyclotomicField:
         # zeta^k as basis coefficients, for k >= degree
         idx = k - self.degree
         while idx >= len(self._reductions):
-            prev = self._reductions[-1]
+            base, prev = self._reductions[0], self._reductions[-1]
             shifted = [Fraction(0)] + list(prev[:-1])
             top = prev[-1]
-            base = self._reductions[0] if self.degree > 0 else ()
-            nxt = [s + top * b for s, b in zip(shifted, base)]
-            self._reductions.append(tuple(nxt))
+            self._reductions.append(tuple(s + top * b for s, b in zip(shifted, base)))
         return self._reductions[idx]
 
     # -- arithmetic ----------------------------------------------------

@@ -147,7 +147,7 @@ def test_criterion_4_braid_b3():
 def test_criterion_5_coxeter_a2():
     with criterion(5, 5.0, "Coxeter A2: 3 small roots, 6/7 words, equals KB acceptor"):
         matrix = CoxeterMatrix([[1, 3], [3, 1]])
-        ctx, roots = small_roots(matrix)
+        ctx, roots, _ = small_roots(matrix)
         assert len(roots) == 3
         wa = build_shortlex_word_acceptor(matrix)
         geo = build_geodesic_acceptor(matrix)
@@ -172,7 +172,7 @@ def test_criterion_5_coxeter_a2():
 def test_criterion_6_infinite_dihedral():
     with criterion(6, 5.0, "D-infinity: roots {e1,e2}, alternating words, dominance"):
         matrix = CoxeterMatrix([[1, 0], [0, 1]])
-        ctx, roots = small_roots(matrix)
+        ctx, roots, _ = small_roots(matrix)
         assert roots == list(ctx.simple_roots)
         wa = build_shortlex_word_acceptor(matrix)
         for w in words_up_to(2, 8):
@@ -192,7 +192,7 @@ def test_criterion_6_infinite_dihedral():
 def test_criterion_7_affine_a2():
     with criterion(7, 60.0, "Affine A2: small roots finite, counts match KB pipeline"):
         matrix = CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
-        ctx, roots = small_roots(matrix)
+        ctx, roots, _ = small_roots(matrix)
         assert len(roots) == 6
         wa = build_shortlex_word_acceptor(matrix, ["a", "b", "c"])
         out = derive_shortlex_structure(coxeter_presentation(matrix, ["a", "b", "c"]))

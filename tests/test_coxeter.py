@@ -201,16 +201,16 @@ def test_small_roots_right_angled():
     matrix = CoxeterMatrix(
         [[1, 2, 2], [2, 1, 2], [2, 2, 1]]
     )
-    ctx, roots = small_roots(matrix)
+    ctx, roots, _ = small_roots(matrix)
     assert roots == list(ctx.simple_roots)
 
 
 def test_small_roots_examples():
-    ctx, roots = small_roots(DINF)
+    ctx, roots, _ = small_roots(DINF)
     assert roots == list(ctx.simple_roots)
-    ctx2, roots2 = small_roots(A2)
+    ctx2, roots2, _ = small_roots(A2)
     assert len(roots2) == 3
-    ctx3, roots3 = small_roots(AFFINE_A2)
+    ctx3, roots3, _ = small_roots(AFFINE_A2)
     assert len(roots3) == 6
 
 
@@ -218,7 +218,7 @@ def test_small_roots_examples():
 def test_corpus_other_roots_dominate_a_small_root(name):
     """Every positive root of depth <= 4 that the gate does not list
     dominates some listed root, so none is small."""
-    ctx, roots = small_roots(CORPUS[name])
+    ctx, roots, _ = small_roots(CORPUS[name])
     listed = set(roots)
     others = [
         r for layer in positive_roots_by_depth(ctx, 4) for r in layer if r not in listed
@@ -235,7 +235,7 @@ def test_h4_small_roots_and_acceptor():
     counts the 14400 group elements, within a generous time limit."""
     h4 = linear(5, 3, 3)
     start = time.perf_counter()
-    ctx, roots = small_roots(h4)
+    ctx, roots, _ = small_roots(h4)
     assert len(roots) == 60
     wa = build_shortlex_word_acceptor(h4)
     assert fsa.language_is_finite(wa) == 14400
@@ -255,11 +255,26 @@ def test_small_root_cap(monkeypatch):
 
 def test_small_roots_pairwise_non_dominating():
     for matrix in (A2, B2, DINF, AFFINE_A2, *CORPUS.values()):
-        ctx, roots = small_roots(matrix)
+        ctx, roots, _ = small_roots(matrix)
         for a in roots:
             for b in roots:
                 if a != b:
                     assert not dominates(ctx, a, b)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [*CORPUS.values(), linear(5, 3, 3), triangle(2, 3, 11), DINF],
+    ids=[*CORPUS, "H4", "T2311", "Dinf"],
+)
+def test_action_table_matches_reflect(matrix):
+    """The action the closure records is the exact reflection, looked up
+    among the small roots."""
+    ctx, roots, action = small_roots(matrix)
+    position = {r: k for k, r in enumerate(roots)}
+    assert len(action) == ctx.rank
+    for i in range(ctx.rank):
+        assert action[i] == [position.get(ctx.reflect(i, r)) for r in roots]
 
 
 def test_shortlex_acceptor_a2():
@@ -376,7 +391,7 @@ def test_geodesic_acceptor_matches_model_distances():
 
 def test_rank_three_finite_b3():
     matrix = CoxeterMatrix([[1, 4, 2], [4, 1, 3], [2, 3, 1]])
-    ctx, roots = small_roots(matrix)
+    ctx, roots, _ = small_roots(matrix)
     assert len(roots) == 9
     wa = build_shortlex_word_acceptor(matrix, ["a", "b", "c"])
     assert fsa.language_is_finite(wa) == 48
@@ -387,7 +402,7 @@ def test_rank_three_finite_b3():
 
 def test_hyperbolic_triangle_group_2_3_7():
     matrix = CoxeterMatrix([[1, 2, 3], [2, 1, 7], [3, 7, 1]])
-    ctx, roots = small_roots(matrix)
+    ctx, roots, _ = small_roots(matrix)
     assert ctx.field.conductor == 84
     assert len(roots) == 12
     wa = build_shortlex_word_acceptor(matrix, ["a", "b", "c"])

@@ -55,7 +55,14 @@ def _path(*orders):
     return CoxeterMatrix(m)
 
 
-COXETER = {"A3": _path(3, 3), "B3": _path(4, 3), "H3": _path(5, 3)}
+COXETER = {
+    "A3": _path(3, 3),
+    "B3": _path(4, 3),
+    "H3": _path(5, 3),
+    # infinite: distinct small roots can have B <= -1 here, never in a finite group
+    "C3aff": _path(4, 3, 4),
+    "T237": CoxeterMatrix([[1, 2, 7], [2, 1, 3], [7, 3, 1]]),
+}
 ACCEPTORS = {
     ("A3", "shortlex"): "c9305450e2fb7839e05c58623c1510f914ed039dbed60404a926794069c87cb9",
     ("A3", "geodesic"): "fb991376e5f9e03fc323d27395842c2e782c66561fe26d17709296652b97d1fd",
@@ -63,6 +70,10 @@ ACCEPTORS = {
     ("B3", "geodesic"): "9dd3a4497322e234d210135b2934bdacd9a8e00e2485ac5fcad92b5cae2157e1",
     ("H3", "shortlex"): "da4b02a903bce4c8579ff8970c9c82adcf62de98f1a76519e8642249b44864a7",
     ("H3", "geodesic"): "bac9e7a99196ef186f9f787f49309b1ba9fb1793e08b4e329a15a7d42994c019",
+    ("C3aff", "shortlex"): "f507925909e75934bde6c04b027188e530b7649d03012eec0fae8508888c441b",
+    ("C3aff", "geodesic"): "c9263bd5007efbeb5ddccb06c3b927797aeb7f7321f20294e1d8c80c7f915850",
+    ("T237", "shortlex"): "4cc231551e877ee9b9f3b3d57c778d388ed79e1fc61efa9b10d5b7a9829c7d3e",
+    ("T237", "geodesic"): "f64f47eeee78e718ddd2df7ba2203d2b675cb64c866ff1d4fdfc6ace15d3eff6",
 }
 
 

@@ -1,0 +1,20 @@
+import math
+
+import pytest
+
+from agt.errors import UsageError
+from agt.limits import Limits
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_passes", 0), ("stability_window", -1), ("max_seconds", math.nan)],
+)
+def test_out_of_range_limit_is_a_usage_error(field, value):
+    with pytest.raises(UsageError, match=f"^{field} must be "):
+        Limits(**{field: value})
+
+
+def test_in_range_limits_are_kept():
+    assert Limits(max_seconds=None).max_seconds is None
+    assert Limits(max_seconds=0.5, max_passes=1).max_passes == 1
