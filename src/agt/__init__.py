@@ -4,7 +4,7 @@ A library and CLI that constructs and verifies shortlex automatic
 structures via Knuth-Bendix completion and word-difference machines,
 computes with them (normal forms, word problem, growth, conjugacy
 search, cone types), and independently builds Coxeter word acceptors
-from root-system dominance.
+from the action table of the small-root closure.
 """
 
 from .errors import AgtError, IntegrityError, ResourceLimitError, UsageError

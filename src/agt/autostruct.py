@@ -328,84 +328,79 @@ def derive_shortlex_structure(
     Completion pauses when no new word difference has appeared during
     the last ``stability_window`` processed critical pairs.  Elementary
     failures feed witness equations back and resume completion; axiom
-    failure or pass exhaustion abandons with a transcript.
+    failure, a resource limit or pass exhaustion abandons with a
+    transcript.
     """
     limits = limits or Limits()
     A = pres.alphabet
     rs = system_from_presentation(pres)
     comp = Completion(rs, limits)
     lines: list[str] = []
-
     diff_words: set[Word] = set()
-    state = {"since_new": 0}
+    since_new = 0
+    structure: AutomaticStructure | None = None
+
+    def name(y: int | None) -> str:
+        return "eps" if y is None else A.names[y]
+
+    def log(text: str) -> None:
+        lines.append(f"pass {pass_no}: {text}")
+
+    def abandon(reason: str, resource_limited: bool = False) -> DeriveOutcome:
+        return DeriveOutcome("abandoned", structure, "\n".join(lines), reason, resource_limited)
 
     def note_rule(lhs: Word, rhs: Word) -> None:
-        red = rs.reduce
-        inv = A.invert
+        nonlocal since_new
         for i in range(1, max(len(lhs), len(rhs)) + 1):
-            d = red(inv(lhs[:i]) + rhs[:i])
+            d = rs.reduce(A.invert(lhs[:i]) + rhs[:i])
             if d not in diff_words:
                 diff_words.add(d)
-                diff_words.add(red(inv(d)))
-                state["since_new"] = 0
-
-    comp.on_rule = note_rule
+                diff_words.add(rs.reduce(A.invert(d)))
+                since_new = 0
 
     def pause_when(c: Completion) -> bool:
-        state["since_new"] += 1
-        return state["since_new"] >= limits.stability_window
+        nonlocal since_new
+        since_new += 1
+        return since_new >= limits.stability_window
 
-    structure: AutomaticStructure | None = None
+    comp.on_rule = note_rule
     for pass_no in range(1, limits.max_passes + 1):
-        state["since_new"] = 0
+        structure = None
+        since_new = 0
         result = comp.run(pause_when)
-        lines.append(
-            f"pass {pass_no}: kb status={result.status}"
+        log(
+            f"kb status={result.status}"
             + (f" which={result.which}" if result.which else "")
             + f" rules={rs.num_live} processed={result.processed} queue={result.queue_size}"
         )
+        phase = "resource failure"
         try:
             diff = accumulate_from_rules(rs)
-            lines.append(f"pass {pass_no}: diffs={diff.num_states} k={diff.max_difference_length()}")
+            k = diff.max_difference_length()
+            log(f"diffs={diff.num_states} k={k}")
             wa = build_candidate_word_acceptor(diff, A, limits.state_cap)
-            lines.append(f"pass {pass_no}: wa states={wa.num_states} (+sink={wa.num_states_with_sink})")
+            log(f"wa states={wa.num_states} (+sink={wa.num_states_with_sink})")
             multipliers = build_multipliers(wa, diff, limits.state_cap)
-            sizes = " ".join(
-                f"m_{A.names[y] if y is not None else 'eps'}={m.dfa.num_states}"
-                for y, m in sorted(multipliers.items(), key=lambda kv: (kv[0] is not None, kv[0] or 0))
-            )
-            lines.append(f"pass {pass_no}: {sizes}")
+            log(" ".join(f"m_{name(y)}={m.dfa.num_states}" for y, m in multipliers.items()))
             for y, m in multipliers.items():
                 if m.is_empty():
-                    name = A.names[y] if y is not None else "eps"
-                    lines.append(f"pass {pass_no}: warning multiplier m_{name} is empty")
-        except ResourceLimitError as exc:
-            lines.append(f"pass {pass_no}: resource failure: {exc}")
-            return DeriveOutcome(
-                "abandoned", None, "\n".join(lines), str(exc), resource_limited=True
-            )
-        structure = AutomaticStructure(
-            presentation=pres,
-            word_acceptor=wa,
-            multipliers=multipliers,
-            diff_machine=diff,
-            k=diff.max_difference_length(),
-            reducer=rs,
-        )
-        try:
+                    log(f"warning multiplier m_{name(y)} is empty")
+            structure = AutomaticStructure(pres, wa, multipliers, diff, k, reducer=rs)
+            phase = "elementary check resource failure"
             report = elementary_checks(structure, limits.state_cap)
+            if report.ok:
+                log("elementary=ok")
+                phase = "axiom check resource failure"
+                ax = axiom_check(structure, limits.state_cap)
         except ResourceLimitError as exc:
-            lines.append(f"pass {pass_no}: elementary check resource failure: {exc}")
-            return DeriveOutcome(
-                "abandoned", structure, "\n".join(lines), str(exc), resource_limited=True
-            )
+            log(f"{phase}: {exc}")
+            return abandon(str(exc), resource_limited=True)
         if not report.ok:
             descs = []
             injected = 0
             for f in report.failures:
-                name = "eps" if f.symbol is None else A.names[f.symbol]
                 w = A.format_word(f.witness) if f.witness is not None else "-"
-                descs.append(f"{f.kind}(m_{name}, witness={w!r})")
+                descs.append(f"{f.kind}(m_{name(f.symbol)}, witness={w!r})")
                 if f.witness is not None and f.symbol is not None:
                     uy = f.witness + bytes((f.symbol,))
                     nf = rs.reduce(uy)
@@ -415,39 +410,22 @@ def derive_shortlex_structure(
                 for v1, v2 in zip(f.partners, f.partners[1:]):
                     comp.enqueue((v1, v2))
                     injected += 1
-            lines.append(
-                f"pass {pass_no}: elementary=failed [{'; '.join(descs)}] injected={injected}"
-            )
+            log(f"elementary=failed [{'; '.join(descs)}] injected={injected}")
             if not comp.queue:
-                lines.append(f"pass {pass_no}: no further equations available; giving up")
-                return DeriveOutcome(
-                    "abandoned", structure, "\n".join(lines),
-                    "elementary checks fail with no equations left to process",
-                )
+                log("no further equations available; giving up")
+                return abandon("elementary checks fail with no equations left to process")
             continue
-        lines.append(f"pass {pass_no}: elementary=ok")
-        try:
-            ax = axiom_check(structure, limits.state_cap)
-        except ResourceLimitError as exc:
-            lines.append(f"pass {pass_no}: axiom check resource failure: {exc}")
-            return DeriveOutcome(
-                "abandoned", structure, "\n".join(lines), str(exc), resource_limited=True
-            )
-        if ax.ok:
-            lines.append(f"pass {pass_no}: axiom=ok")
-            lines.append(f"verified: k={structure.k}")
-            structure.verified = True
-            structure.transcript = "\n".join(lines)
-            return DeriveOutcome("verified", structure, structure.transcript)
-        if ax.failed_inverse is not None:
-            what = f"inverse pair ({A.names[ax.failed_inverse]})"
-        else:
-            what = f"relator {A.format_word(ax.failed_relator)!r}"
-        lines.append(f"pass {pass_no}: axiom=failed on {what}; procedure abandoned")
-        return DeriveOutcome(
-            "abandoned", structure, "\n".join(lines), f"axiom check failed on {what}"
-        )
+        if not ax.ok:
+            if ax.failed_inverse is not None:
+                what = f"inverse pair ({name(ax.failed_inverse)})"
+            else:
+                what = f"relator {A.format_word(ax.failed_relator)!r}"
+            log(f"axiom=failed on {what}; procedure abandoned")
+            return abandon(f"axiom check failed on {what}")
+        log("axiom=ok")
+        lines.append(f"verified: k={k}")
+        structure.verified = True
+        structure.transcript = "\n".join(lines)
+        return DeriveOutcome("verified", structure, structure.transcript)
     lines.append(f"abandoned: pass limit ({limits.max_passes}) exhausted")
-    return DeriveOutcome(
-        "abandoned", structure, "\n".join(lines), "pass limit exhausted"
-    )
+    return abandon("pass limit exhausted")

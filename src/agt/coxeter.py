@@ -51,23 +51,14 @@ class CoxeterMatrix:
         self.rank = rank
         self.m = rows
 
-    def finite_orders(self) -> list[int]:
-        return [
-            self.m[i][j]
-            for i in range(self.rank)
-            for j in range(i + 1, self.rank)
-            if self.m[i][j] != 0
-        ]
-
 
 class FieldContext:
     """Exact arithmetic context: the cyclotomic field containing every
     -cos(pi/m_ij), the bilinear form, and the simple roots."""
 
     def __init__(self, matrix: CoxeterMatrix):
-        self.matrix = matrix
         self.rank = matrix.rank
-        self.field = CyclotomicField(conductor_for(matrix.finite_orders()))
+        self.field = CyclotomicField(conductor_for([m for row in matrix.m for m in row]))
         F = self.field
         form = []
         for i in range(self.rank):
@@ -94,15 +85,6 @@ class FieldContext:
             if not F.is_zero(vj):
                 total = F.add(total, F.mul(vj, self.form[i][j]))
         return total
-
-    def reflect(self, i: int, v: Root) -> Root:
-        """r_i(v) = v - 2 <v, e_i> e_i (involutive, form-preserving): the
-        reference the action table of ``small_roots`` is tested against."""
-        F = self.field
-        c = F.scale(2, self.inner_simple(i, v))
-        out = list(v)
-        out[i] = F.sub(out[i], c)
-        return tuple(out)
 
     def format_root(self, v: Root) -> str:
         F = self.field

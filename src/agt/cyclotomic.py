@@ -133,11 +133,6 @@ class CyclotomicField:
     def is_rational(self, a: Element) -> bool:
         return not any(a[1:])
 
-    def as_rational(self, a: Element) -> Fraction:
-        if not self.is_rational(a):
-            raise UsageError("element is not rational")
-        return a[0]
-
     def is_real(self, a: Element) -> bool:
         return self.conjugate(a) == a
 
@@ -183,9 +178,6 @@ class CyclotomicField:
             iv.prec = old_prec
         raise IntegrityError("sign determination did not converge")
 
-    def compare(self, a: Element, b: Element) -> int:
-        return self.sign(self.sub(a, b))
-
     def format_element(self, a: Element) -> str:
         """Readable exact form as a polynomial in z = exp(2*pi*i/N)."""
         if self.is_zero(a):
@@ -211,7 +203,8 @@ class CyclotomicField:
 
 
 def conductor_for(orders: Sequence[int]) -> int:
-    """lcm of 2m over the finite relation orders m, at least 2."""
+    """lcm of 2m over the relation orders m, at least 2; 0 (an infinite
+    order) is skipped, and 1 only adds a factor 2."""
     n = 1
     for m in orders:
         if m:

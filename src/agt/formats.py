@@ -19,7 +19,7 @@ from .errors import UsageError
 from .fsa import Dfa, GrowthSeries
 from .pairfsa import PairAlphabet, PairDfa
 from .rewrite import Presentation, RewriteSystem
-from .words import Alphabet
+from .words import Alphabet, inverse_closed_alphabet
 from .worddiff import WordDifferenceMachine
 
 
@@ -95,12 +95,15 @@ def presentation_to_json(p: Presentation) -> dict:
         else:
             inverses[name] = a.names[j]
             seen.add(j)
-    return {
+    out = {
         "generators": generators,
         "inverses": inverses,
         "involutions": involutions,
         "relators": [a.format_word(r) for r in p.relators],
     }
+    if a != inverse_closed_alphabet(generators, inverses, involutions):
+        out["order"] = list(a.names)
+    return out
 
 
 def presentation_from_json(data: dict) -> Presentation:
@@ -116,28 +119,14 @@ def presentation_from_json(data: dict) -> Presentation:
             raise UsageError(
                 f"generator {g!r} needs an entry in 'inverses' or 'involutions'"
             )
-    from .words import inverse_closed_alphabet
-
-    explicit = data.get("order")
-    if explicit is not None:
-        index = {}
-        names = list(explicit)
-        inv = []
-        for n in names:
-            index[n] = len(index)
-        for n in names:
-            if n in involutions:
-                inv.append(index[n])
-            else:
-                partner = inverses.get(n) or next(
-                    (k for k, v in inverses.items() if v == n), None
-                )
-                if partner is None or partner not in index:
-                    raise UsageError(f"order entry {n!r} lacks an inverse in the order")
-                inv.append(index[partner])
-        alphabet = Alphabet(names, inv)
-    else:
-        alphabet = inverse_closed_alphabet(generators, inverses, involutions)
+    alphabet = inverse_closed_alphabet(generators, inverses, involutions)
+    order = data.get("order")
+    if order is not None:
+        names = alphabet.names
+        if not isinstance(order, list) or sorted(order, key=str) != sorted(names):
+            raise UsageError(f"'order' must list each of {', '.join(names)} exactly once")
+        inverse = [names[alphabet.inverse[alphabet.index(n)]] for n in order]
+        alphabet = Alphabet(order, [order.index(n) for n in inverse])
     relators = []
     for r in data.get("relators", []):
         if isinstance(r, list):
@@ -145,10 +134,6 @@ def presentation_from_json(data: dict) -> Presentation:
         else:
             relators.append(alphabet.parse_word(r))
     return Presentation(alphabet, relators)
-
-
-def matrix_to_json(m: CoxeterMatrix) -> dict:
-    return {"rank": m.rank, "m": [list(row) for row in m.m]}
 
 
 def matrix_from_json(data: dict) -> CoxeterMatrix:
@@ -183,10 +168,15 @@ def diff_to_json(d: WordDifferenceMachine) -> dict:
 
 
 def diff_from_json(data: dict) -> WordDifferenceMachine:
+    """The difference machine of a diff file.  Its table is checked as a
+    Dfa over the pair alphabet would be: one row per state, one column
+    per pair symbol, targets in -1..states-1."""
     base = _alphabet_from_json(data)
     pa = PairAlphabet(base)
     words = tuple(base.parse_word(w) for w in data["states"])
-    table = tuple(tuple(row) for row in data["transitions"])
+    if not words or words[0] != b"" or len(set(words)) != len(words):
+        raise UsageError("states must be distinct words, the empty word first")
+    table = Dfa(pa.alphabet, len(words), 0, (), data["transitions"]).transitions
     return WordDifferenceMachine(base, pa, words, table, None)
 
 
@@ -292,6 +282,8 @@ def load_structure(bundle: str | Path) -> AutomaticStructure:
     k = meta.get("k")
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise UsageError(f"{meta_path}: 'k' must be a non-negative integer")
+    if k != diff.max_difference_length():
+        raise UsageError(f"{meta_path}: 'k' differs from the longest difference in {DIFF_FILE}")
     verified = meta.get("verified")
     if not isinstance(verified, bool):
         raise UsageError(f"{meta_path}: 'verified' must be true or false")

@@ -380,10 +380,6 @@ def all_words_dfa(alphabet: Alphabet) -> Dfa:
     return Dfa(alphabet, 1, 0, (0,), [[0] * alphabet.size])
 
 
-def empty_language_dfa(alphabet: Alphabet) -> Dfa:
-    return Dfa(alphabet, 1, 0, (), [[FAIL] * alphabet.size])
-
-
 # -- language analytics ------------------------------------------------
 
 

@@ -58,11 +58,9 @@ class PairAlphabet:
             raise UsageError(f"invalid pair symbol ({i},{j})") from None
 
     def parts(self, k: int) -> tuple[int, int]:
-        n = self.base.size
-        i, j = divmod(k, n + 1)
-        if i == n and j == n:
+        if not 0 <= k < self.alphabet.size:
             raise UsageError("pair symbol index out of range")
-        return i, j
+        return divmod(k, self.pad + 1)
 
 
 def encode_pair(pa: PairAlphabet, u: Word, v: Word) -> bytes:
@@ -134,9 +132,6 @@ class PairDfa:
                 view.append(d)
             self._by_first = view
         return view
-
-    def accepts_pair(self, u: Word, v: Word) -> bool:
-        return self.dfa.accepts(encode_pair(self.pairs, u, v))
 
     def is_empty(self) -> bool:
         return fsa.shortest_accepted(self.dfa) is None

@@ -193,14 +193,6 @@ class RewriteSystem:
             w, self._next, self._node_rule, self._rhs, self._n_syms, self.max_lhs_len
         )
 
-    def copy(self) -> "RewriteSystem":
-        out = RewriteSystem(self.alphabet)
-        for rule in self._rules:
-            if rule is not None:
-                out.add_rule(rule.lhs, rule.rhs)
-        out.confluent = self.confluent
-        return out
-
     def __repr__(self) -> str:
         return f"RewriteSystem(rules={self.num_live}, confluent={self.confluent})"
 
@@ -269,26 +261,6 @@ def _overlap_equations(
         while start >= 0:
             out.append((q1, l1[:start] + q2 + l1[start + len(l2) :]))
             start = l1.find(l2, start + 1)
-    return out
-
-
-def critical_pairs(rs: RewriteSystem) -> list[tuple[Word, Word]]:
-    """Unresolved critical pairs: fully reduced, equal pairs omitted."""
-    items = rs.live_items()
-    seen = set()
-    out = []
-    for i, r1 in items:
-        for j, r2 in items:
-            for w1, w2 in _overlap_equations(r1, r2, i == j):
-                a = rs.reduce(w1)
-                b = rs.reduce(w2)
-                if a == b:
-                    continue
-                if rs.alphabet.shortlex_less(b, a):
-                    a, b = b, a
-                if (a, b) not in seen:
-                    seen.add((a, b))
-                    out.append((a, b))
     return out
 
 

@@ -53,20 +53,6 @@ class WordDifferenceMachine:
     def step_sym(self, state: int, pair_symbol: int) -> int:
         return self.table[state][pair_symbol]
 
-    def run_pair(self, u: Word, v: Word) -> tuple[bool, int]:
-        """Run the padded pair (u, v); (True, final state) or (False, position)."""
-        self.alphabet.check_word(u)
-        self.alphabet.check_word(v)
-        pad = self.pairs.pad
-        state = 0
-        for i in range(max(len(u), len(v))):
-            a = u[i] if i < len(u) else pad
-            b = v[i] if i < len(v) else pad
-            state = self.table[state][self.pairs.index(a, b)]
-            if state < 0:
-                return False, i
-        return True, state
-
     def state_of(self, w: Word) -> int | None:
         return self.index.get(w)
 

@@ -5,15 +5,21 @@ or automata: integer vectors, permutations, affine maps, and the
 reduced Burau representation.  Symbols are indexed to match the
 alphabets built in conftest.
 
-The root-system checks (inner products, signs, depth and dominance of
-roots) take the package's ``FieldContext`` as ``ctx`` and use only its
-field arithmetic, form and reflections; the padding checks read a pair
-automaton's table.  Nothing here imports the package.
+The root-system checks (inner products, reflections, signs, depth and
+dominance of roots) take the package's ``FieldContext`` as ``ctx`` and
+use only its field arithmetic and form; the padding checks read a pair
+automaton's table, and the critical pairs and difference runs read a
+rewrite system's rules and a difference machine's table.  None of these
+shares code with the package.  The builders at the end make small
+package objects the tests need, from the package's public constructors.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+from agt.fsa import Dfa
+from agt.pairfsa import encode_pair
 
 
 class GroupModel:
@@ -267,6 +273,21 @@ def root_sign(ctx, v) -> int:
     return signs.pop()
 
 
+def reflect(ctx, i: int, v):
+    """r_i(v) = v - 2 B(v, e_i) e_i: the reference the action table of
+    ``small_roots`` is tested against."""
+    F = ctx.field
+    out = list(v)
+    out[i] = F.sub(out[i], F.scale(2, inner(ctx, v, ctx.simple_roots[i])))
+    return tuple(out)
+
+
+def as_rational(F, a):
+    """The rational number that the field element a is."""
+    assert F.is_rational(a), a
+    return a[0]
+
+
 def root_depth(ctx, beta) -> int:
     """dp(beta): the least length of a group element sending the
     positive root beta negative.  A non-simple positive root has some
@@ -275,7 +296,7 @@ def root_depth(ctx, beta) -> int:
     while beta not in ctx.simple_roots:
         i = next(i for i, e in enumerate(ctx.simple_roots)
                  if ctx.field.sign(inner(ctx, e, beta)) > 0)
-        beta = ctx.reflect(i, beta)
+        beta = reflect(ctx, i, beta)
         depth += 1
     return depth
 
@@ -304,8 +325,8 @@ def dominance_semi_oracle(ctx, alpha, beta, depth: int) -> bool:
         nxt = []
         for wa, wb in frontier:
             for i in range(ctx.rank):
-                pa = ctx.reflect(i, wa)
-                pb = ctx.reflect(i, wb)
+                pa = reflect(ctx, i, wa)
+                pb = reflect(ctx, i, wb)
                 if (pa, pb) in seen:
                     continue
                 seen.add((pa, pb))
@@ -326,12 +347,56 @@ def positive_roots_by_depth(ctx, max_depth: int) -> list[list]:
         for beta in layers[-1]:
             for i, e in enumerate(ctx.simple_roots):
                 if ctx.field.sign(inner(ctx, e, beta)) < 0:
-                    child = ctx.reflect(i, beta)
+                    child = reflect(ctx, i, beta)
                     if child not in seen:
                         seen.add(child)
                         nxt.append(child)
         layers.append(nxt)
     return layers
+
+
+# -- rewriting and word differences ---------------------------------------------
+
+
+def critical_pairs(rs) -> list[tuple[bytes, bytes]]:
+    """The unresolved critical pairs of a rewrite system, each side fully
+    reduced and the shortlex-smaller side first, in sorted order.
+
+    For rules l1 -> r1 and l2 -> r2 (possibly the same rule), each proper
+    overlap, where a suffix of l1 of length k is a prefix of l2, gives
+    the word l1 l2[k:] with reducts (r1 l2[k:], l1[:-k] r2); each
+    occurrence of a distinct l2 inside l1 gives the reducts of l1 by
+    either rule.
+    """
+    rules = [(r.lhs, r.rhs) for r in rs.rules]
+    out = set()
+    for l1, r1 in rules:
+        for l2, r2 in rules:
+            eqs = [(r1 + l2[k:], l1[:-k] + r2)
+                   for k in range(1, min(len(l1), len(l2))) if l1[-k:] == l2[:k]]
+            if l2 != l1:
+                eqs += [(r1, l1[:i] + r2 + l1[i + len(l2):])
+                        for i in range(len(l1) - len(l2) + 1) if l1[i:i + len(l2)] == l2]
+            for w1, w2 in eqs:
+                a, b = sorted((rs.reduce(w1), rs.reduce(w2)), key=lambda w: (len(w), w))
+                if a != b:
+                    out.add((a, b))
+    return sorted(out)
+
+
+def run_pair(machine, u: bytes, v: bytes) -> tuple[bool, int]:
+    """Run the padded pair (u, v) through a word-difference machine:
+    (True, final state), or (False, position) at the first undefined
+    move."""
+    pad = machine.pairs.pad
+    state = 0
+    for i in range(max(len(u), len(v))):
+        a = u[i] if i < len(u) else pad
+        b = v[i] if i < len(v) else pad
+        state = machine.table[state][machine.pairs.index(a, b)]
+        if state < 0:
+            return False, i
+    return True, state
 
 
 # -- padding of pair automata ----------------------------------------------------
@@ -449,3 +514,21 @@ def minimal_state_count(num_states, initial, accepting, rows) -> int:
             break
         n_classes = len(ids)
     return max(1, n_classes - 1)
+
+
+# -- small package objects built from public constructors ----------------------
+
+
+def empty_language_dfa(alphabet) -> Dfa:
+    """The one-state automaton that accepts nothing."""
+    return Dfa(alphabet, 1, 0, (), [[FAIL] * alphabet.size])
+
+
+def accepts_pair(p, u: bytes, v: bytes) -> bool:
+    """Whether the pair automaton p accepts the padded pair (u, v)."""
+    return p.dfa.accepts(encode_pair(p.pairs, u, v))
+
+
+def matrix_to_json(m) -> dict:
+    """A Coxeter matrix in the file format ``formats.matrix_from_json`` reads."""
+    return {"rank": m.rank, "m": [list(row) for row in m.m]}

@@ -307,15 +307,27 @@ def test_limit_flag_out_of_range_is_a_usage_error(flag, value, z2_file, capsys):
         assert out == "" and err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
 
-def _float_target(name):
+def _set_target(name, target):
     def edit(bundle):
         data = json.loads((bundle / name).read_text())
-        data["transitions"][0][0] = 1.5
+        data["transitions"][0][0] = target
         (bundle / name).write_text(json.dumps(data))
         return bundle / name
 
     return edit
 
+
+def _replace(name, **fields):
+    def edit(bundle):
+        data = json.loads((bundle / name).read_text())
+        data.update(fields)
+        (bundle / name).write_text(json.dumps(data))
+        return bundle / name
+
+    return edit
+
+
+Z2_ORDER = {"generators": ["a", "b"], "inverses": {"a": "A", "b": "B"}, "relators": ["abAB"]}
 
 FLOAT_TARGET = {
     "alphabet": ["a"], "inverses": {"a": "a"}, "states": 2, "initial": 0,
@@ -330,7 +342,7 @@ MALFORMED_FILES = {
         ["fsa", "min"], {**FLOAT_TARGET, "states": 2.0, "transitions": [[1], [0]]},
         "non-integer number 2.0",
     ),
-    "bundle_float_target": (["order"], _float_target("m_a.json"), "non-integer number 1.5"),
+    "bundle_float_target": (["order"], _set_target("m_a.json", 1.5), "non-integer number 1.5"),
     "automaton_without_states": (
         ["fsa", "min"], {"alphabet": ["a"], "inverses": {"a": "a"}}, "KeyError: 'states'"
     ),
@@ -340,6 +352,30 @@ MALFORMED_FILES = {
     ),
     "matrix_row_not_numbers": (["cox", "wa"], {"m": [[1, "x"], [3]]}, "ValueError"),
     "matrix_missing": (["cox", "wa"], None, "no such file"),
+    "order_omits_a_generator": (
+        ["autstructure"], {**Z2_ORDER, "order": ["a", "A"]},
+        "'order' must list each of a, A, b, B exactly once",
+    ),
+    "order_unknown_entry": (
+        ["kb"], {**Z2_ORDER, "order": ["a", "A", "b", "B", "c"]},
+        "'order' must list each of a, A, b, B exactly once",
+    ),
+    "diff_table_too_narrow": (
+        ["order"], _replace("diff.json", states=[""], transitions=[[99]]),
+        "transition row width must match alphabet size",
+    ),
+    "diff_row_count": (
+        ["order"], _replace("diff.json", states=["", "a"]),
+        "transition table must have one row per state",
+    ),
+    "diff_target_out_of_range": (
+        ["order"], _set_target("diff.json", 99), "transition target out of range"
+    ),
+    "diff_first_state_not_empty": (
+        ["order"], _replace("diff.json", states=["a", "A", "B", "b", "", "aB", "ab", "AB", "Ab"]),
+        "the empty word first",
+    ),
+    "meta_k_differs_from_diff": (["order"], _replace("meta.json", k=3), "'k' differs"),
 }
 
 

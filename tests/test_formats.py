@@ -3,11 +3,14 @@ import json
 import pytest
 
 from agt import formats, fsa
+from agt.autostruct import derive_shortlex_structure
 from agt.coxeter import CoxeterMatrix
 from agt.errors import UsageError
 from agt.pairfsa import PairDfa
 from agt.rewrite import Presentation, knuth_bendix, system_from_presentation
 from agt.words import inverse_closed_alphabet
+
+from oracles import matrix_to_json
 
 
 def test_presentation_roundtrip(ab_alphabet):
@@ -72,6 +75,17 @@ def test_presentation_explicit_order():
     assert p.alphabet.inverse == (2, 3, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "order",
+    [["a", "A"], ["a", "A", "b", "B", "c"], ["a", "A", "b", "b"], ["a", "A", "b", "B", "B"],
+     "aAbB"],
+)
+def test_presentation_order_lists_every_symbol_once(order):
+    data = {"generators": ["a", "b"], "inverses": {"a": "A", "b": "B"}, "relators": []}
+    with pytest.raises(UsageError, match="'order' must list each of a, A, b, B exactly once"):
+        formats.presentation_from_json({**data, "order": order})
+
+
 def test_diff_dump_format(z2_structure):
     text = z2_structure.diff_machine.dump()
     lines = text.splitlines()
@@ -98,7 +112,7 @@ def test_pairdfa_roundtrip(z2_structure):
 
 def test_matrix_roundtrip():
     m = CoxeterMatrix([[1, 3, 0], [3, 1, 4], [0, 4, 1]])
-    data = json.loads(formats.dumps(formats.matrix_to_json(m)))
+    data = json.loads(formats.dumps(matrix_to_json(m)))
     m2 = formats.matrix_from_json(data)
     assert m2.m == m.m
 
@@ -109,6 +123,16 @@ def test_growth_json(z2_structure):
     assert data["numerator"] == [1, 2, 1]
     assert data["denominator"] == [1, -2, 1]
     assert data["coefficients"] == [1, 4, 8, 12, 16]
+
+
+def test_bundle_keeps_an_explicit_order(tmp_path):
+    data = {"generators": ["a", "b"], "inverses": {"a": "A", "b": "B"},
+            "order": ["a", "b", "A", "B"], "relators": ["abAB"]}
+    pres = formats.presentation_from_json(data)
+    assert formats.presentation_to_json(pres)["order"] == data["order"]
+    s = derive_shortlex_structure(pres).structure
+    formats.save_structure(s, tmp_path)
+    assert formats.load_structure(tmp_path).alphabet == pres.alphabet
 
 
 def test_diff_roundtrip(z2_structure):

@@ -8,7 +8,7 @@ from agt.errors import UsageError
 from agt.fsa import FAIL, Dfa
 from agt.words import Alphabet, inverse_closed_alphabet
 
-from oracles import minimal_state_count
+from oracles import empty_language_dfa, minimal_state_count
 
 
 def words_up_to(n_syms, max_len):
@@ -250,7 +250,7 @@ def test_boolean_alphabet_mismatch(ab):
 def test_language_finiteness(ab, f2_acceptor, s3_structure, z2_structure):
     assert fsa.language_is_finite(s3_structure.word_acceptor) == 6
     assert fsa.language_is_finite(z2_structure.word_acceptor) is None
-    assert fsa.language_is_finite(fsa.empty_language_dfa(ab)) == 0
+    assert fsa.language_is_finite(empty_language_dfa(ab)) == 0
     assert fsa.language_is_finite(f2_acceptor) is None
 
 
@@ -283,7 +283,7 @@ def test_growth_series_all_words_and_empty(ab):
     two = Alphabet(["x", "y"], [0, 1])
     g2 = fsa.growth_series(fsa.all_words_dfa(two), 4)
     assert (g2.numerator, g2.denominator) == ((1,), (1, -2))
-    empty = fsa.growth_series(fsa.empty_language_dfa(ab), 3)
+    empty = fsa.growth_series(empty_language_dfa(ab), 3)
     assert (empty.numerator, empty.denominator) == ((0,), (1,))
     assert empty.coefficients == (0, 0, 0)
 
@@ -318,7 +318,7 @@ def test_growth_matches_enumeration_counts(ab):
 def test_enumerate_examples(ab, f2_acceptor, s3_structure):
     words = fsa.enumerate_words(f2_acceptor, 1)
     assert [ab.format_word(w) for w in words] == ["", "a", "A", "b", "B"]
-    assert fsa.enumerate_words(fsa.empty_language_dfa(ab), 4) == []
+    assert fsa.enumerate_words(empty_language_dfa(ab), 4) == []
     assert len(fsa.enumerate_words(s3_structure.word_acceptor, 3)) == 6
 
 
@@ -330,7 +330,7 @@ def test_enumerate_shortlex_order(ab, f2_acceptor):
 
 def test_shortest_accepted(ab, f2_acceptor):
     assert fsa.shortest_accepted(f2_acceptor) == b""
-    assert fsa.shortest_accepted(fsa.empty_language_dfa(ab)) is None
+    assert fsa.shortest_accepted(empty_language_dfa(ab)) is None
     no_eps = fsa.boolean_op(
         "minus", f2_acceptor, Dfa(ab, 1, 0, (0,), [[FAIL] * ab.size])
     )

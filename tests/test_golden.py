@@ -5,16 +5,20 @@ that only restructures a construction must not move a single byte of
 what it builds.  Each digest covers one structure's transcript, word
 acceptor and every multiplier table (epsilon first, then generator
 order), or one Coxeter acceptor, in the JSON encoding of the bundle
-files.  A failing pin means an output changed: if the change is meant,
-say so and re-pin; if not, it is a regression.
+files, or the outcome of one abandoned derivation.  A failing pin means
+an output changed: if the change is meant, say so and re-pin; if not,
+it is a regression.
 """
 
 import hashlib
 
 import pytest
 
-from agt import formats
+from agt import autostruct, formats
+from agt.autostruct import AxiomReport, CheckFailure, ElementaryReport, derive_shortlex_structure
 from agt.coxeter import CoxeterMatrix, build_geodesic_acceptor, build_shortlex_word_acceptor
+from agt.limits import Limits
+from agt.rewrite import Presentation
 
 
 def _digest(texts):
@@ -82,3 +86,85 @@ def test_coxeter_acceptors_are_pinned(group, kind):
     build = build_shortlex_word_acceptor if kind == "shortlex" else build_geodesic_acceptor
     wa = build(COXETER[group])
     assert _digest([formats.dumps(formats.dfa_to_json(wa))]) == ACCEPTORS[group, kind]
+
+
+# -- every exit of the derivation driver ---------------------------------------
+#
+# Each digest covers (status, transcript, reason, resource_limited,
+# structure is None) of one abandoned derivation: the pass limit, a
+# resource failure in each phase, the witness-free elementary failure and
+# both kinds of axiom failure.
+
+
+def _outcome_digest(out):
+    return _digest(
+        [out.status, out.transcript, repr(out.reason), repr(out.resource_limited),
+         repr(out.structure is None)]
+    )
+
+
+def _b3(ab):
+    return Presentation(ab, [ab.parse_word("abaBAB")])
+
+
+def _z2(ab):
+    return Presentation(ab, [ab.parse_word("abAB")])
+
+
+def _with_checks(monkeypatch, name, replace):
+    real = getattr(autostruct, name)
+    monkeypatch.setattr(autostruct, name, lambda s, state_cap: replace(real, s))
+
+
+def _pass_limit(ab, monkeypatch):
+    return derive_shortlex_structure(_b3(ab), Limits(stability_window=1, max_passes=2))
+
+
+def _construction_cap(ab, monkeypatch):
+    return derive_shortlex_structure(_b3(ab), Limits(state_cap=5))
+
+
+def _elementary_cap(ab, monkeypatch):
+    _with_checks(monkeypatch, "elementary_checks", lambda real, s: real(s, 10))
+    return derive_shortlex_structure(_z2(ab))
+
+
+def _axiom_cap(ab, monkeypatch):
+    _with_checks(monkeypatch, "axiom_check", lambda real, s: real(s, 3))
+    return derive_shortlex_structure(_z2(ab))
+
+
+def _no_equations_left(ab, monkeypatch):
+    failed = ElementaryReport(False, [CheckFailure("epsilon")])
+    _with_checks(monkeypatch, "elementary_checks", lambda real, s: failed)
+    return derive_shortlex_structure(_z2(ab))
+
+
+def _failed_relator(ab, monkeypatch):
+    failed = AxiomReport(False, failed_relator=ab.parse_word("abAB"))
+    _with_checks(monkeypatch, "axiom_check", lambda real, s: failed)
+    return derive_shortlex_structure(_z2(ab))
+
+
+def _failed_inverse(ab, monkeypatch):
+    failed = AxiomReport(False, failed_inverse=ab.index("b"))
+    _with_checks(monkeypatch, "axiom_check", lambda real, s: failed)
+    return derive_shortlex_structure(_z2(ab))
+
+
+DRIVER_EXITS = {
+    _pass_limit: "f3a0ed4a8c27d1d0dcca10e542094678d11bc6ac7888660a512986aca92071fe",
+    _construction_cap: "e2fb5b1d1175528fc7d98aec65d06377fe86b0ecc033fbb29d1ac267ad69307f",
+    _elementary_cap: "5948c5543ccace885459d0e27302c5b4154685a2183f47dfa5292f43ea918bbb",
+    _axiom_cap: "24a3e46384b24009430da18daf4233350fb45a502a5b5123d6b1d939d45a9ad5",
+    _no_equations_left: "91dbd75e54585c842b008971c7ec4bf9999b575c878c85487726c6d7c53a9c1b",
+    _failed_relator: "c350e9e4b7eabab09213cbe8baea0d50ee6a37a15350a974fea642cd106e30e6",
+    _failed_inverse: "11d8df40d71f5a8676b3c7cda8a4421a4129763bf825a103b6e04b473bdf6392",
+}
+
+
+@pytest.mark.parametrize("case", DRIVER_EXITS, ids=lambda case: case.__name__.strip("_"))
+def test_driver_exits_are_pinned(case, ab_alphabet, monkeypatch):
+    out = case(ab_alphabet, monkeypatch)
+    assert out.status == "abandoned"
+    assert _outcome_digest(out) == DRIVER_EXITS[case]

@@ -21,7 +21,7 @@ from agt.pairfsa import (
 )
 from agt.words import inverse_closed_alphabet
 
-from oracles import pad_modes, validate_padding
+from oracles import accepts_pair, empty_language_dfa, pad_modes, validate_padding
 
 
 @pytest.fixture(scope="module")
@@ -68,11 +68,23 @@ def test_decode_rejects_bad_padding(ab, pa):
         decode_pair(pa, bad)
 
 
+def test_parts_refuses_symbols_outside_the_pair_alphabet():
+    one = inverse_closed_alphabet(["a"], {"a": "A"})
+    pa = PairAlphabet(one)
+    assert pa.alphabet.size == 8
+    assert [pa.parts(k) for k in range(8)][-1] == (2, 1)
+    for k in (-1, 8, 9, 12):
+        with pytest.raises(UsageError, match="out of range"):
+            pa.parts(k)
+    with pytest.raises(UsageError, match="out of range"):
+        decode_pair(pa, bytes([9, 12]))
+
+
 def test_diagonal_examples(ab):
     allw = fsa.all_words_dfa(ab)
     d = diagonal(allw)
-    assert d.accepts_pair(ab.parse_word("ab"), ab.parse_word("ab"))
-    assert not d.accepts_pair(ab.parse_word("a"), ab.parse_word("b"))
+    assert accepts_pair(d, ab.parse_word("ab"), ab.parse_word("ab"))
+    assert not accepts_pair(d, ab.parse_word("a"), ab.parse_word("b"))
     assert project_first(d) == fsa.minimize(allw)
     validate_padding(d)
 
@@ -95,15 +107,15 @@ def test_project_first_examples(ab):
     proj2 = project_second(p)
     for w in words_up_to(ab.size, 6):
         assert proj2.accepts(w) == all(c == 0 for c in w)
-    empty = PairDfa(ab, fsa.empty_language_dfa(PairAlphabet(ab).alphabet))
+    empty = PairDfa(ab, empty_language_dfa(PairAlphabet(ab).alphabet))
     assert fsa.language_is_finite(project_first(empty)) == 0
 
 
 def test_swap(ab):
     p = anb_times_an(ab)
     s = swap(p)
-    assert s.accepts_pair(ab.parse_word("aa"), ab.parse_word("aab"))
-    assert not s.accepts_pair(ab.parse_word("aab"), ab.parse_word("aa"))
+    assert accepts_pair(s, ab.parse_word("aa"), ab.parse_word("aab"))
+    assert not accepts_pair(s, ab.parse_word("aab"), ab.parse_word("aa"))
 
 
 @pytest.mark.parametrize(
@@ -130,7 +142,7 @@ def test_compose_diagonal_identity(ab, f2_acceptor=None):
         fsa.boolean_op(
             "minus",
             fsa.all_words_dfa(ab),
-            fsa.empty_language_dfa(ab),
+            empty_language_dfa(ab),
         )
     )
     d = diagonal(lang)
@@ -139,7 +151,7 @@ def test_compose_diagonal_identity(ab, f2_acceptor=None):
 
 def test_compose_with_empty_is_empty(ab):
     d = diagonal(fsa.all_words_dfa(ab))
-    empty = PairDfa(ab, fsa.empty_language_dfa(PairAlphabet(ab).alphabet))
+    empty = PairDfa(ab, empty_language_dfa(PairAlphabet(ab).alphabet))
     assert compose(d, empty).is_empty()
     assert compose(empty, d).is_empty()
 
@@ -205,7 +217,7 @@ def test_compose_agrees_with_relational_join(ab):
         got = set()
         for u in words_up_to(2, 5):
             for w in words_up_to(2, 5):
-                if comp.accepts_pair(u, w):
+                if accepts_pair(comp, u, w):
                     got.add((u, w))
         assert got == expected
 

@@ -9,13 +9,12 @@ from agt.rewrite import (
     Completion,
     Presentation,
     RewriteSystem,
-    critical_pairs,
     knuth_bendix,
     system_from_presentation,
 )
 from agt.words import inverse_closed_alphabet
 
-from oracles import ZSquaredModel, s3_model
+from oracles import ZSquaredModel, critical_pairs, s3_model
 
 
 @pytest.fixture(scope="module")
