@@ -76,8 +76,8 @@ class MultiplierProduct(NamedTuple):
     machine, explored once for every multiplier.
 
     ``labels[i]`` is the difference state of product state ``i`` when
-    both runs end accepted for its pad mode, and FAIL otherwise: only
-    which label accepts depends on the multiplier's key.
+    both runs end accepted, and FAIL otherwise: only which label
+    accepts depends on the multiplier's key.
     """
 
     pairs: PairAlphabet
@@ -90,47 +90,39 @@ def build_multipliers(
 ) -> dict[int | None, PairDfa]:
     """All multipliers, M_eps first, then M_y for each generator y.
 
-    M_y accepts (u, v) iff both are accepted by the word acceptor
-    (pad-aware) and the difference run ends at the state of the reduced
-    word of y (the empty word for M_eps).  The product state is
-    (u's WA state, v's WA state, difference, pad mode); a padded side
-    must be accepted at the moment its padding starts and is frozen
-    afterwards.  The product is explored once and each multiplier
-    minimised from its own accepting set (the general multiplier of
-    Epstein et al., *Word Processing in Groups*, 1992).
+    M_y accepts (u, v) iff both are accepted by the word acceptor and
+    the difference run ends at the state of the reduced word of y (the
+    empty word for M_eps).  The word acceptor gets one more accepting
+    state ``done``, entered on $ from every accepting state and from
+    itself, and no other move: a side that has ended is in ``done``, and
+    it was accepted where its padding started.  The product state is
+    (u's state, v's state, difference).  The product is explored once
+    and each multiplier minimised from its own accepting set (the
+    general multiplier of Epstein et al., *Word Processing in Groups*,
+    1992).
     """
     pa = diff.pairs
     pad = pa.pad
-    NOPAD, UPAD, VPAD = 0, 1, 2
     symbols = [pa.parts(k) for k in range(pa.alphabet.size)]
-    acc = wa.accepting
+    done = wa.num_states
+    # wa's rows with the pad column (index pad) added, then done's row
+    step = [(*row, done if s in wa.accepting else FAIL) for s, row in enumerate(wa.transitions)]
+    step.append((FAIL,) * pad + (done,))
+    final = wa.accepting | {done}
 
-    def expand(state: tuple[int, int, int, int], index: dict) -> list[int]:
-        su, sv, d, mode = state
+    def expand(state: tuple[int, int, int], index: dict) -> list[int]:
+        su, sv, d = state
+        ru, rv = step[su], step[sv]
         row = [FAIL] * len(symbols)
         for k, (a, b) in enumerate(symbols):
             d2 = diff.step_sym(d, k)
-            if d2 < 0:
-                continue
-            if b == pad:  # v has ended; it must be accepted where it stopped
-                go = mode == VPAD or mode == NOPAD and sv in acc
-                nxt = (wa.transitions[su][a], sv, d2, VPAD)
-            elif a == pad:
-                go = mode == UPAD or mode == NOPAD and su in acc
-                nxt = (su, wa.transitions[sv][b], d2, UPAD)
-            else:
-                go = mode == NOPAD
-                nxt = (wa.transitions[su][a], wa.transitions[sv][b], d2, NOPAD)
-            if go and nxt[0] != FAIL and nxt[1] != FAIL:
-                row[k] = index[nxt]
+            if d2 >= 0 and ru[a] != FAIL and rv[b] != FAIL:
+                row[k] = index[ru[a], rv[b], d2]
         return row
 
-    start = (wa.initial, wa.initial, diff.initial, NOPAD)
+    start = (wa.initial, wa.initial, diff.initial)
     order, rows = fsa.explore(start, expand, state_cap, "multiplier states")
-    labels = [
-        d if (mode == UPAD or su in acc) and (mode == VPAD or sv in acc) else FAIL
-        for su, sv, d, mode in order
-    ]
+    labels = [d if su in final and sv in final else FAIL for su, sv, d in order]
     product = MultiplierProduct(pa, tuple(map(tuple, rows)), labels)
     del order, rows  # only the product stays alive across the minimisations
     reduce = diff.reducer.reduce if diff.reducer else bytes

@@ -114,11 +114,6 @@ def presentation_from_json(data: dict) -> Presentation:
     involutions = data.get("involutions", [])
     if not isinstance(generators, list) or not generators:
         raise UsageError("'generators' must be a nonempty list")
-    for g in generators:
-        if g not in involutions and g not in inverses:
-            raise UsageError(
-                f"generator {g!r} needs an entry in 'inverses' or 'involutions'"
-            )
     alphabet = inverse_closed_alphabet(generators, inverses, involutions)
     order = data.get("order")
     if order is not None:

@@ -6,6 +6,12 @@ pair word has length max(|u|, |v|) and never contains ($, $).  Pair
 automata are ordinary Dfas over the derived pair alphabet, wrapped with
 their base alphabet; they are stored deterministic and minimized at API
 boundaries.
+
+Every pair automaton built here accepts only correctly padded strings:
+once a side reads $ it reads nothing else.  Being minimal, such an
+automaton has no move that leaves its language, so after a side's first
+$ every move reads $ on that side.  :func:`compose` needs this of its
+inputs, and the automata it returns have it too.
 """
 
 from __future__ import annotations
@@ -207,13 +213,23 @@ def project_second(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairDfa:
     """Relation composition {(u, w) : some v, (u,v) in p and (v,w) in q}.
 
-    Determinized from a product machine over state pairs that guesses
-    the middle word: on an output symbol (a, c) the middle letter b
-    ranges over the base alphabet and $; portions of the middle word
-    extending past both u and w are consumed by epsilon moves (p reads
-    ($,b) while q reads (b,$)), so arbitrary middle-word overhang is
-    handled exactly by the closure.  The cap counts the states of the
-    determinized product.
+    p and q must be minimal and accept only correctly padded strings, as
+    every pair automaton built here is.  Each is closed under ($, $): one
+    more state ``done``, entered on ($, $) from every accepting state and
+    from itself, so a pair string that has ended is a state, not a mode.
+    The product over (p state, q state) reads an output symbol (a, c)
+    while p reads (a, b) and q reads (b, c) for some middle letter b;
+    when a and c are both $ the middle word outlives u and w, and the
+    move is an epsilon move.  Its subsets are determinized.  A subset
+    accepts when it holds (done, done), which the ($, $) epsilon move
+    adds exactly to the subsets that hold a pair of accepting states.
+
+    No pad phase is needed.  Every move of a minimal automaton leads to
+    a live state, so a correctly padded p has only ($, b) moves once u
+    has ended, and only ($, $) moves into ``done``: p's first tape keeps
+    u's padding, q's second tape keeps w's, and p's second and q's first
+    tape together keep the middle word's.  The cap counts the states of
+    the determinized product.
     """
     if p.base != q.base:
         raise UsageError("compose needs a common base alphabet")
@@ -221,60 +237,32 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
     pad = pa.pad
     width = pad + 1  # pair symbol (a, c) is a * width + c
 
-    # p read by its first letter a -> [(b, t)], q by its first letter b -> [(c, t)]
-    p_by_a = p.by_first
-    q_by_b = q.by_first
+    def closed(m: PairDfa) -> list[dict[int, list[tuple[int, int]]]]:
+        # m.by_first with the state done = m.dfa.num_states added
+        done = m.dfa.num_states
+        view = [*m.by_first, {}]
+        for s in (*m.dfa.accepting, done):
+            view[s] = {**view[s], pad: [*view[s].get(pad, ()), (pad, done)]}
+        return view
 
-    # product state: (p state, q state, output pad phase); the phase
-    # (0 none, 1 u ended, 2 w ended) keeps the output string disciplined,
-    # while p and q enforce the middle word's own padding internally.
-    NOPH, UPAD, WPAD = 0, 1, 2
+    p_view, q_view = closed(p), closed(q)  # read by first letter a, resp. b
+    both_done = (p.dfa.num_states, q.dfa.num_states)
 
-    def moves(state: tuple[int, int, int]) -> list:
-        sp, sq, ph = state
-        pd = p_by_a[sp]
-        qd = q_by_b[sq]
-        out = []
-        for a, pairs_pb in pd.items():
-            for b, tp in pairs_pb:
-                for c, tq in qd.get(b, ()):
-                    if a == pad and c == pad:
-                        # middle word outlives both u and w: no output
-                        out.append((None, (tp, tq, ph)))
-                        continue
-                    if a != pad and c != pad:
-                        nph = NOPH
-                        if ph != NOPH:
-                            continue
-                    elif a == pad:
-                        nph = UPAD
-                        if ph == WPAD:
-                            continue
-                    else:
-                        nph = WPAD
-                        if ph == UPAD:
-                            continue
-                    out.append((a * width + c, (tp, tq, nph)))
-        # q's pair string is exhausted (both v and w ended) while u continues
-        if ph != UPAD:
-            for a, pairs_pb in pd.items():
-                if a == pad:
-                    continue
-                for b, tp in pairs_pb:
-                    if b == pad:
-                        out.append((a * width + pad, (tp, sq, WPAD)))
-        # p's pair string is exhausted (both u and v ended) while w continues
-        if ph != WPAD:
-            for c, tq in qd.get(pad, ()):
-                out.append((pad * width + c, (sp, tq, UPAD)))
-        return out
+    def moves(state: tuple[int, int]) -> list:
+        sp, sq = state
+        qd = q_view[sq]
+        return [
+            (None if a == c == pad else a * width + c, (tp, tq))
+            for a, pb in p_view[sp].items()
+            for b, tp in pb
+            for c, tq in qd.get(b, ())
+        ]
 
-    p_acc, q_acc = p.dfa.accepting, q.dfa.accepting
     det = fsa.determinize(
         pa.alphabet,
-        (p.dfa.initial, q.dfa.initial, NOPH),
+        (p.dfa.initial, q.dfa.initial),
         moves,
-        lambda state: state[0] in p_acc and state[1] in q_acc,
+        both_done.__eq__,
         state_cap,
         "composition product states",
     )

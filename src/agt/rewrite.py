@@ -104,8 +104,7 @@ class RewriteRule(NamedTuple):
 class RewriteSystem:
     """Indexed shortlex rewrite system with a trie over left-hand sides.
 
-    Mutable and single-owner while completion runs; hand out ``copy()``
-    snapshots if a frozen view is needed.
+    Mutable and single-owner while completion runs.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -375,12 +374,3 @@ class Completion:
         return CompletionResult(
             status, which, self.processed, self.added, len(self.queue)
         )
-
-
-def knuth_bendix(
-    rs: RewriteSystem,
-    limits: Limits | None = None,
-    pause_when: Callable[[Completion], bool] | None = None,
-) -> CompletionResult:
-    """Run completion on ``rs`` in place until done, paused or a limit hits."""
-    return Completion(rs, limits).run(pause_when)

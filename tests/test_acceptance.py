@@ -9,11 +9,8 @@ import random
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from agt import formats, fsa, groupcalc as gc, pairfsa
 from agt.autostruct import (
-    EPSILON_KEY,
     axiom_check,
     derive_shortlex_structure,
 )
@@ -25,15 +22,13 @@ from agt.coxeter import (
     small_roots,
 )
 from agt.fsa import FAIL, Dfa
-from agt.rewrite import Presentation, knuth_bendix, system_from_presentation
+from agt.rewrite import Completion, Presentation, system_from_presentation
 from agt.words import inverse_closed_alphabet
 from agt.worddiff import accumulate_from_rules
 
 from oracles import (
     AffineA2Model,
     BurauB3Model,
-    DInfinityModel,
-    FreeGroupModel,
     ZSquaredModel,
     as_rational,
     cyclic_conjugacy_oracle,
@@ -120,7 +115,7 @@ def test_criterion_3_s3():
         C = coxeter_ab()
         pres = Presentation(C, [C.parse_word("ababab")])
         rs = system_from_presentation(pres)
-        assert knuth_bendix(rs).status == "complete"
+        assert Completion(rs).run().status == "complete"
         out = derive_shortlex_structure(pres)
         assert out.verified
         assert gc.group_order(out.structure) == 6
@@ -284,7 +279,7 @@ def test_criterion_10_property_suites(tmp_path):
 
         # reduceWord idempotence/termination on 10^4 random words
         rs = system_from_presentation(Presentation(A, [A.parse_word("abAB")]))
-        knuth_bendix(rs)
+        Completion(rs).run()
         for _ in range(10_000):
             w = bytes(rng.randrange(A.size) for _ in range(rng.randrange(15)))
             r = rs.reduce(w)

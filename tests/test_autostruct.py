@@ -18,7 +18,7 @@ from agt.errors import ResourceLimitError
 from agt.fsa import FAIL, Dfa
 from agt.limits import Limits
 from agt.pairfsa import PairAlphabet, PairDfa, diagonal, encode_pair
-from agt.rewrite import Presentation, RewriteSystem, knuth_bendix, system_from_presentation
+from agt.rewrite import Completion, Presentation, RewriteSystem, system_from_presentation
 from agt.words import inverse_closed_alphabet
 from agt.worddiff import WordDifferenceMachine, accumulate_from_rules
 
@@ -129,7 +129,7 @@ def test_multiplier_examples_z2(ab_alphabet, z2_structure):
 def test_multiplier_empty_word_acceptor(ab_alphabet):
     A = ab_alphabet
     rs = system_from_presentation(Presentation(A, []))
-    knuth_bendix(rs)
+    Completion(rs).run()
     d = accumulate_from_rules(rs)
     empty_wa = empty_language_dfa(A)
     m = build_multipliers(empty_wa, d)[A.index("a")]

@@ -376,6 +376,10 @@ MALFORMED_FILES = {
         "the empty word first",
     ),
     "meta_k_differs_from_diff": (["order"], _replace("meta.json", k=3), "'k' differs"),
+    "generator_without_inverse": (
+        ["kb"], {"generators": ["a", "b"], "inverses": {"a": "A"}, "relators": []},
+        "generator 'b'",
+    ),
 }
 
 

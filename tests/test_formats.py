@@ -7,8 +7,7 @@ from agt.autostruct import derive_shortlex_structure
 from agt.coxeter import CoxeterMatrix
 from agt.errors import UsageError
 from agt.pairfsa import PairDfa
-from agt.rewrite import Presentation, knuth_bendix, system_from_presentation
-from agt.words import inverse_closed_alphabet
+from agt.rewrite import Completion, Presentation, system_from_presentation
 
 from oracles import matrix_to_json
 
@@ -168,7 +167,7 @@ def test_bundle_deterministic_bytes(tmp_path, z2_structure):
 
 def test_rules_dump(ab_alphabet):
     rs = system_from_presentation(Presentation(ab_alphabet, [ab_alphabet.parse_word("abAB")]))
-    knuth_bendix(rs)
+    Completion(rs).run()
     text = formats.rules_dump(rs)
     assert "ba -> ab" in text
     assert text.endswith("\n")

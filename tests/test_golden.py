@@ -5,20 +5,23 @@ that only restructures a construction must not move a single byte of
 what it builds.  Each digest covers one structure's transcript, word
 acceptor and every multiplier table (epsilon first, then generator
 order), or one Coxeter acceptor, in the JSON encoding of the bundle
-files, or the outcome of one abandoned derivation.  A failing pin means
-an output changed: if the change is meant, say so and re-pin; if not,
-it is a regression.
+files, or the outcome of one abandoned derivation, or the composite
+multipliers that one check builds.  A failing pin means an output
+changed: if the change is meant, say so and re-pin; if not, it is a
+regression.
 """
 
 import hashlib
 
 import pytest
 
-from agt import autostruct, formats
+from agt import autostruct, formats, pairfsa
 from agt.autostruct import AxiomReport, CheckFailure, ElementaryReport, derive_shortlex_structure
 from agt.coxeter import CoxeterMatrix, build_geodesic_acceptor, build_shortlex_word_acceptor
 from agt.limits import Limits
 from agt.rewrite import Presentation
+
+from oracles import validate_padding
 
 
 def _digest(texts):
@@ -168,3 +171,50 @@ def test_driver_exits_are_pinned(case, ab_alphabet, monkeypatch):
     out = case(ab_alphabet, monkeypatch)
     assert out.status == "abandoned"
     assert _outcome_digest(out) == DRIVER_EXITS[case]
+
+
+# -- composite multipliers -----------------------------------------------------
+#
+# Each digest covers, in the order they are built, the composites of one
+# check: compose(swap(M_y), M_y) for every generator y (the functionality
+# check), or every composite the axiom check builds.  Each composite must
+# also keep the padding discipline.
+
+
+def _composite_texts(composites):
+    for c in composites:
+        validate_padding(c)
+        yield formats.dumps(formats.pairdfa_to_json(c))
+
+
+FUNCTIONALITY = {
+    "b3_structure": "8db159a6686c923c86088ef77a418ef4da07e1ed6d8b6c1fc57ee77cda8498cb",
+    "starved_b3_structure": "e4bf831599f7ca041e32a5309f3d6d977ee4367f0bc3d6a6b702f74e1d42d260",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(FUNCTIONALITY))
+def test_functionality_composites_are_pinned(fixture, request):
+    s = request.getfixturevalue(fixture)
+    composites = [
+        pairfsa.compose(pairfsa.swap(s.multipliers[y]), s.multipliers[y])
+        for y in range(s.alphabet.size)
+    ]
+    assert _digest(_composite_texts(composites)) == FUNCTIONALITY[fixture]
+
+
+AXIOM_COMPOSITES = "3c97be9c533f429e340714d28ff9ae62018ef1195107e006a48b11ecc0484d90"
+
+
+def test_axiom_check_composites_are_pinned(b3_structure, monkeypatch):
+    built = []
+    real = pairfsa.compose
+
+    def compose(p, q, state_cap):
+        built.append(real(p, q, state_cap))
+        return built[-1]
+
+    monkeypatch.setattr(pairfsa, "compose", compose)
+    assert autostruct.axiom_check(b3_structure).ok
+    assert len(built) == 6
+    assert _digest(_composite_texts(built)) == AXIOM_COMPOSITES

@@ -6,7 +6,7 @@ from agt.errors import UsageError
 from agt.rewrite import Presentation
 from agt.words import inverse_closed_alphabet
 
-from oracles import FreeGroupModel, ZSquaredModel, cyclic_conjugacy_oracle
+from oracles import ZSquaredModel, cyclic_conjugacy_oracle
 
 
 @pytest.fixture(scope="module")

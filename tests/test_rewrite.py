@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from agt import fsa
 from agt.errors import UsageError
 from agt.limits import Limits
 from agt.rewrite import (
     Completion,
     Presentation,
     RewriteSystem,
-    knuth_bendix,
     system_from_presentation,
 )
 from agt.words import inverse_closed_alphabet
@@ -79,7 +77,7 @@ def test_add_rule_orientation_guard(ab):
 
 def test_reduce_examples(ab):
     rs = system_from_presentation(z2_presentation(ab))
-    knuth_bendix(rs)
+    Completion(rs).run()
     assert rs.reduce(ab.parse_word("ba")) == ab.parse_word("ab")
     assert rs.reduce(ab.parse_word("ab")) == ab.parse_word("ab")
     assert rs.reduce(ab.parse_word("aA")) == b""
@@ -125,7 +123,7 @@ def test_critical_pairs_disjoint_lhs(ab):
 
 def test_knuth_bendix_s3(cox):
     rs = system_from_presentation(Presentation(cox, [cox.parse_word("ababab")]))
-    result = knuth_bendix(rs)
+    result = Completion(rs).run()
     assert result.status == "complete"
     assert rs.confluent
     assert critical_pairs(rs) == []
@@ -147,7 +145,7 @@ def test_knuth_bendix_s3(cox):
 
 def test_knuth_bendix_z2_canonical_system(ab):
     rs = system_from_presentation(z2_presentation(ab))
-    result = knuth_bendix(rs)
+    result = Completion(rs).run()
     assert result.status == "complete"
     dump = rs.dump().splitlines()
     assert sorted(dump) == sorted(
@@ -172,27 +170,27 @@ def test_knuth_bendix_z2_canonical_system(ab):
 
 def test_knuth_bendix_free_group_immediate(ab):
     rs = system_from_presentation(Presentation(ab, []))
-    result = knuth_bendix(rs)
+    result = Completion(rs).run()
     assert result.status == "complete"
     assert rs.num_live == 4
 
 
 def test_limits_max_rules(ab):
     rs = system_from_presentation(Presentation(ab, [ab.parse_word("abaBAB")]))
-    result = knuth_bendix(rs, Limits(max_rules=6))
+    result = Completion(rs, Limits(max_rules=6)).run()
     assert result.status == "limitHit" and result.which == "maxRules"
 
 
 def test_limits_lhs_cap_reports(ab):
     rs = system_from_presentation(Presentation(ab, [ab.parse_word("abaBAB")]))
-    result = knuth_bendix(rs, Limits(max_lhs_len=3, max_rhs_len=3, max_rules=50))
+    result = Completion(rs, Limits(max_lhs_len=3, max_rhs_len=3, max_rules=50)).run()
     assert result.status == "limitHit"
     assert "maxLhsLen" in result.which
 
 
 def test_pause_hook(ab):
     rs = system_from_presentation(Presentation(ab, [ab.parse_word("abaBAB")]))
-    result = knuth_bendix(rs, pause_when=lambda c: c.processed >= 3)
+    result = Completion(rs).run(lambda c: c.processed >= 3)
     assert result.status == "paused"
     assert result.processed == 3
 
@@ -206,7 +204,7 @@ def random_word(rng, n_syms, max_len=12):
 
 def test_reduce_idempotent_and_shortlex_decreasing(ab):
     rs = system_from_presentation(z2_presentation(ab))
-    knuth_bendix(rs)
+    Completion(rs).run()
     rng = random.Random(17)
     for _ in range(10_000):
         w = random_word(rng, ab.size)
@@ -217,7 +215,7 @@ def test_reduce_idempotent_and_shortlex_decreasing(ab):
 
 def test_confluent_system_decides_word_problem(ab):
     rs = system_from_presentation(z2_presentation(ab))
-    knuth_bendix(rs)
+    Completion(rs).run()
     relator = ab.parse_word("abAB")
     rng = random.Random(23)
     for _ in range(200):
@@ -233,7 +231,7 @@ def test_confluent_system_decides_word_problem(ab):
 def test_rules_recover_identity_on_complete_systems(ab, cox):
     for alphabet, rel in ((ab, "abAB"), (cox, "ababab")):
         rs = system_from_presentation(Presentation(alphabet, [alphabet.parse_word(rel)]))
-        knuth_bendix(rs)
+        Completion(rs).run()
         assert rs.confluent
         for lhs, rhs in rs.rules:
             assert rs.reduce(lhs + alphabet.invert(rhs)) == b""
@@ -242,7 +240,7 @@ def test_rules_recover_identity_on_complete_systems(ab, cox):
 def test_completion_determinism(ab):
     def run():
         rs = system_from_presentation(Presentation(ab, [ab.parse_word("abaBAB")]))
-        knuth_bendix(rs, Limits(max_rules=60))
+        Completion(rs, Limits(max_rules=60)).run()
         return rs.dump()
 
     assert run() == run()

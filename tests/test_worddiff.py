@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from agt.rewrite import Presentation, RewriteSystem, knuth_bendix, system_from_presentation
+from agt.rewrite import Completion, Presentation, RewriteSystem, system_from_presentation
 from agt.words import inverse_closed_alphabet
 from agt.worddiff import accumulate_from_rules
 
@@ -17,7 +17,7 @@ def ab():
 @pytest.fixture(scope="module")
 def z2_machine(ab):
     rs = system_from_presentation(Presentation(ab, [ab.parse_word("abAB")]))
-    knuth_bendix(rs)
+    Completion(rs).run()
     return accumulate_from_rules(rs)
 
 
@@ -133,6 +133,6 @@ def test_prefix_differences_bounded_by_k(ab, z2_machine):
 def test_rebuild_after_completion_changes_machine(ab):
     rs = system_from_presentation(Presentation(ab, [ab.parse_word("abAB")]))
     before = accumulate_from_rules(rs)
-    knuth_bendix(rs)
+    Completion(rs).run()
     after = accumulate_from_rules(rs)
     assert before.words != after.words
