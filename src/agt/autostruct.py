@@ -24,7 +24,7 @@ from .limits import Limits
 from .pairfsa import PairAlphabet, PairDfa
 from .rewrite import Completion, Presentation, RewriteSystem, system_from_presentation
 from .words import Alphabet, Word
-from .worddiff import WordDifferenceMachine, accumulate_from_rules
+from .worddiff import WordDifferenceMachine, accumulate_from_rules, rule_differences
 
 EPSILON_KEY = None  # multiplier map key for the identity multiplier
 
@@ -343,8 +343,7 @@ def derive_shortlex_structure(
 
     def note_rule(lhs: Word, rhs: Word) -> None:
         nonlocal since_new
-        for i in range(1, max(len(lhs), len(rhs)) + 1):
-            d = rs.reduce(A.invert(lhs[:i]) + rhs[:i])
+        for d in rule_differences(rs, lhs, rhs):
             if d not in diff_words:
                 diff_words.add(d)
                 diff_words.add(rs.reduce(A.invert(d)))

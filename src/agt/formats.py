@@ -236,6 +236,8 @@ def read_json_object(path: str | Path, missing: str = "missing from the bundle")
         raise UsageError(f"{path}: {exc}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
     return data

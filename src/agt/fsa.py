@@ -457,9 +457,6 @@ class GrowthSeries:
     denominator: tuple[int, ...]
     coefficients: tuple[int, ...]
 
-    def term(self, n: int) -> int:
-        return _expand(self.numerator, self.denominator, n + 1)[n]
-
     def expand(self, n_terms: int) -> list[int]:
         return _expand(self.numerator, self.denominator, n_terms)
 

@@ -2,10 +2,11 @@
 
 Normal forms are computed by folding the multiplier automata (one
 functional partner lookup per letter), which makes the word problem,
-order, growth and enumeration immediate.  A lookup is one layered pass
-of :func:`agt.pairfsa.partners` over M_y's transition table, linear in
-|u| for a fixed structure and building no automaton, so a normal form
-of w costs O(|w|^2); lookups are memoised per structure, keyed (y, u).
+order, growth and enumeration immediate.  A lookup is one forward pass
+of :func:`agt.pairfsa.partners` over M_y's transition table that
+returns the unique partner, linear in |u| for a fixed structure and
+building no automaton, so a normal form of w costs O(|w|^2); lookups
+are memoised per structure, keyed (y, u).
 
 Conjugacy search follows the bounded-conjugator bound a^(|u|+|v|) with
 a = |X^+-|^k: the answer is tri-state, since reaching the full bound is
@@ -29,18 +30,21 @@ def _require_verified(s: AutomaticStructure) -> None:
 
 
 def multiply(s: AutomaticStructure, u: Word, y: int) -> Word:
-    """The unique v in L with u*y =_G v, for u already in normal form."""
+    """The unique v in L with u*y =_G v, for u already in normal form.
+
+    M_y of a verified structure relates each accepted u to exactly one
+    v; a lookup that finds none or several means the structure is
+    corrupt, and raises IntegrityError.
+    """
     key = (y, u)
     memo = s._partner_memo
     v = memo.get(key)
     if v is None:
-        vs = pairfsa.partners(s.multipliers[y], u)
-        if vs is None or len(vs) != 1:
+        v = pairfsa.partners(s.multipliers[y], u)
+        if v is None:
             raise IntegrityError(
-                f"multiplier lookup for symbol {y} on {u!r} returned "
-                f"{'infinitely many' if vs is None else len(vs)} partners"
+                f"multiplier lookup for symbol {y} on {u!r} has no unique partner"
             )
-        v = vs[0]
         memo[key] = v
     return v
 

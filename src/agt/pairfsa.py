@@ -276,7 +276,7 @@ def slice_first(p: PairDfa, u: Word, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     state); acceptance means the rest of u pads out to an accepting
     state.  Exact for any partner multiplicity, including none.  Used
     where an automaton of partners is needed (the functionality
-    witness); a plain lookup is :func:`partners`.
+    witness); the unique-partner lookup is :func:`partners`.
     """
     pa = p.pairs
     pad = pa.pad
@@ -308,65 +308,35 @@ def slice_first(p: PairDfa, u: Word, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     return Dfa(p.base, len(order), 0, accepting, table)
 
 
-def _live_overhang(p: PairDfa, starts: set[int]) -> set[int] | None:
-    """States reachable from ``starts`` by ($, b) moves that can still
-    reach acceptance by such moves; None when a loop runs through them
-    (then some pair (u, v) has infinitely many such v)."""
-    pad = p.pairs.pad
-    view = p.by_first
-    seen = set(starts)
-    stack = list(seen)
-    back: dict[int, list[int]] = {}
-    while stack:
-        s = stack.pop()
-        for _b, t in view[s].get(pad, ()):
-            back.setdefault(t, []).append(s)
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    stack = [s for s in seen if s in p.dfa.accepting]
-    live = set(stack)
-    while stack:
-        for s in back.get(stack.pop(), ()):
-            if s not in live:
-                live.add(s)
-                stack.append(s)
-    # a loop among live states survives peeling off those of in-degree 0
-    indeg = dict.fromkeys(live, 0)
-    for s in live:
-        for _b, t in view[s].get(pad, ()):
-            if t in indeg:
-                indeg[t] += 1
-    stack = [s for s, d in indeg.items() if d == 0]
-    peeled = 0
-    while stack:
-        peeled += 1
-        for _b, t in view[stack.pop()].get(pad, ()):
-            if t in indeg:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    stack.append(t)
-    return live if peeled == len(live) else None
+def partners(p: PairDfa, u: Word) -> Word | None:
+    """The unique v with (u, v) accepted; None when there is none or
+    more than one.
 
+    One forward pass over p's table, building no automaton.  Layer i
+    maps each state reached by a v of length i, read against u_0..u_{i-1}
+    and, once i passes |u|, against $, to the number of such paths,
+    capped at 2, one previous state and one letter b of v.  Before the
+    end of u, v may end at (i, s) when the rest of u padded with $ ends
+    accepting from s (memoised per position and state); from the end of
+    u on, when s accepts.  The pass stops at an empty layer, at the
+    second ended path, or after 2|Q| positions past the end of u, |Q|
+    being p's state count.  One ended path is read back along the
+    pointers.
 
-def partners(p: PairDfa, u: Word) -> list[Word] | None:
-    """Shortlex-sorted list of all v with (u, v) accepted; None when infinite.
-
-    One layered pass over p's table, building no automaton:
-
-    - forward: the states reached after each prefix u_0..u_{i-1} read
-      against a letter-for-letter prefix of v;
-    - overhang: the last layer closed under ($, b) moves (v outlives u);
-    - backward: the live states at each position, those from which the
-      rest of u padded with $ ends accepting (memoised per position and
-      state) or which have a move (u_i, b) to a live state;
-    - read-out: every live path, one per partner.  A loop among the
-      live overhang states gives infinitely many partners.
+    Why 2|Q| positions suffice.  Call v's part past the end of u its
+    overhang.  An overhang path that repeats a state has a loop, which
+    pumps into infinitely many partners; so a unique partner's overhang
+    repeats no state and is shorter than |Q|.  With several partners,
+    either every overhang is loop-free, so all of them are shorter than
+    |Q|, or cutting simple loops out of a looping one leaves an accepted
+    overhang path with no loop that still passes the last loop's state.
+    That path, and the same path with that simple loop put back, are two
+    partners with overhangs shorter than |Q| and 2|Q|.
 
     Only correctly padded encodings of (u, v) are followed, as in
-    :func:`slice_first`.  Cost O(|u| * r * d), where r bounds the states
-    reached at one position (at most p's state count) and d the moves per
-    state and letter.
+    :func:`slice_first`.  Cost O((|u| + |Q|) * r * d), where r bounds
+    the states in one layer (at most |Q|) and d the moves per state and
+    letter.
     """
     pad = p.pairs.pad
     rows = p.dfa.transitions
@@ -396,64 +366,41 @@ def partners(p: PairDfa, u: Word) -> list[Word] | None:
             pad_memo[j][t] = ok
         return ok
 
-    layers: list[set[int]] = [{p.dfa.initial}]
-    for a in u:
-        nxt = {t for s in layers[-1] for b, t in view[s].get(a, ()) if b != pad}
+    # state -> (paths capped at 2, previous state, letter b of v)
+    layer = {p.dfa.initial: (1, FAIL, FAIL)}
+    layers = [layer]
+    found = 0
+    end = (0, FAIL)
+    for i in range(nu + 2 * p.dfa.num_states):
+        if i < nu:
+            # most states have no (u_i, $) move, so that is tested first
+            col = pad_cols[i]
+            ends = [s for s in layer if rows[s][col] != FAIL and pad_ok(i, s)]
+        else:
+            ends = [s for s in layer if s in accepting]
+        for s in ends:
+            found += layer[s][0]
+            end = (i, s)
+        if found > 1:
+            return None
+        a = u[i] if i < nu else pad
+        nxt: dict[int, tuple[int, int, int]] = {}
+        for s, (n, _s, _b) in layer.items():
+            for b, t in view[s].get(a, ()):
+                if b != pad:
+                    got = nxt.get(t)
+                    nxt[t] = (n, s, b) if got is None else (2, got[1], got[2])
         if not nxt:
             break
-        layers.append(nxt)
-    last = len(layers) - 1
-
-    live_end = _live_overhang(p, layers[nu]) if last == nu else set()
-    if live_end is None:
+        layer = nxt
+        layers.append(layer)
+    if not found:
         return None
-    if last == nu:
-        live = [layers[nu] & live_end]
-    else:
-        col = pad_cols[last]
-        live = [{s for s in layers[last] if rows[s][col] != FAIL and pad_ok(last, s)}]
-    # most states have no (u_i, $) move, so that is tested before pad_ok
-    for i in range(last - 1, -1, -1):
-        a = u[i]
-        col = pad_cols[i]
-        ahead = live[-1]
-        here = set()
-        for s in layers[i]:
-            for b, t in view[s].get(a, ()):
-                if b != pad and t in ahead:
-                    here.add(s)
-                    break
-            else:
-                if rows[s][col] != FAIL and pad_ok(i, s):
-                    here.add(s)
-        live.append(here)
-    live.reverse()
-    if not live[0]:
-        return []
-
-    # depth first along live nodes (i, s); v holds the path's second
-    # letters, and each entry records v's length after its letter b
-    out: list[Word] = []
+    i, s = end
     v = bytearray()
-    todo: list[tuple[int, int, int, int]] = [(0, p.dfa.initial, 0, 0)]
-    while todo:
-        i, s, n, b = todo.pop()
-        if n:
-            del v[n - 1 :]
-            v.append(b)
-        if i < nu:
-            if rows[s][pad_cols[i]] != FAIL and pad_ok(i, s):
-                out.append(bytes(v))
-            if i < last:
-                ahead = live[i + 1]
-                for b, t in view[s].get(u[i], ()):
-                    if b != pad and t in ahead:
-                        todo.append((i + 1, t, n + 1, b))
-        else:
-            if s in accepting:
-                out.append(bytes(v))
-            for b, t in view[s].get(pad, ()):
-                if t in live_end:
-                    todo.append((i, t, n + 1, b))
-    out.sort(key=lambda w: (len(w), w))
-    return out
+    while i:
+        _n, s, b = layers[i][s]
+        v.append(b)
+        i -= 1
+    v.reverse()
+    return bytes(v)

@@ -11,6 +11,8 @@ constructions downstream need no special cases.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .pairfsa import PairAlphabet
 from .rewrite import RewriteSystem
 from .words import Word
@@ -56,15 +58,13 @@ class WordDifferenceMachine:
     def state_of(self, w: Word) -> int | None:
         return self.index.get(w)
 
-    def dump(self) -> str:
-        """One line per state, then one line per defined transition."""
-        fmt = self.alphabet.format_word
-        lines = [f"state {i} {fmt(w)!r}" for i, w in enumerate(self.words)]
-        for s, row in enumerate(self.table):
-            for k, t in enumerate(row):
-                if t >= 0:
-                    lines.append(f"{s} {self.pairs.alphabet.names[k]} {t}")
-        return "\n".join(lines)
+
+def rule_differences(rs: RewriteSystem, lhs: Word, rhs: Word) -> Iterator[Word]:
+    """The reduced differences lhs(i)^-1 rhs(i) of a rule lhs -> rhs,
+    for i = 1..max(|lhs|, |rhs|)."""
+    inv = rs.alphabet.invert
+    for i in range(1, max(len(lhs), len(rhs)) + 1):
+        yield rs.reduce(inv(lhs[:i]) + rhs[:i])
 
 
 def accumulate_from_rules(rs: RewriteSystem) -> WordDifferenceMachine:
@@ -83,9 +83,8 @@ def accumulate_from_rules(rs: RewriteSystem) -> WordDifferenceMachine:
 
     ordered: dict[Word, None] = {b"": None}
     for _, (u, v) in rs.live_items():
-        m = max(len(u), len(v))
-        for i in range(1, m + 1):
-            ordered.setdefault(red(inv(u[:i]) + v[:i]), None)
+        for d in rule_differences(rs, u, v):
+            ordered.setdefault(d, None)
     # inversion closure (reduced inverses are states too); the list
     # grows while it is walked
     work = list(ordered)
@@ -98,7 +97,6 @@ def accumulate_from_rules(rs: RewriteSystem) -> WordDifferenceMachine:
     words = tuple(ordered)
     index = {w: i for i, w in enumerate(words)}
     pad = pa.pad
-    n = A.size
     table = []
     for d in words:
         row = [-1] * pa.alphabet.size

@@ -11,15 +11,18 @@ use only its field arithmetic and form; the padding checks read a pair
 automaton's table, and the critical pairs and difference runs read a
 rewrite system's rules and a difference machine's table.  None of these
 shares code with the package.  The builders at the end make small
-package objects the tests need, from the package's public constructors.
+package objects the tests need, from the package's public constructors,
+and the slice route answers a partner lookup through ``slice_first``
+and the automaton counts, not the forward pass of ``partners``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from agt import fsa
 from agt.fsa import Dfa
-from agt.pairfsa import encode_pair
+from agt.pairfsa import encode_pair, slice_first
 
 
 class GroupModel:
@@ -532,3 +535,21 @@ def accepts_pair(p, u: bytes, v: bytes) -> bool:
 def matrix_to_json(m) -> dict:
     """A Coxeter matrix in the file format ``formats.matrix_from_json`` reads."""
     return {"rank": m.rank, "m": [list(row) for row in m.m]}
+
+
+def slice_route_partners(p, u: bytes) -> list[bytes] | None:
+    """Every v with (u, v) accepted by p, shortlex-sorted, or None when
+    there are infinitely many: the slice automaton's finiteness, then
+    its enumeration."""
+    sl = slice_first(p, u)
+    count = fsa.language_is_finite(sl)
+    if count is None:
+        return None
+    return fsa.enumerate_words(sl, len(u) + p.dfa.num_states + 1) if count else []
+
+
+def slice_route_unique(p, u: bytes) -> bytes | None:
+    """The slice route mapped to the lookup's contract: the only
+    partner, else None."""
+    vs = slice_route_partners(p, u)
+    return vs[0] if vs is not None and len(vs) == 1 else None

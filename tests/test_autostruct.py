@@ -30,6 +30,8 @@ from oracles import (
     empty_language_dfa,
     run_pair,
     s3_model,
+    slice_route_partners,
+    slice_route_unique,
 )
 
 
@@ -178,10 +180,11 @@ def test_multiplier_pairs_fellow_travel_in_differences(ab_alphabet, z2_structure
     for y in range(A.size):
         mult = s.multipliers[y]
         for u in fsa.enumerate_words(s.word_acceptor, 4):
-            for v in pairfsa.partners(mult, u):
-                ok, state = run_pair(d, u, v)
-                assert ok
-                assert d.words[state] == d.reducer.reduce(bytes((y,)))
+            v = pairfsa.partners(mult, u)
+            assert slice_route_partners(mult, u) == [v]
+            ok, state = run_pair(d, u, v)
+            assert ok
+            assert d.words[state] == d.reducer.reduce(bytes((y,)))
 
 
 # -- elementary checks ------------------------------------------------------
@@ -223,7 +226,9 @@ def test_functionality_defect_beyond_short_words(ab_alphabet, z2_structure):
     one_pair = Dfa(m_a.pairs.alphabet, len(pw) + 1, 0, [len(pw)], rows)
     bad = PairDfa(A, fsa.boolean_op("or", m_a.dfa, one_pair), m_a.pairs)
     for u in fsa.enumerate_words(s.word_acceptor, 6):
-        assert len(pairfsa.partners(bad, u)) == 1
+        assert slice_route_partners(bad, u) == [pairfsa.partners(bad, u)]
+    # two partners, a^9 and a^8 b, for a^8
+    assert pairfsa.partners(bad, A.parse_word("a" * 8)) is None
     report = elementary_checks(_with_multiplier(s, a, bad))
     assert report.failures == [
         CheckFailure(
@@ -435,7 +440,7 @@ def test_unique_multiplier_partner_matches_reduction(
         A = s.alphabet
         for u in fsa.enumerate_words(s.word_acceptor, 4):
             for y in range(A.size):
-                vs = pairfsa.partners(s.multipliers[y], u)
-                assert len(vs) == 1
-                assert vs[0] == rs.reduce(u + bytes((y,)))
-                assert rs.reduce(u + bytes((y,)) + A.invert(vs[0])) == b""
+                v = pairfsa.partners(s.multipliers[y], u)
+                assert v == slice_route_unique(s.multipliers[y], u)
+                assert v == rs.reduce(u + bytes((y,)))
+                assert rs.reduce(u + bytes((y,)) + A.invert(v)) == b""

@@ -327,6 +327,14 @@ def _replace(name, **fields):
     return edit
 
 
+def _write_raw(name, text):
+    def edit(bundle):
+        (bundle / name).write_text(text)
+        return bundle / name
+
+    return edit
+
+
 Z2_ORDER = {"generators": ["a", "b"], "inverses": {"a": "A", "b": "B"}, "relators": ["abAB"]}
 
 FLOAT_TARGET = {
@@ -376,6 +384,7 @@ MALFORMED_FILES = {
         "the empty word first",
     ),
     "meta_k_differs_from_diff": (["order"], _replace("meta.json", k=3), "'k' differs"),
+    "meta_nested_too_deeply": (["order"], _write_raw("meta.json", "[" * 100_000), "nested too deeply"),
     "generator_without_inverse": (
         ["kb"], {"generators": ["a", "b"], "inverses": {"a": "A"}, "relators": []},
         "generator 'b'",

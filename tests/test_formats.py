@@ -85,15 +85,6 @@ def test_presentation_order_lists_every_symbol_once(order):
         formats.presentation_from_json({**data, "order": order})
 
 
-def test_diff_dump_format(z2_structure):
-    text = z2_structure.diff_machine.dump()
-    lines = text.splitlines()
-    assert lines[0] == "state 0 ''"
-    assert any(line.startswith("state ") for line in lines)
-    # transition triples: source, symbol name, target
-    assert any(line.split()[1].startswith("(") for line in lines if not line.startswith("state"))
-
-
 def test_dfa_roundtrip(free_structure):
     wa = free_structure.word_acceptor
     data = json.loads(formats.dumps(formats.dfa_to_json(wa)))
