@@ -66,6 +66,7 @@ COXETER = {
     "A3": _path(3, 3),
     "B3": _path(4, 3),
     "H3": _path(5, 3),
+    "F4": _path(3, 4, 3),
     # infinite: distinct small roots can have B <= -1 here, never in a finite group
     "C3aff": _path(4, 3, 4),
     "T237": CoxeterMatrix([[1, 2, 7], [2, 1, 3], [7, 3, 1]]),
@@ -75,6 +76,8 @@ ACCEPTORS = {
     ("A3", "geodesic"): "fb991376e5f9e03fc323d27395842c2e782c66561fe26d17709296652b97d1fd",
     ("B3", "shortlex"): "4a476cbd7dbe8c165f7b1c9aef04cb88972f99372181aa646c2b30e83101da8b",
     ("B3", "geodesic"): "9dd3a4497322e234d210135b2934bdacd9a8e00e2485ac5fcad92b5cae2157e1",
+    ("F4", "shortlex"): "bb2146bfe7adcdc1b63138e3014c0e0ed960b0130eb8f499580373f6c1d81863",
+    ("F4", "geodesic"): "d02d54ca9bc61c09ad8cea31a320d679defe447e3eb9a921ea891be27a1bdd06",
     ("H3", "shortlex"): "da4b02a903bce4c8579ff8970c9c82adcf62de98f1a76519e8642249b44864a7",
     ("H3", "geodesic"): "bac9e7a99196ef186f9f787f49309b1ba9fb1793e08b4e329a15a7d42994c019",
     ("C3aff", "shortlex"): "f507925909e75934bde6c04b027188e530b7649d03012eec0fae8508888c441b",
