@@ -9,7 +9,11 @@ state alphabet of the shortlex word acceptor.  ``small_roots`` builds
 them by their closure characterisation, one exact inner product per
 root and generator, with no dominance test; the same products give the
 action of each s_i on the small roots, so the acceptors do no field
-arithmetic.  The geodesic acceptor omits the shortlex-precedence term.
+arithmetic.  An acceptor state is a subset of the small roots held as
+an int bitmask, and its image under a generator is read from per-byte
+tables of that action.  The geodesic acceptor omits the
+shortlex-precedence term; for a finite group it is minimal as explored
+and skips the refinement.
 """
 
 from __future__ import annotations
@@ -166,27 +170,67 @@ def _subset_acceptor(
     shortlex: bool,
     state_cap: int,
 ) -> Dfa:
+    """The subset construction of both acceptors, its states bitmasks
+    over the small roots (bit r is root r), explored from the empty set.
+
+    A geodesic table with a finite language is returned as explored,
+    with no refinement: it is already minimal and canonical.  The
+    language is finite only when W is, and then the form B is positive
+    definite, so |B(alpha, beta)| < 1 for distinct positive roots.  A
+    root dominates another only when their product is at least 1, so
+    every positive root is small, and the state after reading w is the
+    whole set N(w) of positive roots that w sends negative.  N(w)
+    determines w, so there is exactly one state per element of W.
+    Distinct elements have distinct cone types, since the cone type of w
+    is the right-weak-order interval below w^-1 w_0, whose top element
+    fixes w (Björner & Brenti, *Combinatorics of Coxeter Groups*,
+    ch. 3).  So there are at least |W| Nerode classes; every state
+    accepts, and the table is minimal.  ``fsa.explore`` numbers states
+    breadth-first with symbols in ascending order, which is the
+    numbering ``fsa.canonical`` gives.  Infinite groups need the
+    refinement: the C~3 geodesic table has 343 states and its minimal
+    automaton 317, the (2,3,7) triangle group's 40 and 35.  The
+    shortlex table is always refined.
+    """
     alphabet = _coxeter_alphabet(matrix, names)
     action = small_roots(matrix)[2]
-    # simple root i is root i; generator precedence is alphabet position
-    shortlex_extra = [
-        [k for k in action[i][:i] if k is not None] if shortlex else []
-        for i in range(matrix.rank)
-    ]
+    n_roots = len(action[0])
+    n_bytes = (n_roots + 7) // 8
+    # Per generator i: the bit of e_i; the mask every successor holds,
+    # e_i and for shortlex the images of e_k for k < i (simple root k is
+    # root k); and per byte of a state, a table from the byte's value to
+    # the images of its roots.  Distinct roots have distinct images, so
+    # the bytes' images are disjoint and add.  The tables hold at most
+    # 256 * ceil(roots / 8) * rank entries, 7,680 for E6's 36 roots and
+    # rank 6; a last byte of fewer than 8 roots has a shorter table.
+    generators = []
+    for i, images in enumerate(action):
+        fixed = 1 << i
+        if shortlex:
+            for k in images[:i]:
+                if k is not None:
+                    fixed |= 1 << k
+        byte_tables = []
+        for low in range(0, n_roots, 8):
+            table = [0]
+            for k in images[low : low + 8]:
+                bit = 0 if k is None else 1 << k
+                table += [image | bit for image in table]
+            byte_tables.append(table)
+        generators.append((1 << i, fixed, byte_tables))
 
-    def expand(S: frozenset[int], index: dict) -> list[int]:
-        row = []
-        for i, images in enumerate(action):
-            if i in S:
-                row.append(FAIL)
-                continue
-            nxt = {i, *shortlex_extra[i]}
-            nxt.update(images[r] for r in S if images[r] is not None)
-            row.append(index[frozenset(nxt)])
-        return row
+    def expand(S: int, index: dict) -> list[int]:
+        data = S.to_bytes(n_bytes, "little")
+        return [
+            FAIL if S & bit else index[fixed | sum(map(list.__getitem__, byte_tables, data))]
+            for bit, fixed, byte_tables in generators
+        ]
 
-    order, rows = fsa.explore(frozenset(), expand, state_cap, "acceptor subset states")
-    return fsa.minimize(Dfa(alphabet, len(order), 0, range(len(order)), rows))
+    order, rows = fsa.explore(0, expand, state_cap, "acceptor subset states")
+    dfa = Dfa(alphabet, len(order), 0, range(len(order)), rows)
+    if not shortlex and fsa.language_is_finite(dfa) is not None:
+        return dfa
+    return fsa.minimize(dfa)
 
 
 def build_shortlex_word_acceptor(
@@ -197,10 +241,11 @@ def build_shortlex_word_acceptor(
     """Word acceptor for the shortlex normal forms over the standard
     generators (precedence = listed order).
 
-    States are reachable subsets S of the small roots; reading x_i fails
-    when e_i lies in S and otherwise maps S to the small-root part of
-    {x_i(a) : a in S} + {e_i} + {x_i(e_k) : x_k before x_i}, each image
-    read from the action table of ``small_roots``: no field arithmetic.
+    States are reachable subsets S of the small roots, held as bitmasks;
+    reading x_i fails when e_i lies in S and otherwise maps S to the
+    small-root part of {x_i(a) : a in S} + {e_i} + {x_i(e_k) : x_k before
+    x_i}, each image read from the action table of ``small_roots``: no
+    field arithmetic.  The table is then minimised.
     """
     return _subset_acceptor(matrix, names, True, state_cap)
 
@@ -211,5 +256,7 @@ def build_geodesic_acceptor(
     state_cap: int = fsa.DEFAULT_STATE_CAP,
 ) -> Dfa:
     """Acceptor for all geodesic words: the same subset construction
-    without the shortlex-precedence term."""
+    without the shortlex-precedence term.  For a finite group it has one
+    state per element and is returned unrefined, since it is already
+    minimal; an infinite group's table is minimised."""
     return _subset_acceptor(matrix, names, False, state_cap)

@@ -185,12 +185,30 @@ META_FILE = "meta.json"
 RULES_FILE = "rules.txt"
 
 
-def _multiplier_filename(a: Alphabet, key: int | None) -> str:
-    return "m_eps.json" if key is None else f"m_{a.names[key]}.json"
+def _multiplier_filenames(a: Alphabet) -> dict[int | None, str]:
+    """The multiplier file of each key, epsilon first.
+
+    Raises UsageError unless the names are distinct plain file names: a
+    generator named ``eps`` would share the epsilon multiplier's file,
+    and a name with a path separator leaves the bundle directory.
+    """
+    keys = [None, *range(a.size)]
+    files = {key: f"m_{'eps' if key is None else a.names[key]}.json" for key in keys}
+    for key, name in files.items():
+        if Path(name).name != name or "\0" in name:
+            raise UsageError(f"generator {a.names[key]!r} cannot name a multiplier file")
+    if len(set(files.values())) != len(files):
+        raise UsageError("a generator named 'eps' would share the epsilon multiplier's file")
+    return files
 
 
 def save_structure(s: AutomaticStructure, outdir: str | Path) -> list[str]:
-    """Write a structure bundle directory; returns the file names written."""
+    """Write a structure bundle directory; returns the file names written.
+
+    Nothing is written when the generator names cannot name the
+    multiplier files (see ``_multiplier_filenames``).
+    """
+    multiplier_files = _multiplier_filenames(s.alphabet)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -201,11 +219,8 @@ def save_structure(s: AutomaticStructure, outdir: str | Path) -> list[str]:
 
     write(PRESENTATION_FILE, dumps(presentation_to_json(s.presentation)))
     write(WA_FILE, dumps(dfa_to_json(s.word_acceptor)))
-    for key in sorted(s.multipliers, key=lambda k: (k is not None, k or 0)):
-        write(
-            _multiplier_filename(s.alphabet, key),
-            dumps(pairdfa_to_json(s.multipliers[key])),
-        )
+    for key, name in multiplier_files.items():
+        write(name, dumps(pairdfa_to_json(s.multipliers[key])))
     write(DIFF_FILE, dumps(diff_to_json(s.diff_machine)))
     write(
         META_FILE,
@@ -285,8 +300,8 @@ def load_structure(bundle: str | Path) -> AutomaticStructure:
     if not isinstance(verified, bool):
         raise UsageError(f"{meta_path}: 'verified' must be true or false")
     multipliers: dict[int | None, PairDfa] = {}
-    for key in [None, *range(alphabet.size)]:
-        mp = path / _multiplier_filename(alphabet, key)
+    for key, name in _multiplier_filenames(alphabet).items():
+        mp = path / name
         loaded = parse_json_file(mp, dfa_from_json)
         if not isinstance(loaded, PairDfa) or loaded.base != alphabet:
             raise UsageError(

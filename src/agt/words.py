@@ -27,7 +27,8 @@ MAX_SYMBOLS = 255  # words are bytes; index 255 reserved
 class Alphabet:
     """Ordered symbol set with an involutive inverse pairing.
 
-    The given order of ``names`` is the total order used by shortlex.
+    The given order of ``names`` is the total order used by shortlex;
+    each name is nonempty text without whitespace.
     ``inverse`` lists, for each position, the position of the inverse
     symbol; it must be an involution.
     """
@@ -41,6 +42,15 @@ class Alphabet:
             raise UsageError("alphabet must have at least one symbol")
         if len(names) > MAX_SYMBOLS:
             raise UsageError(f"alphabet too large ({len(names)} > {MAX_SYMBOLS})")
+        # parse_word splits on whitespace, so such a name could not be read back
+        try:
+            plain = " ".join(names).split() == list(names)
+        except TypeError:  # a name that is not text
+            plain = False
+        if not plain:
+            raise UsageError(
+                f"symbol names must be nonempty text without whitespace: {list(names)!r}"
+            )
         if len(set(names)) != len(names):
             raise UsageError("alphabet symbol names must be distinct")
         if len(inverse) != len(names):

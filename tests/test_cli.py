@@ -106,6 +106,22 @@ def test_cox_subcommands(a2_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "equal"
 
 
+@pytest.mark.parametrize("names", ["a,", ",b", "a b,c"])
+def test_cox_names_must_be_nonempty_without_whitespace(names, a2_file, capsys):
+    assert main(["cox", "wa", a2_file, "--names", names]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["eps", "a/b"])
+def test_autstructure_refuses_names_that_cannot_name_files(name, tmp_path, capsys):
+    src = tmp_path / "pres.json"
+    src.write_text(json.dumps({"generators": [name], "inverses": {name: "E"}, "relators": []}))
+    out = tmp_path / "bundle"
+    assert main(["autstructure", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_fsa_algebra(a2_file, tmp_path, capsys):
     wa_path = tmp_path / "wa.json"
     geo_path = tmp_path / "geo.json"

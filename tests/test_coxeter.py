@@ -25,6 +25,7 @@ from oracles import (
     dominance_semi_oracle,
     dominates,
     inner,
+    minimal_state_count,
     positive_roots_by_depth,
     reflect,
     root_sign,
@@ -233,15 +234,32 @@ def test_corpus_other_roots_dominate_a_small_root(name):
 
 
 def test_h4_small_roots_and_acceptor():
-    """H4: all 60 positive roots are small, and the shortlex acceptor
-    counts the 14400 group elements, within a generous time limit."""
+    """H4: all 60 positive roots are small, the shortlex acceptor counts
+    the 14400 group elements, and the geodesic acceptor has one state
+    per element, within a generous time limit."""
     h4 = linear(5, 3, 3)
     start = time.perf_counter()
     ctx, roots, _ = small_roots(h4)
     assert len(roots) == 60
     wa = build_shortlex_word_acceptor(h4)
     assert fsa.language_is_finite(wa) == 14400
+    assert build_geodesic_acceptor(h4).num_states == 14400
     assert time.perf_counter() - start < 60.0
+
+
+@pytest.mark.parametrize(
+    "matrix", [A2, B2, linear(3, 3), linear(4, 3), linear(5, 3), linear(3, 4, 3)],
+    ids=["A2", "B2", "A3", "B3", "H3", "F4"],
+)
+def test_finite_geodesic_acceptor_is_minimal(matrix):
+    """A finite group's geodesic acceptor, returned without refinement,
+    has one state per element and is its own minimal automaton."""
+    geo = build_geodesic_acceptor(matrix)
+    assert geo.num_states == minimal_state_count(
+        geo.num_states, geo.initial, geo.accepting, geo.transitions
+    )
+    assert geo.num_states == fsa.language_is_finite(build_shortlex_word_acceptor(matrix))
+    assert fsa.minimize(geo) == geo
 
 
 def test_small_root_cap(monkeypatch):

@@ -125,6 +125,46 @@ def test_bundle_keeps_an_explicit_order(tmp_path):
     assert formats.load_structure(tmp_path).alphabet == pres.alphabet
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"generators": ["a b"], "inverses": {"a b": "A"}, "relators": []},
+        {"generators": ["a"], "inverses": {"a": ""}, "relators": []},
+        {"generators": [""], "involutions": [""], "relators": []},
+        {"generators": [1], "involutions": [1], "relators": []},
+    ],
+)
+def test_presentation_refuses_names_that_are_not_plain_text(data):
+    with pytest.raises(UsageError):
+        formats.presentation_from_json(data)
+
+
+@pytest.mark.parametrize("name", ["eps", "a/b", "a\0b"])
+def test_bundle_refuses_names_that_cannot_name_multiplier_files(name, tmp_path):
+    pres = formats.presentation_from_json(
+        {"generators": [name], "inverses": {name: "E"}, "relators": []}
+    )
+    s = derive_shortlex_structure(pres).structure
+    out = tmp_path / "bundle"
+    with pytest.raises(UsageError):
+        formats.save_structure(s, out)
+    assert not out.exists()
+
+
+def test_bundle_with_an_eps_generator_does_not_load(tmp_path):
+    """A bundle whose generator eps overwrote the epsilon multiplier's
+    file, as a writer without the name check left it, is refused."""
+    pres = formats.presentation_from_json(
+        {"generators": ["x"], "inverses": {"x": "E"}, "relators": []}
+    )
+    formats.save_structure(derive_shortlex_structure(pres).structure, tmp_path)
+    for f in tmp_path.glob("*.json"):
+        f.write_text(f.read_text().replace('"x"', '"eps"'))
+    (tmp_path / "m_x.json").replace(tmp_path / "m_eps.json")
+    with pytest.raises(UsageError):
+        formats.load_structure(tmp_path)
+
+
 def test_diff_roundtrip(z2_structure):
     d = z2_structure.diff_machine
     data = json.loads(formats.dumps(formats.diff_to_json(d)))

@@ -19,6 +19,9 @@ def test_alphabet_validation():
         Alphabet(["a", "b"], [1, 0, 0])
     with pytest.raises(UsageError):
         Alphabet(["a", "b"], [0, 0])  # not an involution
+    for names in (["a", ""], ["a b", "c"], ["a\tb"], [" a"], ["a\n"], [1]):
+        with pytest.raises(UsageError):  # empty, with whitespace, not text
+            Alphabet(names, range(len(names)))
 
 
 def test_inverse_closed_layout(ab_alphabet):
