@@ -66,22 +66,24 @@ def build_candidate_word_acceptor(
                     out.append((x, FAIL if d2 == eps and f != _GT else d2 * 4 + f))
         return out
 
-    return fsa.minimize(fsa.determinize(
+    return fsa.determinize(
         alphabet, equal, moves, lambda item: item == equal, state_cap, "word acceptor states"
-    ))
+    )
 
 
 class MultiplierProduct(NamedTuple):
     """The padded product of two word-acceptor runs with the difference
     machine, explored once for every multiplier.
 
-    ``labels[i]`` is the difference state of product state ``i`` when
-    both runs end accepted, and FAIL otherwise: only which label
-    accepts depends on the multiplier's key.
+    ``rows[i]`` lists product state ``i``'s defined moves as
+    ``(pair symbol, target)`` pairs, symbols ascending, as
+    :func:`fsa.minimal` reads them.  ``labels[i]`` is the difference
+    state of product state ``i`` when both runs end accepted, and FAIL
+    otherwise: only which label accepts depends on the multiplier's key.
     """
 
     pairs: PairAlphabet
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
     labels: list[int]
 
 
@@ -110,20 +112,20 @@ def build_multipliers(
     step.append((FAIL,) * pad + (done,))
     final = wa.accepting | {done}
 
-    def expand(state: tuple[int, int, int], index: dict) -> list[int]:
+    def expand(state: tuple[int, int, int], index: dict) -> tuple[tuple[int, int], ...]:
         su, sv, d = state
         ru, rv = step[su], step[sv]
-        row = [FAIL] * len(symbols)
+        row = []
         for k, (a, b) in enumerate(symbols):
             d2 = diff.step_sym(d, k)
             if d2 >= 0 and ru[a] != FAIL and rv[b] != FAIL:
-                row[k] = index[ru[a], rv[b], d2]
-        return row
+                row.append((k, index[ru[a], rv[b], d2]))
+        return tuple(row)
 
     start = (wa.initial, wa.initial, diff.initial)
     order, rows = fsa.explore(start, expand, state_cap, "multiplier states")
     labels = [d if su in final and sv in final else FAIL for su, sv, d in order]
-    product = MultiplierProduct(pa, tuple(map(tuple, rows)), labels)
+    product = MultiplierProduct(pa, tuple(rows), labels)
     del order, rows  # only the product stays alive across the minimisations
     reduce = diff.reducer.reduce if diff.reducer else bytes
     keys = (EPSILON_KEY, *range(wa.alphabet.size))
@@ -140,7 +142,7 @@ def build_multiplier(product: MultiplierProduct, target: int | None) -> PairDfa:
     """
     pa, rows, labels = product
     accepting = [i for i, d in enumerate(labels) if d == target]
-    return PairDfa(pa.base, fsa.minimize(Dfa(pa.alphabet, len(rows), 0, accepting, rows)), pa)
+    return PairDfa(pa.base, fsa.minimal(pa.alphabet, 0, accepting, rows), pa)
 
 
 @dataclass

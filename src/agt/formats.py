@@ -59,19 +59,16 @@ def dfa_to_json(m: Dfa, pair: bool = False, base: Alphabet | None = None) -> dic
     return data
 
 
-def dfa_from_json(data: dict) -> Dfa | PairDfa:
+def dfa_from_json(data: dict, pairs: PairAlphabet | None = None) -> Dfa | PairDfa:
+    """The automaton of an automaton file.  A pair automaton over the
+    base of ``pairs`` reuses that pair alphabet instead of building one."""
     base = _alphabet_from_json(data)
-    alphabet = PairAlphabet(base).alphabet if data.get("pairAlphabet") else base
-    m = Dfa(
-        alphabet,
-        data["states"],
-        data["initial"],
-        data["accepting"],
-        data["transitions"],
-    )
-    if data.get("pairAlphabet"):
-        return PairDfa(base, m)
-    return m
+    if not data.get("pairAlphabet"):
+        return Dfa(base, data["states"], data["initial"], data["accepting"], data["transitions"])
+    if pairs is None or pairs.base != base:
+        pairs = PairAlphabet(base)
+    m = Dfa(pairs.alphabet, data["states"], data["initial"], data["accepting"], data["transitions"])
+    return PairDfa(base, m, pairs)
 
 
 def pairdfa_to_json(p: PairDfa) -> dict:
@@ -302,7 +299,7 @@ def load_structure(bundle: str | Path) -> AutomaticStructure:
     multipliers: dict[int | None, PairDfa] = {}
     for key, name in _multiplier_filenames(alphabet).items():
         mp = path / name
-        loaded = parse_json_file(mp, dfa_from_json)
+        loaded = parse_json_file(mp, lambda data: dfa_from_json(data, diff.pairs))
         if not isinstance(loaded, PairDfa) or loaded.base != alphabet:
             raise UsageError(
                 f"{mp}: not a pair automaton over the presentation's alphabet"

@@ -6,9 +6,12 @@ implicit and never counted in ``num_states``).  Minimized automata are
 canonical: states are live (reachable and co-reachable) and numbered
 breadth-first from the initial state with symbols taken in alphabet
 order, so two minimized automata accept the same language iff they are
-structurally equal.  Minimization reads defined transitions only: one
-trim pass finds the reachable and live states and the moves into each,
-and Hopcroft refinement runs on the live states with no sink state.
+structurally equal.  Minimization reads defined transitions only, as
+sparse rows of ``(symbol, target)`` pairs: one trim pass finds the
+reachable and live states and the moves into each, and Hopcroft
+refinement runs on the live states with no sink state.  The subset
+construction hands its rows to that core directly and returns the
+minimal automaton; ``minimize`` is the adapter from a dense table.
 
 Language analytics (finiteness, counting, growth series) are exact over
 arbitrary-precision integers; growth series are returned as integer
@@ -155,74 +158,148 @@ def determinize(
     state_cap: int = DEFAULT_STATE_CAP,
     what: str = "subset construction states",
 ) -> Dfa:
-    """Subset construction over a nondeterministic machine given by moves.
+    """The minimal automaton of a nondeterministic machine given by
+    moves, by the subset construction over its live states.
 
     ``moves(state)`` lists a state's ``(symbol, target)`` moves, with
-    ``None`` as the symbol of an epsilon move; it is asked once per
-    state.  ``accepting(state)`` says whether a state accepts.  Only the
-    subsets reachable from ``start`` are built, each closed under
-    epsilon moves, and a subset's row comes from the moves its members
-    have.  A move on a symbol may target ``FAIL``: a subset with such a
-    member has no move on that symbol, and ``FAIL`` is never expanded.
-    Subsets are numbered by :func:`explore` under ``state_cap``/``what``.
+    ``None`` as the symbol of an epsilon move; ``accepting(state)`` says
+    whether a state accepts.  A move on a symbol may target ``FAIL``: a
+    subset with such a member has no move on that symbol, and ``FAIL``
+    is never expanded.
+
+    One walk from ``start`` visits each reachable machine state once,
+    asking for its moves and its acceptance once; for a composition
+    that is at most (|p| + 1)(|q| + 1) product states.  A state is live
+    when it can reach an accepting state or a move to ``FAIL``, and only
+    the moves into live states and the moves to ``FAIL`` are kept.  A
+    dead member never accepts and never kills a symbol, so removing it
+    changes no subset's language; subsets that differ only in dead
+    members become one, and a symbol whose targets are all dead has no
+    move.  When ``start`` is not live the result is the one-state empty
+    automaton.
+
+    The subsets reachable from ``start``, each closed under epsilon
+    moves, are numbered by :func:`explore` under ``state_cap``/``what``:
+    the cap counts subsets, not machine states.  Their rows go to
+    :func:`minimal` as sorted ``(symbol, target)`` lists, with no
+    intermediate :class:`Dfa`.
     """
-    known: dict = {}  # state -> (its epsilon targets, its other moves)
+    walk = [start]  # grows while it is walked, so it is the queue
+    state_moves = {start: moves(start)}
+    into: dict = {}  # state -> the states with a move into it
+    final = set()
+    live = set()  # grows from the accepting states and those with a move to FAIL
+    for s in walk:
+        if accepting(s):
+            final.add(s)
+            live.add(s)
+        for _c, t in state_moves[s]:
+            if t == FAIL:
+                live.add(s)
+            elif t in into:
+                into[t].append(s)
+            else:
+                into[t] = [s]
+                if t not in state_moves:
+                    state_moves[t] = moves(t)
+                    walk.append(t)
+    stack = list(live)
+    while stack:
+        for s in into.get(stack.pop(), ()):
+            if s not in live:
+                live.add(s)
+                stack.append(s)
+    if start not in live:
+        return minimal(alphabet, 0, (), [()])
+    del walk, into
+    epsilon: dict = {}  # live state -> its epsilon moves into live states
+    step: dict = {}  # live state -> its other kept moves
+    for s in live:
+        m = state_moves[s]
+        epsilon[s] = [t for c, t in m if c is None and t in live]
+        step[s] = [(c, t) for c, t in m if c is not None and (t == FAIL or t in live)]
+    del state_moves
 
     def closure(states: set) -> frozenset:
-        stack = list(states)
+        stack = [s for s in states if epsilon[s]]
         while stack:
-            s = stack.pop()
-            if s not in known:
-                m = moves(s)
-                known[s] = [t for c, t in m if c is None], [ct for ct in m if ct[0] is not None]
-            for t in known[s][0]:
+            for t in epsilon[stack.pop()]:
                 if t not in states:
                     states.add(t)
                     stack.append(t)
         return frozenset(states)
 
-    def expand(subset: frozenset, index: dict) -> list[int]:
+    def expand(subset: frozenset, index: dict) -> list[tuple[int, int]]:
         targets: dict[int, set] = {}
         for s in subset:
-            for c, t in known[s][1]:
+            for c, t in step[s]:
                 if c in targets:
                     targets[c].add(t)
                 else:
                     targets[c] = {t}
-        row = [FAIL] * alphabet.size
-        for c in sorted(targets):
-            if FAIL not in targets[c]:
-                row[c] = index[closure(targets[c])]
-        return row
+        return [(c, index[closure(targets[c])]) for c in sorted(targets) if FAIL not in targets[c]]
 
     order, rows = explore(closure({start}), expand, state_cap, what)
-    accept = [i for i, subset in enumerate(order) if any(map(accepting, subset))]
-    return Dfa(alphabet, len(order), 0, accept, rows)
+    accept = [i for i, subset in enumerate(order) if not final.isdisjoint(subset)]
+    del order
+    return minimal(alphabet, 0, accept, rows)
 
 
 # -- minimization ------------------------------------------------------
+#
+# The core reads sparse rows: ``rows[s]`` lists state s's defined moves
+# as ``(symbol, target)`` pairs with the symbols ascending.
 
 
-def _trim(dfa: Dfa) -> tuple[list[int], set[int], dict[int, list[tuple[int, int]]]]:
-    """One pass over the defined moves of the reachable part of ``dfa``.
+def minimal(
+    alphabet: Alphabet,
+    initial: int,
+    accepting: Iterable[int],
+    rows: Sequence[Sequence[tuple[int, int]]],
+) -> Dfa:
+    """Canonical minimal automaton of the table ``rows`` (sparse, symbols
+    ascending) from ``initial``, the states ``accepting`` accepting.
+
+    Hopcroft partition refinement on the live states, then
+    :func:`canonical` on the quotient.  Equal languages give
+    structurally identical results, which is the automaton equality
+    used everywhere else.
+    """
+    # the refinement's tables are freed before the renumbering runs
+    return canonical(alphabet, *_hopcroft_quotient(initial, accepting, rows))
+
+
+def minimize(dfa: Dfa) -> Dfa:
+    """Canonical minimal automaton for the language of ``dfa``: the
+    :func:`minimal` automaton of its defined moves."""
+    return minimal(dfa.alphabet, dfa.initial, dfa.accepting, _moves(dfa))
+
+
+def _moves(dfa: Dfa) -> list[list[tuple[int, int]]]:
+    """The sparse rows of ``dfa``: each state's defined moves."""
+    return [[(c, t) for c, t in enumerate(row) if t != FAIL] for row in dfa.transitions]
+
+
+def _trim(
+    initial: int, accepting: AbstractSet[int], rows: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[list[int], set[int], dict[int, list[tuple[int, int]]]]:
+    """One pass over the sparse rows reachable from ``initial``.
 
     Returns ``(reach, live, into)``: the states reachable from the
     initial state in breadth-first order, those among them that can
     also reach acceptance, and for each reachable state ``t`` the
     ``(symbol, state)`` moves that enter it.
     """
-    into: dict[int, list[tuple[int, int]]] = {dfa.initial: []}
-    reach = [dfa.initial]
+    into: dict[int, list[tuple[int, int]]] = {initial: []}
+    reach = [initial]
     for s in reach:  # reach grows while it is walked, so it is the queue
-        for c, t in enumerate(dfa.transitions[s]):
-            if t == FAIL:
-                continue
+        for c, t in rows[s]:
             if t in into:
                 into[t].append((c, s))
             else:
                 into[t] = [(c, s)]
                 reach.append(t)
-    stack = [s for s in reach if s in dfa.accepting]
+    stack = [s for s in reach if s in accepting]
     live = set(stack)
     while stack:
         for _c, s in into[stack.pop()]:
@@ -232,35 +309,26 @@ def _trim(dfa: Dfa) -> tuple[list[int], set[int], dict[int, list[tuple[int, int]
     return reach, live, into
 
 
-def minimize(dfa: Dfa) -> Dfa:
-    """Canonical minimal automaton for the language of ``dfa``.
-
-    Hopcroft partition refinement on the live states, then
-    :func:`canonical` on the quotient.  Equal languages give
-    structurally identical results, which is the automaton equality
-    used everywhere else.
-    """
-    # the refinement's tables are freed before the renumbering runs
-    return canonical(dfa.alphabet, *_hopcroft_quotient(dfa))
-
-
-def _hopcroft_quotient(dfa: Dfa) -> tuple[int, set[int], list[list[int]]]:
+def _hopcroft_quotient(
+    initial: int, accepting: Iterable[int], rows: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[int, set[int], list[list[tuple[int, int]]]]:
     """The quotient of the live states by language equivalence, as
     ``(initial, accepting, rows)``: one state per class, numbered as
-    the refinement found them.
+    the refinement found them, with sparse rows.
 
     Refinement reads only defined moves between live states, and a move
-    to a state that is not live is FAIL in the quotient.  With no sink
-    state a splitter's complement is not implied, so both initial blocks
-    start in the work list (Valmari & Lehtinen, "Efficient minimization
-    of DFAs with partial transition functions", STACS 2008).
+    to a state that is not live is left out of the quotient.  With no
+    sink state a splitter's complement is not implied, so both initial
+    blocks start in the work list (Valmari & Lehtinen, "Efficient
+    minimization of DFAs with partial transition functions", STACS 2008).
     """
-    _reach, live, into = _trim(dfa)
-    if dfa.initial not in live:
-        return 0, set(), [[FAIL] * dfa.alphabet.size]
-    block_of = [FAIL] * dfa.num_states  # FAIL for states that are not live
+    accepting = frozenset(accepting)
+    _reach, live, into = _trim(initial, accepting, rows)
+    if initial not in live:
+        return 0, set(), [[]]
+    block_of = [FAIL] * len(rows)  # FAIL for states that are not live
     partition: list[set[int]] = []
-    acc = live & dfa.accepting
+    acc = live & accepting
     for block in (acc, live - acc):
         if block:
             for s in block:
@@ -297,31 +365,38 @@ def _hopcroft_quotient(dfa: Dfa) -> tuple[int, set[int], list[list[int]]]:
                     in_work.add(smaller)
 
     # one state per block, read off any member
-    rows = [
-        [FAIL if t == FAIL else block_of[t] for t in dfa.transitions[next(iter(block))]]
+    quotient = [
+        [(c, block_of[t]) for c, t in rows[next(iter(block))] if block_of[t] != FAIL]
         for block in partition
     ]
-    accepting = {i for i, block in enumerate(partition) if not block.isdisjoint(dfa.accepting)}
-    return block_of[dfa.initial], accepting, rows
+    final = {i for i, block in enumerate(partition) if not block.isdisjoint(accepting)}
+    return block_of[initial], final, quotient
 
 
 def canonical(
-    alphabet: Alphabet, initial: int, accepting: AbstractSet[int], rows: Sequence[Sequence[int]]
+    alphabet: Alphabet,
+    initial: int,
+    accepting: AbstractSet[int],
+    rows: Sequence[Sequence[tuple[int, int]]],
 ) -> Dfa:
     """Breadth-first renumbering of the states reachable from
-    ``initial`` in the table ``rows``, symbols in ascending order.
+    ``initial`` in the sparse table ``rows``, symbols in ascending
+    order, so each row's pairs must be sorted by symbol.
 
-    On a minimal automaton this is the canonical form that ``minimize``
+    On a minimal automaton this is the canonical form that ``minimal``
     returns.  Permuting the symbols keeps an automaton minimal, so a
     permuted copy of a minimal automaton needs only this step.
     """
-    order, new_rows = explore(
-        initial,
-        lambda s, index: [FAIL if t == FAIL else index[t] for t in rows[s]],
-        len(rows),
-        "canonical states",
-    )
-    return Dfa(alphabet, len(order), 0, [i for i, s in enumerate(order) if s in accepting], new_rows)
+    width = alphabet.size
+
+    def expand(s: int, index: dict) -> list[int]:
+        row = [FAIL] * width
+        for c, t in rows[s]:
+            row[c] = index[t]
+        return row
+
+    order, dense = explore(initial, expand, len(rows), "canonical states")
+    return Dfa(alphabet, len(order), 0, [i for i, s in enumerate(order) if s in accepting], dense)
 
 
 # -- boolean algebra ---------------------------------------------------
@@ -385,37 +460,48 @@ def all_words_dfa(alphabet: Alphabet) -> Dfa:
 
 def live_states(dfa: Dfa) -> list[int]:
     """States both reachable from the initial and able to reach acceptance."""
-    reach, live, _into = _trim(dfa)
+    reach, live, _into = _trim(dfa.initial, dfa.accepting, _moves(dfa))
     return [s for s in reach if s in live]
 
 
 def language_is_finite(dfa: Dfa) -> int | None:
     """Exact number of accepted words, or None when the language is infinite.
 
-    Live states are peeled in order of zero in-degree among live moves.
-    A state left over lies on a loop or after one, so the language is
-    infinite; otherwise the peel order is topological, and path counts
-    from the initial state are pushed along it.
+    In-degrees are counted over the reachable part, and states are
+    peeled from the initial state as their in-degree reaches zero.  A
+    state left over has a predecessor left over, so it lies on a loop or
+    after one, and its successors are left over too.  The language is
+    therefore infinite exactly when a state left over accepts.
+    Otherwise the peel order is topological on every state that can
+    reach acceptance, and path counts from the initial state are pushed
+    along it.
     """
-    live = live_states(dfa)
-    indeg = dict.fromkeys(live, 0)
-    for s in live:
-        for t in dfa.transitions[s]:
-            if t in indeg:
+    rows = dfa.transitions
+    indeg = [0] * dfa.num_states
+    reach = [dfa.initial]
+    seen = bytearray(dfa.num_states)
+    seen[dfa.initial] = 1
+    for s in reach:  # reach grows while it is walked
+        for t in rows[s]:
+            if t != FAIL:
                 indeg[t] += 1
-    paths = dict.fromkeys(live, 0)
+                if not seen[t]:
+                    seen[t] = 1
+                    reach.append(t)
+    paths = [0] * dfa.num_states
     paths[dfa.initial] = 1
-    order = [s for s in live if indeg[s] == 0]
+    order = [dfa.initial] if indeg[dfa.initial] == 0 else []
     for s in order:  # order grows while it is walked
-        for t in dfa.transitions[s]:
-            if t in indeg:
+        for t in rows[s]:
+            if t != FAIL:
                 paths[t] += paths[s]
                 indeg[t] -= 1
                 if indeg[t] == 0:
                     order.append(t)
-    if len(order) < len(live):
+    # a state that is not reachable has in-degree 0 and no paths
+    if any(indeg[s] for s in dfa.accepting):
         return None
-    return sum(paths[s] for s in order if s in dfa.accepting)
+    return sum(paths[s] for s in dfa.accepting)
 
 
 def count_words_by_length(dfa: Dfa, max_len: int) -> list[int]:

@@ -179,12 +179,9 @@ def swap(p: PairDfa) -> PairDfa:
     """
     pa = p.pairs
     perm = [pa.index(*reversed(pa.parts(k))) for k in range(pa.alphabet.size)]
-    rows = []
-    for row in p.dfa.transitions:
-        new_row = [FAIL] * len(row)
-        for k, t in enumerate(row):
-            new_row[perm[k]] = t
-        rows.append(new_row)
+    rows = [
+        sorted((perm[k], t) for k, t in enumerate(row) if t != FAIL) for row in p.dfa.transitions
+    ]
     return PairDfa(p.base, fsa.canonical(pa.alphabet, p.dfa.initial, p.dfa.accepting, rows), pa)
 
 
@@ -192,7 +189,7 @@ def project_first(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """The language {u : some v with (u, v) accepted}.
 
     Second coordinates are erased; moves ($, b) become epsilon moves
-    (v outlives u), then determinize and minimize.
+    (v outlives u); :func:`fsa.determinize` returns the minimal result.
     """
     pad = p.pairs.pad
     view = p.by_first
@@ -200,10 +197,7 @@ def project_first(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     def moves(s: int) -> list[tuple[int | None, int]]:
         return [(None if a == pad else a, t) for a, bt in view[s].items() for _b, t in bt]
 
-    det = fsa.determinize(
-        p.base, p.dfa.initial, moves, p.dfa.accepting.__contains__, state_cap
-    )
-    return fsa.minimize(det)
+    return fsa.determinize(p.base, p.dfa.initial, moves, p.dfa.accepting.__contains__, state_cap)
 
 
 def project_second(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -228,8 +222,10 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
     a live state, so a correctly padded p has only ($, b) moves once u
     has ended, and only ($, $) moves into ``done``: p's first tape keeps
     u's padding, q's second tape keeps w's, and p's second and q's first
-    tape together keep the middle word's.  The cap counts the states of
-    the determinized product.
+    tape together keep the middle word's.  :func:`fsa.determinize` walks
+    the at most (|p| + 1)(|q| + 1) reachable product states once, drops
+    those that cannot reach (done, done), and returns the minimal
+    composite; the cap counts the subsets it builds.
     """
     if p.base != q.base:
         raise UsageError("compose needs a common base alphabet")
@@ -258,7 +254,7 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
             for c, tq in qd.get(b, ())
         ]
 
-    det = fsa.determinize(
+    composite = fsa.determinize(
         pa.alphabet,
         (p.dfa.initial, q.dfa.initial),
         moves,
@@ -266,7 +262,7 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
         state_cap,
         "composition product states",
     )
-    return PairDfa(p.base, fsa.minimize(det), pa)
+    return PairDfa(p.base, composite, pa)
 
 
 def slice_first(p: PairDfa, u: Word, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:

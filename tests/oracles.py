@@ -9,8 +9,9 @@ The root-system checks (inner products, reflections, signs, depth and
 dominance of roots) take the package's ``FieldContext`` as ``ctx`` and
 use only its field arithmetic and form; the padding checks read a pair
 automaton's table, and the critical pairs and difference runs read a
-rewrite system's rules and a difference machine's table.  None of these
-shares code with the package.  The builders at the end make small
+rewrite system's rules and a difference machine's table.  The subset
+table and the finite-language count read a machine's moves and a
+table directly.  None of these shares code with the package.  The builders at the end make small
 package objects the tests need, from the package's public constructors,
 and the slice route answers a partner lookup through ``slice_first``
 and the automaton counts, not the forward pass of ``partners``.
@@ -517,6 +518,73 @@ def minimal_state_count(num_states, initial, accepting, rows) -> int:
             break
         n_classes = len(ids)
     return max(1, n_classes - 1)
+
+
+def subset_table(width: int, start, moves, accepting):
+    """The subset construction of a machine given by moves, from the
+    definition, as ``(num_states, initial, accepting, rows)`` for
+    :func:`minimal_state_count`.
+
+    ``moves(state)`` lists ``(symbol, target)`` moves, ``None`` being the
+    symbol of an epsilon move and ``FAIL`` a target that kills the
+    symbol.  Every subset reachable from ``start``, closed under epsilon
+    moves, is a state, dead members included; a symbol that some member
+    kills, or that no member reads, is FAIL.
+    """
+
+    def closure(states) -> frozenset:
+        out = set(states)
+        stack = list(out)
+        while stack:
+            for c, t in moves(stack.pop()):
+                if c is None and t not in out:
+                    out.add(t)
+                    stack.append(t)
+        return frozenset(out)
+
+    subsets = [closure({start})]
+    number = {subsets[0]: 0}
+    rows = []
+    for subset in subsets:
+        row = []
+        for c in range(width):
+            targets = {t for s in subset for d, t in moves(s) if d == c}
+            if not targets or FAIL in targets:
+                row.append(FAIL)
+                continue
+            target = closure(targets)
+            if target not in number:
+                number[target] = len(subsets)
+                subsets.append(target)
+            row.append(number[target])
+        rows.append(row)
+    final = {i for i, subset in enumerate(subsets) if any(map(accepting, subset))}
+    return len(subsets), 0, final, rows
+
+
+def finite_language_size(num_states, initial, accepting, rows) -> int | None:
+    """Number of words a DFA accepts, or None when there are infinitely
+    many, by counting words length by length.
+
+    With n states, an accepted word of length n or more pumps up into
+    infinitely many, and cutting loops of at most n letters out of one
+    leaves an accepted word of length in [n, 2n); so the language is
+    infinite iff some accepted word has such a length, and otherwise
+    every accepted word is shorter than n.
+    """
+    counts = []
+    layer = {initial: 1}  # state -> words of the current length reaching it
+    for _length in range(2 * num_states):
+        counts.append(sum(k for s, k in layer.items() if s in accepting))
+        nxt: dict[int, int] = {}
+        for s, k in layer.items():
+            for t in rows[s]:
+                if t != FAIL:
+                    nxt[t] = nxt.get(t, 0) + k
+        layer = nxt
+    if any(counts[num_states:]):
+        return None
+    return sum(counts)
 
 
 # -- small package objects built from public constructors ----------------------

@@ -253,16 +253,18 @@ def test_uniqueness_defect(ab_alphabet, z2_structure):
     assert accepts_pair(m_a, v1, v2)
 
 
-def test_elementary_checks_respect_state_cap(z2_structure):
+def test_elementary_checks_respect_state_cap(z2_structure, starved_b3_structure):
     with pytest.raises(ResourceLimitError, match="subset construction"):
         elementary_checks(z2_structure, 3)
+    # the starved B3 projections build at most 10 subsets, its
+    # compositions up to 28
     with pytest.raises(ResourceLimitError, match="composition product"):
-        elementary_checks(z2_structure, 10)
+        elementary_checks(starved_b3_structure, 20)
 
 
 def test_derive_abandons_on_resource_failure_in_checks(ab_alphabet, monkeypatch):
     real = autostruct.elementary_checks
-    monkeypatch.setattr(autostruct, "elementary_checks", lambda s, state_cap: real(s, 10))
+    monkeypatch.setattr(autostruct, "elementary_checks", lambda s, state_cap: real(s, 6))
     out = derive_shortlex_structure(Presentation(ab_alphabet, [ab_alphabet.parse_word("abAB")]))
     assert out.status == "abandoned"
     assert out.resource_limited

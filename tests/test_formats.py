@@ -6,7 +6,7 @@ from agt import formats, fsa
 from agt.autostruct import derive_shortlex_structure
 from agt.coxeter import CoxeterMatrix
 from agt.errors import UsageError
-from agt.pairfsa import PairDfa
+from agt.pairfsa import PairAlphabet, PairDfa
 from agt.rewrite import Completion, Presentation, system_from_presentation
 
 from oracles import matrix_to_json
@@ -185,6 +185,24 @@ def test_structure_bundle_roundtrip(tmp_path, z2_structure):
     assert s2.multipliers.keys() == z2_structure.multipliers.keys()
     for key in s2.multipliers:
         assert s2.multipliers[key] == z2_structure.multipliers[key]
+
+
+def test_bundle_load_builds_one_pair_alphabet(tmp_path, b3_structure, monkeypatch):
+    formats.save_structure(b3_structure, tmp_path)
+    built = []
+    real = PairAlphabet.__init__
+
+    def counting(self, base):
+        built.append(base)
+        real(self, base)
+
+    monkeypatch.setattr(PairAlphabet, "__init__", counting)
+    s = formats.load_structure(tmp_path)
+    assert len(built) == 1
+    # the difference machine and every multiplier share it
+    assert all(m.pairs is s.diff_machine.pairs for m in s.multipliers.values())
+    for key, m in s.multipliers.items():
+        assert m == b3_structure.multipliers[key]
 
 
 def test_bundle_deterministic_bytes(tmp_path, z2_structure):

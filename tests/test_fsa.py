@@ -2,13 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agt import fsa
-from agt.errors import UsageError
+from agt.errors import ResourceLimitError, UsageError
 from agt.fsa import FAIL, Dfa
 from agt.words import Alphabet, inverse_closed_alphabet
 
-from oracles import empty_language_dfa, minimal_state_count
+from oracles import empty_language_dfa, finite_language_size, minimal_state_count, subset_table
 
 
 def words_up_to(n_syms, max_len):
@@ -87,8 +88,10 @@ def test_determinize_contains_symbol(ab):
 
     det = fsa.determinize(ab, "s", moves, lambda s: s == 1)
     assert sorted(asked, key=str) == [0, 1, "s"]  # each state asked once
-    assert det.num_states == 3  # subsets {s, 0}, {0, 1} and {0}
-    assert fsa.minimize(det).num_states == 2
+    # subsets {s, 0}, {0, 1} and {0}; {s, 0} and {0} are one state of
+    # the minimal automaton that determinize returns
+    assert det.num_states == 2
+    assert fsa.minimize(det) == det
     expected = {w for w in words_up_to(ab.size, 8) if 0 in w}
     assert language_set(det, 8) == expected
 
@@ -113,6 +116,82 @@ def test_determinize_fail_target_kills_the_symbol(ab):
 def test_determinize_empty_language(ab):
     det = fsa.determinize(ab, 0, lambda s: [], lambda s: False)
     assert fsa.language_is_finite(det) == 0
+
+
+@st.composite
+def machines(draw):
+    """A small nondeterministic machine: ``(width, moves, accepting)``.
+
+    States 0..n-1 have random moves, epsilon moves and symbol moves to
+    FAIL among them.  Random moves may also enter state n, a dead loop,
+    and state n + 1, which accepts nothing but kills symbol 0 and moves
+    into the dead loop on the others.
+    """
+    width = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    symbol = st.one_of(st.none(), st.integers(0, width - 1))
+    table = []
+    for _ in range(n):
+        drawn = draw(st.lists(st.tuples(symbol, st.integers(FAIL, n + 1)), max_size=5))
+        table.append([(c, t) for c, t in drawn if c is not None or t != FAIL])
+    table.append([(c, n) for c in range(width)])
+    table.append([(0, FAIL)] + [(c, n) for c in range(1, width)])
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    return width, table, accepting
+
+
+def same_words(m: Dfa, num_states, initial, accepting, rows, max_len=8) -> bool:
+    """Whether ``m`` and the dense table accept the same words up to
+    ``max_len`` letters, walking both in step."""
+    layer = {(m.initial, initial)}
+    for length in range(max_len + 1):
+        if any((s in m.accepting) != (t in accepting) for s, t in layer):
+            return False
+        if length == max_len:
+            return True
+        layer = {
+            (m.step(s, c), FAIL if t == FAIL else rows[t][c])
+            for s, t in layer
+            for c in range(m.alphabet.size)
+        } - {(FAIL, FAIL)}
+
+
+def smallest_cap(build) -> int:
+    """The least state cap under which ``build(cap)`` does not overflow."""
+    cap = 1
+    while True:
+        try:
+            build(cap)
+            return cap
+        except ResourceLimitError:
+            cap += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(machines())
+def test_determinize_matches_the_plain_subset_construction(machine):
+    width, table, accepting = machine
+    alphabet = Alphabet([f"x{i}" for i in range(width)], list(range(width)))
+    det = fsa.determinize(alphabet, 0, table.__getitem__, accepting.__contains__)
+    plain = subset_table(width, 0, table.__getitem__, accepting.__contains__)
+    assert det.num_states == minimal_state_count(*plain)
+    assert same_words(det, *plain)
+    assert fsa.minimize(det) == det
+
+    # a dead branch from the start adds no subset: the same cap suffices
+    def build(with_branch, cap):
+        moves = table
+        if with_branch:  # state d moves to itself and to the dead loop
+            d = len(table)
+            loop = [(c, d) for c in range(width)] + [(0, d - 2)]
+            moves = [[*table[0], (None, d), (width - 1, d)], *table[1:], loop]
+        return fsa.determinize(alphabet, 0, moves.__getitem__, accepting.__contains__, cap)
+
+    cap = smallest_cap(lambda cap: build(False, cap))
+    assert build(True, cap) == det
+    if cap > 1:
+        with pytest.raises(ResourceLimitError):
+            build(True, cap - 1)
 
 
 @pytest.mark.parametrize("target", [2, -2])
@@ -168,7 +247,8 @@ def test_minimize_canonical_on_language_equal_pairs(ab):
         scrambled = Dfa(ab, n, perm[m.initial], [perm[s] for s in m.accepting], rows)
         assert fsa.minimize(scrambled) == m
         # already minimal: renumbering alone recovers the canonical form
-        assert fsa.canonical(ab, scrambled.initial, scrambled.accepting, scrambled.transitions) == m
+        moves = [[(c, t) for c, t in enumerate(row) if t != FAIL] for row in scrambled.transitions]
+        assert fsa.canonical(ab, scrambled.initial, scrambled.accepting, moves) == m
 
 
 def random_partial_dfa(rng, alphabet, p_fail):
@@ -267,6 +347,46 @@ def test_language_is_finite_counts_long_chain_without_recursion(ab, monkeypatch)
     rows = [[i + 1, FAIL, FAIL, FAIL] for i in range(n - 1)] + [[FAIL] * 4]
     chain = Dfa(ab, n, 0, range(0, n, 3), rows)
     assert fsa.language_is_finite(chain) == len(range(0, n, 3))
+
+
+XY = Alphabet(["x", "y"], [0, 1])
+
+# name -> (accepting, rows over x, y from initial state 0, accepted words or None)
+FINITENESS_CASES = {
+    # 0 -x-> 1 accepts; 0 -y-> 2, which loops on x and accepts nothing
+    "reachable_dead_loop": ([1], [[1, 2], [FAIL, FAIL], [2, FAIL]], 1),
+    # 0 accepts and loops on x
+    "initial_on_live_loop": ([0, 1], [[0, 1], [FAIL, FAIL]], None),
+    # x and xx accept; then y enters a loop that accepts nothing
+    "loop_after_last_accepting": ([1, 2], [[1, FAIL], [2, FAIL], [FAIL, 3], [3, 3]], 2),
+    "empty_language": ([], [[0, 1], [1, 0]], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITENESS_CASES))
+def test_language_is_finite_named_cases(name):
+    accepting, rows, expected = FINITENESS_CASES[name]
+    m = Dfa(XY, len(rows), 0, accepting, rows)
+    assert fsa.language_is_finite(m) == expected
+    assert finite_language_size(len(rows), 0, set(accepting), rows) == expected
+
+
+@st.composite
+def dfas(draw):
+    width = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    cells = st.lists(st.integers(FAIL, n - 1), min_size=width, max_size=width)
+    rows = [draw(cells) for _ in range(n)]
+    alphabet = Alphabet([f"x{i}" for i in range(width)], list(range(width)))
+    initial = draw(st.integers(0, n - 1))
+    return Dfa(alphabet, n, initial, draw(st.sets(st.integers(0, n - 1))), rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfas())
+def test_language_is_finite_matches_counting_by_length(m):
+    expected = finite_language_size(m.num_states, m.initial, m.accepting, m.transitions)
+    assert fsa.language_is_finite(m) == expected
 
 
 def test_growth_series_f2(f2_acceptor):

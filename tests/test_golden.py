@@ -131,7 +131,7 @@ def _construction_cap(ab, monkeypatch):
 
 
 def _elementary_cap(ab, monkeypatch):
-    _with_checks(monkeypatch, "elementary_checks", lambda real, s: real(s, 10))
+    _with_checks(monkeypatch, "elementary_checks", lambda real, s: real(s, 6))
     return derive_shortlex_structure(_z2(ab))
 
 
@@ -161,7 +161,7 @@ def _failed_inverse(ab, monkeypatch):
 DRIVER_EXITS = {
     _pass_limit: "f3a0ed4a8c27d1d0dcca10e542094678d11bc6ac7888660a512986aca92071fe",
     _construction_cap: "e2fb5b1d1175528fc7d98aec65d06377fe86b0ecc033fbb29d1ac267ad69307f",
-    _elementary_cap: "5948c5543ccace885459d0e27302c5b4154685a2183f47dfa5292f43ea918bbb",
+    _elementary_cap: "fbedc787688e91b196691c6ec60637da36c1507c25abc3776fbf17d3de7db6d1",
     _axiom_cap: "24a3e46384b24009430da18daf4233350fb45a502a5b5123d6b1d939d45a9ad5",
     _no_equations_left: "91dbd75e54585c842b008971c7ec4bf9999b575c878c85487726c6d7c53a9c1b",
     _failed_relator: "c350e9e4b7eabab09213cbe8baea0d50ee6a37a15350a974fea642cd106e30e6",
