@@ -5,11 +5,12 @@ differences stabilise, build the candidate word acceptor and the
 multiplier automata from the difference machine, apply the elementary
 tests (feeding failure witnesses back into completion), and finally run
 axiom checking.  The elementary tests are exact whole-language tests:
-projection, uniqueness (M_eps is the diagonal) and functionality
-(compose(swap(M_y), M_y) is the diagonal).  Axioms are checked by
-relator halves over memoised composite multipliers.  Passing axiom
-checks proves the automata form a shortlex automatic structure; failing
-them abandons the attempt.
+projection, uniqueness (M_eps is the diagonal) and the inverse test
+(compose(M_y, M_{y^-1}) is the diagonal), which together make every M_y
+a bijection of L(WA).  Axioms are then checked by relator halves over
+memoised composite multipliers.  Passing axiom checks proves the
+automata form a shortlex automatic structure; failing them abandons the
+attempt.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class AutomaticStructure:
 
 @dataclass
 class CheckFailure:
-    kind: str  # "epsilon" | "projection" | "uniqueness" | "functionality"
+    kind: str  # "epsilon" | "projection" | "uniqueness" | "inverse"
     symbol: int | None = None  # multiplier key involved
     witness: Word | None = None
     partners: tuple[Word, ...] = ()
@@ -184,61 +185,62 @@ def elementary_checks(
     """The exact whole-language tests that must pass before axiom checking.
 
     (a) the word acceptor accepts the empty word;
-    (b) each generator's M_y projects onto L(WA) on both coordinates
-        (every representative can be multiplied, and every one is a
-        product).  M_eps is left out: it holds (u, u) for every accepted
-        u, and (c) implies its projections anyway;
-    (c) uniqueness: M_eps is the diagonal of L(WA), so no two accepted
-        words represent the same element;
-    (d) functionality: for each generator y, compose(swap(M_y), M_y),
-        the pairs (v1, v2) with a common u related to both, is the
-        diagonal of L(WA).  With (b) it always contains the diagonal, so
-        equality says that every u has exactly one partner.
+    (b) each generator's M_y projects onto L = L(WA) on both coordinates.
+        (c) and (d) imply this; it is kept as a cheap first filter, since
+        broken multipliers compose into large automata;
+    (c) uniqueness: M_eps is the diagonal of L, so no two accepted words
+        represent the same element;
+    (d) the inverse test: for each generator y, compose(M_y, M_{y^-1})
+        is the diagonal of L.
+
+    Why (c) and (d) make every M_y a bijection of L with inverse
+    M_{y^-1}.  Let R = M_y and S = M_{y^-1}; both are subsets of L x L,
+    as a multiplier accepts only when both runs end accepted.  (d) for y
+    and for y^-1 gives R;S = diag(L) and S;R = diag(L).  Then dom R = L,
+    because (u, u) is in R;S.  R is functional: if u R v1 and u R v2,
+    then v1 S w for some w (dom S = L), and u R v1 S w forces w = u; so
+    v1 S u, and v1 S u R v2 gives v2 = v1.  R is injective by the mirror
+    argument, and onto because (v, v) is in S;R.  This implies the
+    projections of (b) and that every u has exactly one partner.
 
     Minimized automata are canonical, so (c) and (d) are structural
-    equalities.  A uniqueness failure carries the shortest extra pair
-    (v1, v2) of M_eps; a functionality failure carries the shortest
-    extra pair and, as witness, the shortest u with (u, v1) and (u, v2)
-    both accepted.  Failures feed the retry loop as equations.
+    equalities.  Every failure is collected.  Its relation is M_eps
+    (kind "uniqueness") or the composite (kind "inverse").  If the
+    relation has a pair (u, w) off the diagonal, the shortlex-least one
+    gives witness u and partners (u, w); otherwise the shortlex-least
+    missing (u, u) gives witness u.  Failures feed the retry loop as
+    equations.
     """
     failures: list[CheckFailure] = []
     wa = s.word_acceptor
     if not wa.accepts(b""):
         return ElementaryReport(False, [CheckFailure(kind="epsilon")])
-    mults = sorted(s.multipliers.items(), key=lambda kv: (kv[0] is None, kv[0] or 0))
-    for key, mult in mults:
-        if key is EPSILON_KEY:
-            continue
+    A = s.alphabet
+    for y in range(A.size):
         for project in (pairfsa.project_first, pairfsa.project_second):
-            proj = project(mult, state_cap)
+            proj = project(s.multipliers[y], state_cap)
             if proj != wa:
                 witness = fsa.shortest_accepted(fsa.boolean_op("minus", wa, proj))
-                failures.append(CheckFailure("projection", key, witness))
+                failures.append(CheckFailure("projection", y, witness))
                 break
     if failures:
         return ElementaryReport(False, failures)
     diag = pairfsa.diagonal(wa)
-
-    def extra_pair(rel: PairDfa) -> tuple[Word, Word]:
-        extra = fsa.shortest_accepted(fsa.boolean_op("minus", rel.dfa, diag.dfa))
-        return pairfsa.decode_pair(rel.pairs, extra)
-
-    for key, mult in mults:
+    for key in (EPSILON_KEY, *range(A.size)):
         if key is EPSILON_KEY:
-            if mult != diag:
-                v1, v2 = extra_pair(mult)
-                failures.append(CheckFailure("uniqueness", key, v1, (v1, v2)))
+            kind, rel = "uniqueness", s.multipliers[key]
+        else:
+            back = s.multipliers[A.inverse[key]]
+            kind, rel = "inverse", pairfsa.compose(s.multipliers[key], back, state_cap)
+        if rel == diag:
             continue
-        back = pairfsa.swap(mult)
-        both = pairfsa.compose(back, mult, state_cap)
-        if both == diag:
-            continue
-        v1, v2 = extra_pair(both)
-        slices = [pairfsa.slice_first(back, v, state_cap) for v in (v1, v2)]
-        common = fsa.boolean_op("and", *slices)
-        failures.append(
-            CheckFailure("functionality", key, fsa.shortest_accepted(common), (v1, v2))
-        )
+        extra = fsa.shortest_accepted(fsa.boolean_op("minus", rel.dfa, diag.dfa))
+        if extra is not None:
+            u, w = pairfsa.decode_pair(rel.pairs, extra)
+            failures.append(CheckFailure(kind, key, u, (u, w)))
+        else:
+            missing = fsa.shortest_accepted(fsa.boolean_op("minus", diag.dfa, rel.dfa))
+            failures.append(CheckFailure(kind, key, pairfsa.decode_pair(rel.pairs, missing)[0]))
     return ElementaryReport(not failures, failures)
 
 
@@ -246,32 +248,27 @@ def elementary_checks(
 class AxiomReport:
     ok: bool
     failed_relator: Word | None = None
-    failed_inverse: int | None = None
 
 
 def axiom_check(s: AutomaticStructure, state_cap: int = fsa.DEFAULT_STATE_CAP) -> AxiomReport:
-    """Axiom checking: M_y M_{y^-1} = M_eps for every inverse pair, and
-    M(u) = M(v^-1) for every relator r = uv with |u| = ceil(|r|/2).
+    """Axiom checking: M(u) = M(v^-1) for every relator r = uv with
+    |u| = ceil(|r|/2).
 
     M(w) is the composite multiplier of the word w, built left to right
     as compose(M(w[:-1]), M_{w[-1]}) and memoised per call, so prefixes
-    shared by inverse pairs and relator halves are composed once; when
-    M(w^-1) is already built, M(w) is its swap.  Equality is structural
-    equality of the canonical automata that build_multiplier, compose
-    and swap return.
+    shared by relator halves are composed once; when M(w^-1) is already
+    built, M(w) is its swap.  Equality is structural equality of the
+    canonical automata that build_multiplier, compose and swap return.
 
     Checking halves is enough once the elementary checks have passed.
-    By the projection tests and functionality, each M_y is a total
-    function f_y from L(WA) onto L(WA).  The inverse-pair check
-    f_{y^-1} o f_y = id makes f_y injective, so f_y is a bijection with
-    inverse f_{y^-1}, and f_{v^-1} = (f_v)^-1 for every word v: M(v^-1)
-    is the swap of M(v).  Hence f_u = f_{v^-1} holds iff f_v o f_u = id,
-    that is iff M(uv) = M_eps.  A pass proves the structure; a failure
-    abandons the derivation.
+    By uniqueness and the inverse test, each M_y is a bijection f_y of
+    L(WA) with inverse f_{y^-1}, so f_{v^-1} = (f_v)^-1 for every word
+    v: M(v^-1) is the swap of M(v).  Hence f_u = f_{v^-1} holds iff
+    f_v o f_u = id, that is iff M(uv) = M_eps.  A pass proves the
+    structure; a failure abandons the derivation.
     """
     A = s.alphabet
-    m_eps = s.multipliers[EPSILON_KEY]
-    memo: dict[Word, PairDfa] = {b"": m_eps}
+    memo: dict[Word, PairDfa] = {b"": s.multipliers[EPSILON_KEY]}
     for y in range(A.size):
         memo[bytes((y,))] = s.multipliers[y]
 
@@ -286,14 +283,6 @@ def axiom_check(s: AutomaticStructure, state_cap: int = fsa.DEFAULT_STATE_CAP) -
             acc = memo[w[: j + 1]] = pairfsa.compose(acc, s.multipliers[w[j]], state_cap)
         return acc
 
-    done = set()
-    for y in range(A.size):
-        pair = tuple(sorted((y, A.inverse[y])))
-        if pair in done:
-            continue
-        done.add(pair)
-        if mult(bytes((y, A.inverse[y]))) != m_eps:
-            return AxiomReport(False, failed_inverse=y)
     for relator in s.presentation.relators:
         half = (len(relator) + 1) // 2
         if mult(relator[:half]) != mult(A.invert(relator[half:])):
@@ -409,10 +398,7 @@ def derive_shortlex_structure(
                 return abandon("elementary checks fail with no equations left to process")
             continue
         if not ax.ok:
-            if ax.failed_inverse is not None:
-                what = f"inverse pair ({name(ax.failed_inverse)})"
-            else:
-                what = f"relator {A.format_word(ax.failed_relator)!r}"
+            what = f"relator {A.format_word(ax.failed_relator)!r}"
             log(f"axiom=failed on {what}; procedure abandoned")
             return abandon(f"axiom check failed on {what}")
         log("axiom=ok")

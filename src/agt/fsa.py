@@ -506,7 +506,10 @@ def language_is_finite(dfa: Dfa) -> int | None:
 
 def count_words_by_length(dfa: Dfa, max_len: int) -> list[int]:
     """Exact accepted-word counts per length 0..max_len (big integers)."""
-    live = live_states(dfa)
+    return _count_words(dfa, live_states(dfa), max_len)
+
+
+def _count_words(dfa: Dfa, live: list[int], max_len: int) -> list[int]:
     if dfa.initial not in live:
         return [0] * (max_len + 1)
     live_ix = {s: i for i, s in enumerate(live)}
@@ -630,9 +633,8 @@ def growth_series(dfa: Dfa, n_terms: int) -> GrowthSeries:
     """
     if n_terms < 1:
         raise UsageError("n_terms must be >= 1")
-    m = len(live_states(dfa))
-    need = max(2 * m + 1, n_terms)
-    counts = count_words_by_length(dfa, need - 1)
+    live = live_states(dfa)
+    counts = _count_words(dfa, live, max(2 * len(live) + 1, n_terms) - 1)
     if all(c == 0 for c in counts):
         return GrowthSeries((0,), (1,), tuple(counts[:n_terms]))
     conn = _berlekamp_massey(counts)

@@ -270,9 +270,8 @@ def slice_first(p: PairDfa, u: Word, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
     Deterministic by construction: states are (position in u, pair
     state); acceptance means the rest of u pads out to an accepting
-    state.  Exact for any partner multiplicity, including none.  Used
-    where an automaton of partners is needed (the functionality
-    witness); the unique-partner lookup is :func:`partners`.
+    state.  Exact for any partner multiplicity, including none, where
+    the unique-partner lookup :func:`partners` stops at two.
     """
     pa = p.pairs
     pad = pa.pad

@@ -14,14 +14,17 @@ table and the finite-language count read a machine's moves and a
 table directly.  None of these shares code with the package.  The builders at the end make small
 package objects the tests need, from the package's public constructors,
 and the slice route answers a partner lookup through ``slice_first``
-and the automaton counts, not the forward pass of ``partners``.
+and the automaton counts, not the forward pass of ``partners``.  The
+reference verdict makes the elementary and axiom checks as separate
+tests, each with the package's automaton operations: functionality and
+inverse pairs on their own rather than the one inverse test.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from agt import fsa
+from agt import fsa, pairfsa
 from agt.fsa import Dfa
 from agt.pairfsa import encode_pair, slice_first
 
@@ -621,3 +624,40 @@ def slice_route_unique(p, u: bytes) -> bytes | None:
     partner, else None."""
     vs = slice_route_partners(p, u)
     return vs[0] if vs is not None and len(vs) == 1 else None
+
+
+def reference_verdict(s) -> bool:
+    """Whether a structure passes the checks made one by one: the empty
+    word is accepted; both projections of each M_y are L(WA); M_eps is
+    the diagonal (uniqueness); compose(swap(M_y), M_y) is the diagonal
+    (functionality); M_y M_{y^-1} = M_eps for each inverse pair; and
+    M(u) = M(v^-1) for each relator r = uv, |u| = ceil(|r|/2), every
+    composite built left to right without memo or swap."""
+    A = s.alphabet
+    wa = s.word_acceptor
+    m = s.multipliers
+    if not wa.accepts(b""):
+        return False
+    for y in range(A.size):
+        if wa != pairfsa.project_first(m[y]) or wa != pairfsa.project_second(m[y]):
+            return False
+    diag = pairfsa.diagonal(wa)
+    if m[None] != diag:
+        return False
+    if any(pairfsa.compose(pairfsa.swap(m[y]), m[y]) != diag for y in range(A.size)):
+        return False
+
+    def composite(w: bytes):
+        acc = m[w[0]] if w else m[None]
+        for c in w[1:]:
+            acc = pairfsa.compose(acc, m[c])
+        return acc
+
+    for y in range(A.size):
+        if y <= A.inverse[y] and composite(bytes((y, A.inverse[y]))) != m[None]:
+            return False
+    for r in s.presentation.relators:
+        half = (len(r) + 1) // 2
+        if composite(r[:half]) != composite(A.invert(r[half:])):
+            return False
+    return True

@@ -28,6 +28,7 @@ from oracles import (
     ZSquaredModel,
     accepts_pair,
     empty_language_dfa,
+    reference_verdict,
     run_pair,
     s3_model,
     slice_route_partners,
@@ -201,9 +202,12 @@ def test_elementary_checks_fail_on_starved_completion(starved_b3_structure):
     report = elementary_checks(starved_b3_structure)
     assert not report.ok
     assert any(f.witness is not None for f in report.failures)
-    assert {f.kind for f in report.failures} <= {
-        "projection", "uniqueness", "functionality", "epsilon"
-    }
+    assert {f.kind for f in report.failures} <= {"projection", "uniqueness", "inverse", "epsilon"}
+
+
+def test_checks_agree_with_reference_route_on_starved_b3(starved_b3_structure):
+    assert not reference_verdict(starved_b3_structure)
+    assert not _checks_pass(starved_b3_structure)
 
 
 def _with_multiplier(s, y, m):
@@ -214,7 +218,9 @@ def _with_multiplier(s, y, m):
 
 def test_functionality_defect_beyond_short_words(ab_alphabet, z2_structure):
     """One extra pair (a^8, a^8 b) in M_a: every u of length <= 6 still
-    has exactly one partner, but the whole-language test finds it."""
+    has exactly one partner, but the whole-language inverse test finds
+    it in both orders: M_a M_A gains (a^8, a^7 b), and M_A M_a gains
+    (a^9, a^8 b), as a^9 M_A a^8 M_a a^8 b."""
     A = ab_alphabet
     s = z2_structure
     a = A.index("a")
@@ -230,14 +236,26 @@ def test_functionality_defect_beyond_short_words(ab_alphabet, z2_structure):
     # two partners, a^9 and a^8 b, for a^8
     assert pairfsa.partners(bad, A.parse_word("a" * 8)) is None
     report = elementary_checks(_with_multiplier(s, a, bad))
+    a8, a9 = A.parse_word("a" * 8), A.parse_word("a" * 9)
     assert report.failures == [
-        CheckFailure(
-            "functionality",
-            a,
-            A.parse_word("aaaaaaaa"),
-            (A.parse_word("aaaaaaaaa"), A.parse_word("aaaaaaaab")),
-        )
+        CheckFailure("inverse", a, a8, (a8, A.parse_word("a" * 7 + "b"))),
+        CheckFailure("inverse", A.index("A"), a9, (a9, A.parse_word("a" * 8 + "b"))),
     ]
+
+
+def test_uniqueness_defect_without_an_extra_pair(ab_alphabet, z2_structure):
+    """M_eps holding only the diagonal pairs of length <= 1 has no pair
+    off the diagonal; the failure's witness is the shortest missing
+    (u, u)."""
+    s = z2_structure
+    pairs = s.multipliers[EPSILON_KEY].pairs
+    width = pairs.alphabet.size
+    short = Dfa(pairs.alphabet, 2, 0, [0, 1], [[1] * width, [FAIL] * width])
+    diag = diagonal(s.word_acceptor).dfa
+    m_eps = PairDfa(ab_alphabet, fsa.boolean_op("and", diag, short), pairs)
+    report = elementary_checks(_with_multiplier(s, EPSILON_KEY, m_eps))
+    aa = ab_alphabet.parse_word("aa")
+    assert report.failures == [CheckFailure("uniqueness", EPSILON_KEY, aa)]
 
 
 def test_uniqueness_defect(ab_alphabet, z2_structure):
@@ -257,7 +275,7 @@ def test_elementary_checks_respect_state_cap(z2_structure, starved_b3_structure)
     with pytest.raises(ResourceLimitError, match="subset construction"):
         elementary_checks(z2_structure, 3)
     # the starved B3 projections build at most 10 subsets, its
-    # compositions up to 28
+    # compositions up to 29
     with pytest.raises(ResourceLimitError, match="composition product"):
         elementary_checks(starved_b3_structure, 20)
 
@@ -282,7 +300,7 @@ def test_axiom_check_passes(z2_structure, s3_structure):
 
 
 def test_axiom_check_detects_corruption(ab_alphabet, z2_structure):
-    """Flipping one accept state of a multiplier must break the axioms."""
+    """Flipping one accept state of a multiplier must fail the checks."""
     A = ab_alphabet
     s = z2_structure
     y = A.index("a")
@@ -296,9 +314,11 @@ def test_axiom_check_detects_corruption(ab_alphabet, z2_structure):
     bad = AutomaticStructure(
         s.presentation, s.word_acceptor, mults, s.diff_machine, s.k
     )
-    report = axiom_check(bad)
-    assert not report.ok
-    assert report.failed_inverse is not None or report.failed_relator is not None
+    assert not _checks_pass(bad)
+
+
+def _checks_pass(s):
+    return elementary_checks(s).ok and axiom_check(s).ok
 
 
 def _left_to_right_axioms_hold(s):
@@ -317,9 +337,13 @@ def _left_to_right_axioms_hold(s):
 
 
 @pytest.mark.parametrize(
-    "fixture_name,radius", [("s3_structure", 6), ("z2_structure", 4), ("dinf_structure", 4)]
+    "fixture_name,radius",
+    [("free_structure", 4), ("s3_structure", 6), ("z2_structure", 4), ("dinf_structure", 4)],
 )
 def test_halves_axiom_check_agrees_with_full_composition(request, fixture_name, radius):
+    """The inverse test and the relator halves give the verdict of the
+    checks made one by one, on every single-state acceptance flip of
+    every multiplier."""
     s = request.getfixturevalue(fixture_name)
     checked = 0
     for key, mult in s.multipliers.items():
@@ -329,7 +353,7 @@ def test_halves_axiom_check_agrees_with_full_composition(request, fixture_name, 
                 m.alphabet, m.num_states, m.initial, m.accepting ^ {state}, m.transitions
             )
             bad = _with_multiplier(s, key, PairDfa(s.alphabet, flipped, mult.pairs))
-            assert axiom_check(bad).ok == _left_to_right_axioms_hold(bad), (key, state)
+            assert _checks_pass(bad) == reference_verdict(bad), (key, state)
             checked += 1
     assert checked > 0
     # the relator halves themselves: each short word that is freely reduced
@@ -340,8 +364,8 @@ def test_halves_axiom_check_agrees_with_full_composition(request, fixture_name, 
             continue
         pres = Presentation(s.alphabet, [w])
         other = AutomaticStructure(pres, s.word_acceptor, s.multipliers, s.diff_machine, s.k)
-        verdict = axiom_check(other).ok
-        assert verdict == _left_to_right_axioms_hold(other), w
+        verdict = _checks_pass(other)
+        assert verdict == _left_to_right_axioms_hold(other) == reference_verdict(other), w
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -380,6 +404,20 @@ def test_derive_genus_two_surface_group():
     assert spheres[:6] == [1, 8, 56, 392, 2736, 19096]
     assert fsa.count_words_by_length(out.structure.word_acceptor, 8) == spheres
     assert elapsed < 60.0
+
+
+def test_genus_two_retries_through_inverse_failures():
+    """Pausing every 5 quiet pairs, pass 1 fails the inverse test; the
+    fed-back equations lead to the default derivation's automata."""
+    A = inverse_closed_alphabet(list("abcd"), {"a": "A", "b": "B", "c": "C", "d": "D"})
+    pres = Presentation(A, [A.parse_word("abABcdCD")])
+    out = derive_shortlex_structure(pres, Limits(stability_window=5, max_passes=20))
+    assert out.verified, out.transcript
+    failed = [line for line in out.transcript.splitlines() if "elementary=failed" in line]
+    assert failed[0].startswith("pass 1: ") and "inverse(" in failed[0]
+    default = derive_shortlex_structure(pres).structure
+    assert out.structure.word_acceptor == default.word_acceptor
+    assert out.structure.multipliers == default.multipliers
 
 
 def test_derive_free_rank_one():

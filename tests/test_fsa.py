@@ -408,6 +408,15 @@ def test_growth_series_all_words_and_empty(ab):
     assert empty.coefficients == (0, 0, 0)
 
 
+def test_growth_series_trims_once(f2_acceptor, monkeypatch):
+    calls = []
+    real = fsa.live_states
+    monkeypatch.setattr(fsa, "live_states", lambda m: calls.append(m) or real(m))
+    g = fsa.growth_series(f2_acceptor, 4)
+    assert g.coefficients == (1, 4, 12, 36)
+    assert calls == [f2_acceptor]
+
+
 def test_growth_of_finite_language(ab, s3_structure):
     g = fsa.growth_series(s3_structure.word_acceptor, 6)
     assert g.coefficients == (1, 2, 2, 1, 0, 0)

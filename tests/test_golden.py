@@ -99,7 +99,7 @@ def test_coxeter_acceptors_are_pinned(group, kind):
 # Each digest covers (status, transcript, reason, resource_limited,
 # structure is None) of one abandoned derivation: the pass limit, a
 # resource failure in each phase, the witness-free elementary failure and
-# both kinds of axiom failure.
+# the axiom failure.
 
 
 def _outcome_digest(out):
@@ -152,20 +152,13 @@ def _failed_relator(ab, monkeypatch):
     return derive_shortlex_structure(_z2(ab))
 
 
-def _failed_inverse(ab, monkeypatch):
-    failed = AxiomReport(False, failed_inverse=ab.index("b"))
-    _with_checks(monkeypatch, "axiom_check", lambda real, s: failed)
-    return derive_shortlex_structure(_z2(ab))
-
-
 DRIVER_EXITS = {
-    _pass_limit: "f3a0ed4a8c27d1d0dcca10e542094678d11bc6ac7888660a512986aca92071fe",
+    _pass_limit: "23518f4528cca2502e8be7ca0b0689e4cbbe83326f16d8df45e1dbf9aa0930e3",
     _construction_cap: "e2fb5b1d1175528fc7d98aec65d06377fe86b0ecc033fbb29d1ac267ad69307f",
     _elementary_cap: "fbedc787688e91b196691c6ec60637da36c1507c25abc3776fbf17d3de7db6d1",
     _axiom_cap: "24a3e46384b24009430da18daf4233350fb45a502a5b5123d6b1d939d45a9ad5",
     _no_equations_left: "91dbd75e54585c842b008971c7ec4bf9999b575c878c85487726c6d7c53a9c1b",
     _failed_relator: "c350e9e4b7eabab09213cbe8baea0d50ee6a37a15350a974fea642cd106e30e6",
-    _failed_inverse: "11d8df40d71f5a8676b3c7cda8a4421a4129763bf825a103b6e04b473bdf6392",
 }
 
 
@@ -179,15 +172,30 @@ def test_driver_exits_are_pinned(case, ab_alphabet, monkeypatch):
 # -- composite multipliers -----------------------------------------------------
 #
 # Each digest covers, in the order they are built, the composites of one
-# check: compose(swap(M_y), M_y) for every generator y (the functionality
-# check), or every composite the axiom check builds.  Each composite must
-# also keep the padding discipline.
+# check: compose(M_y, M_{y^-1}) for every generator y (the inverse test),
+# every composite the axiom check builds, or compose(swap(M_y), M_y) for
+# every generator y, which pins compose and swap together.  Each
+# composite must also keep the padding discipline.
 
 
 def _composite_texts(composites):
     for c in composites:
         validate_padding(c)
         yield formats.dumps(formats.pairdfa_to_json(c))
+
+
+INVERSE = {
+    "b3_structure": "8db159a6686c923c86088ef77a418ef4da07e1ed6d8b6c1fc57ee77cda8498cb",
+    "starved_b3_structure": "0f22f063a080bfe20106528ba79c38b373ec47f43ac66337127a5170ccc457f3",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(INVERSE))
+def test_inverse_composites_are_pinned(fixture, request):
+    s = request.getfixturevalue(fixture)
+    m = s.multipliers
+    composites = [pairfsa.compose(m[y], m[s.alphabet.inverse[y]]) for y in range(s.alphabet.size)]
+    assert _digest(_composite_texts(composites)) == INVERSE[fixture]
 
 
 FUNCTIONALITY = {
@@ -206,7 +214,7 @@ def test_functionality_composites_are_pinned(fixture, request):
     assert _digest(_composite_texts(composites)) == FUNCTIONALITY[fixture]
 
 
-AXIOM_COMPOSITES = "3c97be9c533f429e340714d28ff9ae62018ef1195107e006a48b11ecc0484d90"
+AXIOM_COMPOSITES = "20063d7454daec9840cb9a0f3974d69d119145c80abea06cd990110d497f7e07"
 
 
 def test_axiom_check_composites_are_pinned(b3_structure, monkeypatch):
@@ -219,5 +227,5 @@ def test_axiom_check_composites_are_pinned(b3_structure, monkeypatch):
 
     monkeypatch.setattr(pairfsa, "compose", compose)
     assert autostruct.axiom_check(b3_structure).ok
-    assert len(built) == 6
+    assert len(built) == 4
     assert _digest(_composite_texts(built)) == AXIOM_COMPOSITES
