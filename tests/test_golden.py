@@ -5,8 +5,9 @@ that only restructures a construction must not move a single byte of
 what it builds.  Each digest covers one structure's transcript, word
 acceptor and every multiplier table (epsilon first, then generator
 order), or one Coxeter acceptor, in the JSON encoding of the bundle
-files, or the outcome of one abandoned derivation, or the composite
-multipliers that one check builds.  A failing pin means an output
+files, or the rules and result of one Knuth-Bendix completion, or the
+outcome of one abandoned derivation, or the composite multipliers that
+one check builds.  A failing pin means an output
 changed: if the change is meant, say so and re-pin; if not, it is a
 regression.
 """
@@ -19,7 +20,7 @@ from agt import autostruct, formats, pairfsa
 from agt.autostruct import AxiomReport, CheckFailure, ElementaryReport, derive_shortlex_structure
 from agt.coxeter import CoxeterMatrix, build_geodesic_acceptor, build_shortlex_word_acceptor
 from agt.limits import Limits
-from agt.rewrite import Presentation
+from agt.rewrite import Completion, Presentation, system_from_presentation
 
 from oracles import validate_padding
 
@@ -92,6 +93,36 @@ def test_coxeter_acceptors_are_pinned(group, kind):
     build = build_shortlex_word_acceptor if kind == "shortlex" else build_geodesic_acceptor
     wa = build(COXETER[group])
     assert _digest([formats.dumps(formats.dfa_to_json(wa))]) == ACCEPTORS[group, kind]
+
+
+# -- Knuth-Bendix completions -------------------------------------------------
+#
+# Each digest covers the rules dump and the CompletionResult of one
+# completion, capped or complete.
+
+
+KB = {
+    ("B3", 450): ({"generators": ["a", "b"], "inverses": {"a": "A", "b": "B"},
+                   "relators": ["abaBAB"]},
+                  "c4eb724029bc4997e9d8aaff637b8b8502270676970fed64bba90c5978f4adb3"),
+    ("F4", None): ({"generators": list("abcd"), "involutions": list("abcd"),
+                    "relators": ["ababab", "acac", "adad", "bcbcbcbc", "bdbd", "cdcdcd"]},
+                   "78c1f4e2e9326be2967ce18539394da4d23c9ccb7373138a971d7f940113f8cc"),
+    ("A5", None): ({"generators": ["a", "b"], "inverses": {"b": "B"}, "involutions": ["a"],
+                    "relators": ["bbb", "ababababab"]},
+                   "1b4095a8dcd1361e273793c622252476d1f5cbe0f1585fef108694f818054674"),
+    ("T245", 300): ({"generators": list("abc"), "involutions": list("abc"),
+                     "relators": ["abab", "acacacacac", "bcbcbcbc"]},
+                    "405d107c2af500b8079d70fd2914db9d458a927f31b33e7590dc1e81523187b6"),
+}
+
+
+@pytest.mark.parametrize("group,cap", sorted(KB), ids=str)
+def test_completions_are_pinned(group, cap):
+    data, pin = KB[group, cap]
+    rs = system_from_presentation(formats.presentation_from_json(data))
+    result = Completion(rs, Limits() if cap is None else Limits(max_rules=cap)).run()
+    assert _digest([rs.dump(), repr(result)]) == pin
 
 
 # -- every exit of the derivation driver ---------------------------------------
