@@ -1,17 +1,27 @@
 """Shortlex-compatible string rewriting and bounded Knuth-Bendix completion.
 
 A rewrite system holds shortlex-oriented rules lhs -> rhs indexed by
-insertion order; reduction always fires the leftmost, lowest-indexed
-match, so results are deterministic.  Completion processes critical
-pairs first-in first-out, orienting unresolved pairs into new rules,
-deleting rules whose left side becomes reducible (their equation is
-re-queued) and re-reducing right sides.
+insertion order.  Its left sides are factor-free: no left side is a
+factor of another, because a rule is only added with an irreducible left
+side, and adding it retires every rule whose left side contains it.  So
+at most one left side starts, and at most one ends, at any position of
+a word, and the match that ends first is also the one that starts
+first: a match starting earlier and ending later would contain it as a
+factor.  Reduction reads a word once through the index automaton of
+the left sides (Sims, *Computation with Finitely Presented Groups*,
+1994, ch. 3) and rewrites the first match to end, which is the leftmost
+match, so normal forms are deterministic.
+
+Completion processes critical pairs first-in first-out, orienting
+unresolved pairs into new rules, retiring rules whose left side becomes
+reducible (their equation is re-queued) and re-reducing right sides.
+The critical pairs of a new rule are read from an index of the proper
+prefixes and suffixes of the live left sides.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -19,44 +29,6 @@ from typing import Callable, Iterator, NamedTuple
 from .errors import UsageError
 from .limits import Limits
 from .words import Alphabet, Word
-
-
-# -- the reduction kernel ----------------------------------------------
-#
-# The trie over left-hand sides is a flat table ``next_tab`` of width
-# ``n_syms`` per node (node 0 is the root, -1 means no edge) and
-# ``node_rule`` holds the rule index ending at a node (-1 for none).
-
-
-def _reduce_word(word, next_tab, node_rule, rhs_list, n_syms, max_lhs):
-    """Replace the leftmost, lowest-indexed matching left-hand side until
-    the word is irreducible.  Right-hand sides never exceed their
-    left-hand sides in length, so the buffer only shrinks."""
-    buf = bytearray(word)
-    i = 0
-    while i < len(buf):
-        node = 0
-        best_rule = -1
-        best_len = 0
-        j = i
-        n = len(buf)
-        while j < n:
-            node = next_tab[node * n_syms + buf[j]]
-            if node < 0:
-                break
-            j += 1
-            r = node_rule[node]
-            if r >= 0 and (best_rule < 0 or r < best_rule):
-                best_rule = r
-                best_len = j - i
-        if best_rule < 0:
-            i += 1
-            continue
-        buf[i : i + best_len] = rhs_list[best_rule]
-        i = i - max_lhs + 1
-        if i < 0:
-            i = 0
-    return bytes(buf)
 
 
 class Presentation:
@@ -102,7 +74,16 @@ class RewriteRule(NamedTuple):
 
 
 class RewriteSystem:
-    """Indexed shortlex rewrite system with a trie over left-hand sides.
+    """Indexed shortlex rewrite system with factor-free left sides.
+
+    The left sides form a trie: node 0 is the root, ``_next[node * n + c]``
+    is the child on letter c or -1, and every left side ends at a leaf,
+    whose ``_node_rule`` is its rule's index (-1 elsewhere).  Reduction
+    runs the index automaton of the trie; its moves (``_goto``) and
+    failure links (``_fail``) are filled in on first use and dropped
+    whenever the trie changes.  ``_prefixes`` and ``_suffixes`` map each
+    proper prefix and each proper suffix of a live left side to the
+    indices of its rules, in increasing order.
 
     Mutable and single-owner while completion runs.
     """
@@ -111,71 +92,107 @@ class RewriteSystem:
         self.alphabet = alphabet
         self.confluent = False
         self._rules: list[RewriteRule | None] = []
-        self._rhs: list[Word] = []  # indexed like _rules; stale after deletion
+        # per rule: (|lhs| - 1, rhs reversed), as reduce reads them; stale after retirement
+        self._rewrite: list[tuple[int, Word]] = []
         self._n_syms = alphabet.size
-        self._next = array("i", [-1] * self._n_syms)
-        self._node_rule = array("i", [-1])
-        self.max_lhs_len = 1
+        self._next = [-1] * self._n_syms
+        self._node_rule = [-1]
+        self._parent = [0]
+        self._sym = [-1]
+        self._free: list[int] = []  # pruned nodes, reused first
+        self._goto: list[int] | None = None
+        self._fail: list[int] = []
+        self._prefixes: dict[Word, list[int]] = {}
+        self._suffixes: dict[Word, list[int]] = {}
         self.num_live = 0
 
     # -- rule bookkeeping ---------------------------------------------
 
-    def _new_node(self) -> int:
-        self._next.extend([-1] * self._n_syms)
-        self._node_rule.append(-1)
-        return len(self._node_rule) - 1
-
-    def _trie_walk(self, lhs: Word) -> int:
-        node = 0
-        for c in lhs:
-            node = self._next[node * self._n_syms + c]
-            if node < 0:
-                return -1
+    def _new_node(self, parent: int, c: int) -> int:
+        if self._free:
+            node = self._free.pop()
+            self._parent[node] = parent
+            self._sym[node] = c
+        else:
+            node = len(self._node_rule)
+            self._next.extend([-1] * self._n_syms)
+            self._node_rule.append(-1)
+            self._parent.append(parent)
+            self._sym.append(c)
+        self._next[parent * self._n_syms + c] = node
         return node
 
-    def has_lhs(self, lhs: Word) -> bool:
-        node = self._trie_walk(lhs)
-        return node >= 0 and self._node_rule[node] >= 0
+    def add_rule(self, lhs: Word, rhs: Word) -> tuple[int, list[RewriteRule]]:
+        """Insert lhs -> rhs, which must be shortlex-oriented with lhs
+        irreducible, and keep the left sides factor-free.
 
-    def add_rule(self, lhs: Word, rhs: Word) -> int:
-        """Insert a shortlex-oriented rule; returns its index."""
+        Every rule whose left side contains lhs is retired first; then
+        the rule is inserted and the other right sides containing lhs are
+        reduced again.  Returns the new rule's index and the retired
+        rules in index order, whose equations the caller still owes.
+        """
         if not self.alphabet.shortlex_less(rhs, lhs):
             raise UsageError("rule must be oriented: rhs <_slex lhs")
-        if self.has_lhs(lhs):
-            raise UsageError("duplicate left-hand side")
+        if self.reduce(lhs) != lhs:
+            raise UsageError("left-hand side must be irreducible")
+        retired, stale = [], []
+        for j, rule in enumerate(self._rules):
+            if rule is None:
+                continue
+            if lhs in rule.lhs:
+                retired.append(rule)
+                self.remove_rule(j)
+            elif lhs in rule.rhs:
+                stale.append(j)
         idx = len(self._rules)
         self._rules.append(RewriteRule(lhs, rhs))
-        self._rhs.append(rhs)
+        self._rewrite.append((len(lhs) - 1, rhs[::-1]))
+        n = self._n_syms
         node = 0
         for c in lhs:
-            slot = node * self._n_syms + c
-            nxt = self._next[slot]
-            if nxt < 0:
-                nxt = self._new_node()
-                self._next[slot] = nxt
-            node = nxt
+            nxt = self._next[node * n + c]
+            node = nxt if nxt >= 0 else self._new_node(node, c)
         self._node_rule[node] = idx
-        self.max_lhs_len = max(self.max_lhs_len, len(lhs))
+        for k in range(1, len(lhs)):
+            self._prefixes.setdefault(lhs[:k], []).append(idx)
+            self._suffixes.setdefault(lhs[-k:], []).append(idx)
+        self._goto = None
         self.num_live += 1
         self.confluent = False
-        return idx
+        for j in stale:
+            u, v = self._rules[j]
+            v = self.reduce(v)
+            self._rules[j] = RewriteRule(u, v)
+            self._rewrite[j] = (len(u) - 1, v[::-1])
+        return idx, retired
 
     def remove_rule(self, idx: int) -> None:
+        """Retire rule idx; trie nodes that lead to no rule are pruned."""
         rule = self._rules[idx]
         if rule is None:
             return
-        node = self._trie_walk(rule.lhs)
-        assert node >= 0 and self._node_rule[node] == idx
+        lhs = rule.lhs
+        n = self._n_syms
+        node = 0
+        for c in lhs:
+            node = self._next[node * n + c]
+        assert self._node_rule[node] == idx
         self._node_rule[node] = -1
+        while node and max(self._next[node * n : node * n + n]) < 0:  # ancestors end no rule
+            parent = self._parent[node]
+            self._next[parent * n + self._sym[node]] = -1
+            self._free.append(node)
+            node = parent
+        for k in range(1, len(lhs)):
+            for table, key in ((self._prefixes, lhs[:k]), (self._suffixes, lhs[-k:])):
+                ids = table[key]
+                ids.remove(idx)
+                if not ids:
+                    del table[key]
         self._rules[idx] = None
+        self._goto = None
         self.num_live -= 1
         self.confluent = False
-
-    def set_rhs(self, idx: int, rhs: Word) -> None:
-        rule = self._rules[idx]
-        assert rule is not None
-        self._rules[idx] = RewriteRule(rule.lhs, rhs)
-        self._rhs[idx] = rhs
 
     def live_items(self) -> list[tuple[int, RewriteRule]]:
         return [(i, r) for i, r in enumerate(self._rules) if r is not None]
@@ -184,13 +201,111 @@ class RewriteSystem:
     def rules(self) -> list[RewriteRule]:
         return [r for r in self._rules if r is not None]
 
+    def overlaps(self, idx: int, both_ways: bool) -> list[tuple[Word, Word]]:
+        """Critical-pair equations of rule idx with the live rules.
+
+        Way 0: a suffix of length k of lhs_idx is a prefix of lhs_j, j = idx
+        included.  Way 1, only if ``both_ways``: a suffix of length k of
+        lhs_j is a prefix of lhs_idx, j != idx.  Each overlap is proper on
+        both sides and gives the two one-step reducts of its superposition
+        word; they come sorted by (j, way, k).  Containment overlaps need
+        no search, since the left sides are factor-free.
+        """
+        l1, r1 = self._rules[idx]
+        found = []
+        for k in range(1, len(l1)):
+            found += [(j, 0, k) for j in self._prefixes.get(l1[-k:], ())]
+            if both_ways:
+                found += [(j, 1, k) for j in self._suffixes.get(l1[:k], ()) if j != idx]
+        found.sort()
+        out = []
+        for j, way, k in found:
+            l2, r2 = self._rules[j]
+            out.append((r2 + l1[k:], l2[:-k] + r1) if way else (r1 + l2[k:], l1[:-k] + r2))
+        return out
+
     # -- reduction ------------------------------------------------------
 
+    def _move(self, s: int, c: int) -> int:
+        """The index automaton's move from state s on letter c: the node
+        of the longest suffix of s's word followed by c that is in the
+        trie.
+
+        A missing move of s is the move of its failure link, the node of
+        the longest proper suffix of s's word, whose own link comes from
+        its parent's.  Each lookup needs only shallower nodes, so they
+        are resolved from an explicit stack of pending moves (s, c) and
+        links (s, -1): left sides may be longer than the recursion limit.
+        """
+        goto, fail, n = self._goto, self._fail, self._n_syms
+        parent, sym = self._parent, self._sym
+        want = [(s, c)]
+        while want:
+            u, a = want[-1]
+            if a >= 0:  # the move of u on a
+                if u == 0:
+                    if goto[a] < 0:
+                        goto[a] = 0
+                elif goto[u * n + a] < 0:
+                    f = fail[u]
+                    if f < 0:
+                        want.append((u, -1))
+                        continue
+                    t = goto[f * n + a]
+                    if t < 0:
+                        want.append((f, a))
+                        continue
+                    goto[u * n + a] = t
+            elif fail[u] < 0:  # the failure link of u != 0
+                p = parent[u]
+                if p == 0:
+                    fail[u] = 0
+                else:
+                    f = fail[p]
+                    if f < 0:
+                        want.append((p, -1))
+                        continue
+                    t = goto[f * n + sym[u]]
+                    if t < 0:
+                        want.append((f, sym[u]))
+                        continue
+                    fail[u] = t
+            want.pop()
+        return goto[s * n + c]
+
     def reduce(self, w: Word) -> Word:
-        """Normal form of w under leftmost lowest-indexed rewriting."""
-        return _reduce_word(
-            w, self._next, self._node_rule, self._rhs, self._n_syms, self.max_lhs_len
-        )
+        """Normal form of w: rewrite the leftmost match until none is left.
+
+        One pass: the letters read so far are kept with the automaton
+        state after each, and a rewrite drops the match's letters and
+        puts the right side back in front of the unread input.
+        """
+        goto = self._goto
+        if goto is None:
+            goto = self._goto = self._next.copy()
+            self._fail = [-1] * len(self._node_rule)
+        n = self._n_syms
+        node_rule = self._node_rule
+        rewrite = self._rewrite
+        out = bytearray()
+        states = [0]
+        unread = bytearray(w[::-1])  # next letter last
+        while unread:
+            c = unread.pop()
+            t = goto[states[-1] * n + c]
+            if t < 0:
+                t = self._move(states[-1], c)
+            r = node_rule[t]
+            if r < 0:
+                out.append(c)
+                states.append(t)
+            else:
+                drop, rhs = rewrite[r]
+                if drop:
+                    del out[-drop:]
+                    del states[-drop:]
+                unread += rhs
+        return bytes(out)
 
     def __repr__(self) -> str:
         return f"RewriteSystem(rules={self.num_live}, confluent={self.confluent})"
@@ -202,65 +317,29 @@ class RewriteSystem:
 
 
 def system_from_presentation(pres: Presentation) -> RewriteSystem:
-    """Initial rewrite system: inverse cancellation plus one oriented rule
-    per relator.
+    """Initial rewrite system: inverse cancellation plus one rule per
+    relator, interreduced.
 
     A relator r is split at the midpoint, r = u * w with |u| = ceil(|r|/2),
-    giving the relation u = w^-1 whose longer side (shortlex ties by the
-    smaller right side) becomes the left-hand side; r is then a cyclic
-    conjugate of lhs * rhs^-1 or its inverse.  When both sides coincide
-    as strings (self-inverse letters), the whole relator rewrites to the
-    empty word instead.
+    giving the relation u = w^-1 (the two differ, as r is freely
+    reduced).  The relations x x^-1 = 1 come first, then one per relator
+    in order.  Each has both sides reduced by the rules added so far;
+    unless they then coincide, the shortlex-greater side becomes a left
+    side.  A rule that a later one retires re-enters as a relation, so
+    no relator is lost.
     """
     A = pres.alphabet
     rs = RewriteSystem(A)
-    for i in range(A.size):
-        lhs = bytes((i, A.inverse[i]))
-        if not rs.has_lhs(lhs):
-            rs.add_rule(lhs, b"")
+    todo = deque((bytes((i, A.inverse[i])), b"") for i in range(A.size))
     for r in pres.relators:
         half = (len(r) + 1) // 2
-        u = r[:half]
-        v = A.invert(r[half:])
-        if u == v:
-            lhs, rhs = r, b""
-        elif A.shortlex_less(v, u):
-            lhs, rhs = u, v
-        else:
-            lhs, rhs = v, u
-        if not rs.has_lhs(lhs):
-            rs.add_rule(lhs, rhs)
-        # sanity: the relator is recoverable from the rule
-        recovered = lhs + A.invert(rhs)
-        doubled = r + r
-        inv_doubled = A.invert(r) + A.invert(r)
-        assert recovered in doubled or recovered in inv_doubled
+        todo.append((r[:half], A.invert(r[half:])))
+    while todo:
+        u, v = map(rs.reduce, todo.popleft())
+        if u != v:
+            lhs, rhs = (u, v) if A.shortlex_less(v, u) else (v, u)
+            todo.extend(rs.add_rule(lhs, rhs)[1])
     return rs
-
-
-def _overlap_equations(
-    r1: RewriteRule, r2: RewriteRule, same_rule: bool
-) -> list[tuple[Word, Word]]:
-    """Critical-pair equations from overlaps of two left-hand sides.
-
-    Covers proper suffix/prefix overlaps and full containment of r2.lhs
-    inside r1.lhs; each equation is the two one-step reducts of the
-    superposition word.
-    """
-    out = []
-    l1, q1 = r1
-    l2, q2 = r2
-    # suffix of l1 == prefix of l2
-    top = min(len(l1), len(l2)) - 1
-    for k in range(1, top + 1):
-        if l1[-k:] == l2[:k]:
-            out.append((q1 + l2[k:], l1[:-k] + q2))
-    if not same_rule and len(l2) < len(l1):
-        start = l1.find(l2)
-        while start >= 0:
-            out.append((q1, l1[:start] + q2 + l1[start + len(l2) :]))
-            start = l1.find(l2, start + 1)
-    return out
 
 
 @dataclass
@@ -292,11 +371,8 @@ class Completion:
         self._seed()
 
     def _seed(self) -> None:
-        items = self.sys.live_items()
-        for i, r1 in items:
-            for j, r2 in items:
-                for eq in _overlap_equations(r1, r2, i == j):
-                    self.queue.append(eq)
+        for i, _ in self.sys.live_items():
+            self.queue.extend(self.sys.overlaps(i, both_ways=False))
 
     def enqueue(self, eq: tuple[Word, Word]) -> None:
         self.queue.append(eq)
@@ -306,30 +382,12 @@ class Completion:
         if rs.num_live >= self.limits.max_rules:
             self.limit_hit = "maxRules"
             return
-        idx = rs.add_rule(lhs, rhs)
+        idx, retired = rs.add_rule(lhs, rhs)
         self.added += 1
         if self.on_rule is not None:
             self.on_rule(lhs, rhs)
-        # interreduction: a now-reducible left side retires its rule (the
-        # equation is re-queued); reducible right sides are re-reduced.
-        for j, rule in rs.live_items():
-            if j == idx:
-                continue
-            if lhs in rule.lhs:
-                rs.remove_rule(j)
-                self.queue.append((rule.lhs, rule.rhs))
-            elif lhs in rule.rhs:
-                rs.set_rhs(j, rs.reduce(rule.rhs))
-        new_rule = RewriteRule(lhs, rhs)
-        for j, rule in rs.live_items():
-            if j == idx:
-                continue
-            for eq in _overlap_equations(new_rule, rule, False):
-                self.queue.append(eq)
-            for eq in _overlap_equations(rule, new_rule, False):
-                self.queue.append(eq)
-        for eq in _overlap_equations(new_rule, new_rule, True):
-            self.queue.append(eq)
+        self.queue.extend(retired)
+        self.queue.extend(rs.overlaps(idx, both_ways=True))
 
     def step(self) -> None:
         """Process one queued equation."""

@@ -9,7 +9,10 @@ The root-system checks (inner products, reflections, signs, depth and
 dominance of roots) take the package's ``FieldContext`` as ``ctx`` and
 use only its field arithmetic and form; the padding checks read a pair
 automaton's table, and the critical pairs and difference runs read a
-rewrite system's rules and a difference machine's table.  The subset
+rewrite system's rules and a difference machine's table, and the
+rewriting references (leftmost, lowest-indexed reduction by rescanning
+and the critical pairs of two rules, containment included) read rule
+lists.  The subset
 table and the finite-language count read a machine's moves and a
 table directly.  None of these shares code with the package.  The builders at the end make small
 package objects the tests need, from the package's public constructors,
@@ -389,6 +392,45 @@ def critical_pairs(rs) -> list[tuple[bytes, bytes]]:
                 if a != b:
                     out.add((a, b))
     return sorted(out)
+
+
+def leftmost_reduce(rules, word: bytes) -> bytes:
+    """Reduce ``word`` by the rules ``(lhs, rhs)``, listed in index order,
+    always rewriting at the leftmost position where a left side starts,
+    by the lowest-indexed rule starting there.  After a rewrite at i the
+    scan restarts at i - max|lhs| + 1, as no match can start earlier."""
+    max_lhs = max((len(lhs) for lhs, _ in rules), default=1)
+    buf = bytearray(word)
+    i = 0
+    while i < len(buf):
+        for lhs, rhs in rules:
+            if buf.startswith(lhs, i):
+                buf[i : i + len(lhs)] = rhs
+                i = max(i - max_lhs + 1, 0)
+                break
+        else:
+            i += 1
+    return bytes(buf)
+
+
+def overlap_equations(r1, r2, same_rule: bool) -> list[tuple[bytes, bytes]]:
+    """The critical-pair equations of the rules r1 = (l1, q1) and
+    r2 = (l2, q2): each proper overlap, a suffix of l1 of length k equal
+    to a prefix of l2 (k increasing), then, unless ``same_rule``, each
+    occurrence of a shorter l2 inside l1 (left to right); each equation
+    is the two one-step reducts of the superposition word."""
+    out = []
+    l1, q1 = r1
+    l2, q2 = r2
+    for k in range(1, min(len(l1), len(l2))):
+        if l1[-k:] == l2[:k]:
+            out.append((q1 + l2[k:], l1[:-k] + q2))
+    if not same_rule and len(l2) < len(l1):
+        start = l1.find(l2)
+        while start >= 0:
+            out.append((q1, l1[:start] + q2 + l1[start + len(l2) :]))
+            start = l1.find(l2, start + 1)
+    return out
 
 
 def run_pair(machine, u: bytes, v: bytes) -> tuple[bool, int]:

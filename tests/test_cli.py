@@ -67,6 +67,18 @@ def test_reduce_wp_order(z2_bundle, capsys):
     assert capsys.readouterr().out.strip() == "infinite"
 
 
+@pytest.mark.parametrize("relators", [["aab", "aaB"], ["aaB", "aab"]])
+def test_order_of_a_presentation_with_two_relators_on_one_lhs(relators, tmp_path, capsys):
+    src = tmp_path / "z4.json"
+    src.write_text(json.dumps({"generators": ["a", "b"], "inverses": {"a": "A", "b": "B"},
+                               "relators": relators}))
+    out = tmp_path / "z4"
+    assert main(["autstructure", str(src), "-o", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("verified:")
+    assert main(["order", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "4"
+
+
 def test_growth_json_output(z2_bundle, capsys):
     assert main(["growth", z2_bundle, "--terms", "5"]) == 0
     data = json.loads(capsys.readouterr().out)

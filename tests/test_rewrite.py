@@ -1,6 +1,8 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agt.errors import UsageError
 from agt.limits import Limits
@@ -12,7 +14,7 @@ from agt.rewrite import (
 )
 from agt.words import inverse_closed_alphabet
 
-from oracles import ZSquaredModel, critical_pairs, s3_model
+from oracles import ZSquaredModel, critical_pairs, leftmost_reduce, overlap_equations, s3_model
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,39 @@ def test_add_rule_orientation_guard(ab):
         rs.add_rule(ab.parse_word("ab"), ab.parse_word("ba"))
 
 
+def test_add_rule_needs_an_irreducible_lhs_and_retires_the_rules_containing_it(ab):
+    rs = RewriteSystem(ab)
+    rs.add_rule(ab.parse_word("bab"), ab.parse_word("a"))
+    rs.add_rule(ab.parse_word("bb"), ab.parse_word("aa"))
+    rs.add_rule(ab.parse_word("aBa"), ab.parse_word("ba"))
+    with pytest.raises(UsageError):
+        rs.add_rule(ab.parse_word("bb"), ab.parse_word("a"))
+    with pytest.raises(UsageError):
+        rs.add_rule(ab.parse_word("abba"), b"")
+    idx, retired = rs.add_rule(ab.parse_word("ba"), ab.parse_word("ab"))
+    assert idx == 3 and retired == [(ab.parse_word("bab"), ab.parse_word("a"))]
+    assert rs.dump().splitlines() == ["bb -> aa", "aBa -> ab", "ba -> ab"]
+    assert rs.reduce(ab.parse_word("bab")) == ab.parse_word("aaa")
+
+
+@pytest.mark.parametrize("relators", [["aab", "aaB"], ["aaB", "aab"]])
+def test_system_from_presentation_keeps_relators_with_one_oriented_lhs(ab, relators):
+    # both relators orient to aa -> ..., which once dropped the second one
+    rs = system_from_presentation(Presentation(ab, [ab.parse_word(r) for r in relators]))
+    assert Completion(rs).run().status == "complete"
+    z4 = {0: 1, 1: 3, 2: 2, 3: 2}  # a -> 1, A -> 3, b = a^2 -> 2, B -> 2 in Z/4
+    seen, words = {b""}, [b""]
+    while words:
+        w = words.pop()
+        for c in range(ab.size):
+            nxt = rs.reduce(w + bytes((c,)))
+            if nxt not in seen:
+                seen.add(nxt)
+                words.append(nxt)
+    assert len(seen) == 4
+    assert len({sum(z4[c] for c in w) % 4 for w in seen}) == 4
+
+
 # -- reduction ----------------------------------------------------------------
 
 
@@ -91,6 +126,15 @@ def test_reduce_leftmost_lowest_index(ab):
     out = rs.reduce(ab.parse_word("abb"))
     # ab|b -> aa|b; then no match ("ab" at 1? a,a,b: "ab" at position 1) -> a|ab -> a|aa
     assert out == ab.parse_word("aaa")
+
+
+def test_reduce_left_sides_longer_than_the_recursion_limit():
+    single = inverse_closed_alphabet(["a"], {"a": "A"})
+    n = sys.getrecursionlimit() + 100
+    rs = system_from_presentation(Presentation(single, [b"\0" * (2 * n)]))
+    assert rs.dump().splitlines()[-1] == "A" * n + " -> " + "a" * n
+    for w in (b"\1" * (n - 1) + b"\0", b"\1" * (n - 1) + b"\0" * n, b"\1" * (3 * n)):
+        assert rs.reduce(w) == leftmost_reduce(rs.rules, w)
 
 
 # -- critical pairs -------------------------------------------------------------
@@ -244,3 +288,71 @@ def test_completion_determinism(ab):
         return rs.dump()
 
     assert run() == run()
+
+
+# -- against the references ------------------------------------------------------
+
+
+words_ab = st.binary(max_size=7).map(lambda b: bytes(c % 4 for c in b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.booleans(), words_ab, words_ab), max_size=25),
+    st.lists(words_ab.map(lambda w: w * 3), min_size=1, max_size=6),
+)
+def test_reduce_matches_the_leftmost_reference(ops, probes):
+    """After each random addition or retirement, reduce gives what the
+    leftmost, lowest-indexed rescan gives on the live rules."""
+    ab = inverse_closed_alphabet(["a", "b"], {"a": "A", "b": "B"})
+    rs = RewriteSystem(ab)
+    for add, w1, w2 in ops:
+        if add:
+            u, v = rs.reduce(w1), rs.reduce(w2)
+            if u != v:
+                rs.add_rule(*((u, v) if ab.shortlex_less(v, u) else (v, u)))
+        elif rs.num_live:
+            live = rs.live_items()
+            rs.remove_rule(live[len(w1) % len(live)][0])
+        for w in probes:
+            assert rs.reduce(w) == leftmost_reduce(rs.rules, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(st.binary(min_size=1, max_size=7), min_size=1, max_size=2),
+)
+def test_queued_equations_match_the_full_overlap_scan(involutions, relators):
+    """The seed queue, and what each added rule appends to the queue, are
+    the equations of the full scan of every pair of rules, in order."""
+    if involutions:
+        alphabet = inverse_closed_alphabet(["a", "b"], involutions=["a", "b"])
+    else:
+        alphabet = inverse_closed_alphabet(["a", "b"], {"a": "A", "b": "B"})
+    pres = Presentation(alphabet, [bytes(c % alphabet.size for c in r) for r in relators])
+    rs = system_from_presentation(pres)
+    comp = Completion(rs, Limits(max_rules=40))
+    live = rs.live_items()
+    assert list(comp.queue) == [
+        eq for i, r1 in live for j, r2 in live for eq in overlap_equations(r1, r2, i == j)
+    ]
+    add_rule = comp._add_rule
+
+    def checked(lhs, rhs):
+        before = dict(rs.live_items())
+        start = len(comp.queue)
+        add_rule(lhs, rhs)
+        after = dict(rs.live_items())
+        expected = [rule for j, rule in before.items() if j not in after]
+        for idx in after.keys() - before.keys():
+            new = after[idx]
+            for j, rule in after.items():
+                if j != idx:
+                    expected += overlap_equations(new, rule, False)
+                    expected += overlap_equations(rule, new, False)
+            expected += overlap_equations(new, new, True)
+        assert list(comp.queue)[start:] == expected
+
+    comp._add_rule = checked
+    comp.run(lambda c: c.processed >= 300)
