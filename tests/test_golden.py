@@ -13,12 +13,18 @@ regression.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from agt import autostruct, formats, pairfsa
 from agt.autostruct import AxiomReport, CheckFailure, ElementaryReport, derive_shortlex_structure
-from agt.coxeter import CoxeterMatrix, build_geodesic_acceptor, build_shortlex_word_acceptor
+from agt.coxeter import (
+    CoxeterMatrix,
+    build_geodesic_acceptor,
+    build_shortlex_word_acceptor,
+    small_roots,
+)
 from agt.limits import Limits
 from agt.rewrite import Completion, Presentation, system_from_presentation
 
@@ -93,6 +99,77 @@ def test_coxeter_acceptors_are_pinned(group, kind):
     build = build_shortlex_word_acceptor if kind == "shortlex" else build_geodesic_acceptor
     wa = build(COXETER[group])
     assert _digest([formats.dumps(formats.dfa_to_json(wa))]) == ACCEPTORS[group, kind]
+
+
+# -- small-root action tables ---------------------------------------------------
+#
+# Each digest covers ``small_roots(m)[2]``, the action of each generator on
+# the small roots as indices in discovery order.  It does not depend on how
+# root coordinates are represented.
+
+
+def _matrix(rank, orders, default=2):
+    m = [[1 if i == j else default for j in range(rank)] for i in range(rank)]
+    for (i, j), k in orders.items():
+        m[i][j] = m[j][i] = k
+    return CoxeterMatrix(m)
+
+
+def _triangle(p, q, r):
+    return CoxeterMatrix([[1, p, r], [p, 1, q], [r, q, 1]])
+
+
+ROOT_MATRICES = {
+    "A2": _path(3),
+    "A4": _path(3, 3, 3),
+    "B5": _path(4, 3, 3, 3),
+    "D4": _matrix(4, {(0, 1): 3, (1, 2): 3, (1, 3): 3}),
+    "H3": _path(5, 3),
+    "H4": _path(5, 3, 3),
+    "F4": _path(3, 4, 3),
+    "E6": _matrix(6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (2, 5): 3}),
+    "A2aff": _triangle(3, 3, 3),
+    "A3aff": _matrix(4, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (0, 3): 3}),
+    "C3aff": _path(4, 3, 4),
+    "T237": _triangle(2, 3, 7),
+    "T245": _triangle(2, 4, 5),
+    "T246": _triangle(2, 4, 6),
+    "T2311": _triangle(2, 3, 11),
+    "Dinf": _path(0),
+    "RA4": _matrix(4, {(0, 1): 0, (1, 2): 0, (2, 3): 0, (0, 3): 0}),
+    "X": CoxeterMatrix([[1, 3, 0], [3, 1, 4], [0, 4, 1]]),
+    "I2_5": _path(5),
+    "I2_31": _path(31),
+    "I2_97": _path(97),
+}
+ROOT_ACTIONS = {
+    "A2": "1f43703d92640f0b95e3d73d949449dfac76afb12ac43f62f982d5e06b7a63ee",
+    "A4": "8278316fe8e42e596bae254de7345382537227bf64e773511e31a1088d48b0a9",
+    "B5": "7179d8f9de7b029411472b3b514bbf4346c3b3ef4b5e57f8a32c09b870069681",
+    "D4": "b191108c0f62b4196b265fc8ffbd221b0b227f71850111a331e6ab68a64ca92f",
+    "H3": "e4ebfbfef34ebf609babee4cc5ba98a58ed009be275722ca9724261104b658b4",
+    "H4": "0ff737d3882762d44ab744bac219b14f32e25a9eb8f5189559b08e9176a83289",
+    "F4": "c815ca81e72cb670ec4004679f7009b6bfd1d4355de256ad216b4ec07bfd0728",
+    "E6": "38faecd04563a4ce32b33f451b1e8955b2d1ad331bc80db0600e1cb68177db87",
+    "A2aff": "071afcda717145d628452b26ac5d76fa3a54765812afca331680193274be4fe1",
+    "A3aff": "3f93ccd8c24ed8fd39df00bf0260b4884aabfa80f9c030f0c134a4a10f54ae04",
+    "C3aff": "b659d877fc1a9f20baeb42a70de4d88b3487a213d9165f3e3e5f6585a6d72348",
+    "T237": "a139815c1777530db98276d61e285077fd0028787ac779ef6babe4dfa0cc00fe",
+    "T245": "0b76412d184b533ccc9e8068096e5e5ef083ffceb42b2bc1247d98b4cd398412",
+    "T246": "1d6c78bbb54b80ad78f43b6244d5a3d1464b45ae7d6d414146131b38dd16bdbf",
+    "T2311": "66a60f73884378d8cf2bd0f7d4c6f950bdf561ca0971dc5658f2900ef49c852f",
+    "Dinf": "457275267cb49bc3a2abce6128a21371df8775560598327965b83ce381fb7459",
+    "RA4": "4e3852cdbecf679e59d5500fa777d3a2b69f47644a43cfd367ff4d64526ec9ea",
+    "X": "a9e5c0210bcabc97555262a13d041c1ae2d37543d5e580730205a580d52898d9",
+    "I2_5": "cd64bc565ab39728cacb2c6b442f2646b4c8a525fc9f7e1dfe9d1a198fb4f034",
+    "I2_31": "654f9557c68d81c9c1fe0b9ce6611e3af8a73e55265c493d3351f41bbec008c4",
+    "I2_97": "baadaa6038350fa95b711265f001adddd97b500c8a07fba4d9e0afcf8f3d78d3",
+}
+
+
+@pytest.mark.parametrize("group", sorted(ROOT_ACTIONS))
+def test_small_root_actions_are_pinned(group):
+    assert _digest([json.dumps(small_roots(ROOT_MATRICES[group])[2])]) == ROOT_ACTIONS[group]
 
 
 # -- Knuth-Bendix completions -------------------------------------------------
