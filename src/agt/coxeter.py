@@ -1,8 +1,8 @@
 """Coxeter groups from their small roots.
 
-The reflection representation acts on exact cyclotomic coordinates in
-the simple-root basis.  The small roots (Brink & Howlett 1993) are the
-positive roots that dominate no other positive root, where alpha is
+The reflection representation acts on exact coordinates in the
+simple-root basis, over the ring Z[2cos(2*pi/N)] of ``cyclotomic``.
+The small roots (Brink & Howlett 1993) are the positive roots that dominate no other positive root, where alpha is
 said to dominate beta when every group element sending alpha negative
 also sends beta negative.  They are finitely many, and they are the
 state alphabet of the shortlex word acceptor.  ``small_roots`` builds
@@ -18,7 +18,6 @@ and skips the refinement.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from . import fsa
@@ -41,7 +40,10 @@ class CoxeterMatrix:
         rank = len(m)
         if rank < 1:
             raise UsageError("rank must be at least 1")
-        rows = tuple(tuple(int(x) for x in row) for row in m)
+        rows = tuple(tuple(row) for row in m)
+        for x in (x for row in rows for x in row):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise UsageError(f"Coxeter matrix entries must be integers, got {x!r}")
         if any(len(row) != rank for row in rows):
             raise UsageError("Coxeter matrix must be square")
         for i in range(rank):
@@ -57,55 +59,43 @@ class CoxeterMatrix:
 
 
 class FieldContext:
-    """Exact arithmetic context: the cyclotomic field containing every
-    -cos(pi/m_ij), the bilinear form, and the simple roots."""
+    """Exact arithmetic context: the ring Z[2cos(2*pi/N)] holding every
+    2cos(pi/m_ij), twice the bilinear form, and the simple roots.
+
+    ``form`` holds 2B, with 2B(e_i, e_j) = -2cos(pi/m_ij) =
+    -C_{N/(2m_ij)}(t): 2 on the diagonal, where m = 1, and -2 for an
+    infinite order."""
 
     def __init__(self, matrix: CoxeterMatrix):
         self.rank = matrix.rank
-        self.field = CyclotomicField(conductor_for([m for row in matrix.m for m in row]))
-        F = self.field
-        form = []
-        for i in range(self.rank):
-            row = []
-            for j in range(self.rank):
-                if i == j:
-                    row.append(F.one)
-                elif matrix.m[i][j] == 0:
-                    row.append(F.from_rational(Fraction(-1)))
-                else:
-                    row.append(F.neg(F.cos_pi_over(matrix.m[i][j])))
-            form.append(tuple(row))
-        self.form = tuple(form)
+        self.field = F = CyclotomicField(conductor_for([m for row in matrix.m for m in row]))
+        self.form = tuple(
+            tuple(F.from_int(-2) if m == 0 else F.scale(-1, F.two_cos_pi_over(m)) for m in row)
+            for row in matrix.m
+        )
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(F.one if j == i else F.zero for j in range(self.rank))
             for i in range(self.rank)
         )
 
     def inner_simple(self, i: int, v: Root) -> Element:
-        """<e_i, v> without building the one-hot root."""
+        """2B(e_i, v) without building the one-hot root."""
         F = self.field
         total = F.zero
-        for j, vj in enumerate(v):
-            if not F.is_zero(vj):
-                total = F.add(total, F.mul(vj, self.form[i][j]))
+        for vj, bij in zip(v, self.form[i]):
+            if not F.is_zero(vj) and not F.is_zero(bij):
+                total = F.add(total, F.mul(vj, bij))
         return total
 
     def format_root(self, v: Root) -> str:
         F = self.field
         parts = []
         for i, c in enumerate(v):
-            if F.is_zero(c):
-                continue
-            txt = F.format_element(c)
-            if txt == "1":
-                parts.append(f"e{i + 1}")
-            elif txt == "-1":
-                parts.append(f"-e{i + 1}")
-            elif F.is_rational(c):
-                parts.append(f"{txt}*e{i + 1}")
-            else:
-                parts.append(f"({txt})*e{i + 1}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+            if not F.is_zero(c):
+                txt = F.format_element(c)
+                coeff = {"1": "", "-1": "-"}.get(txt, f"{txt}*" if F.is_integer(c) else f"({txt})*")
+                parts.append(f"{coeff}e{i + 1}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def small_roots(
@@ -120,17 +110,19 @@ def small_roots(
     simple roots and contains s_i(beta) whenever beta is in it and
     -1 < B(e_i, beta) < 0.  For such beta the child
     beta + 2|B(e_i, beta)| e_i is positive and deeper than beta, so
-    neither a sign test nor a dominance test is needed.
+    neither a sign test nor a dominance test is needed.  The closure
+    computes c = 2B(e_i, beta), which lies in the ring, so the gate is
+    -2 < c < 0 and the child is beta - c e_i.
 
     ``action[i][r]`` is the index of s_i(roots[r]) in ``roots``, or None
-    when that image is not a small root, decided by the same
-    c = B(e_i, beta): c = 0 fixes beta; -1 < c < 0 gives the child,
-    recorded in both directions; c > 0 gives the parent, recorded from
-    its side (None for beta = e_i, whose image is -e_i); c <= -1 gives
-    no small root.
+    when that image is not a small root, decided by the same c: c = 0
+    fixes beta; -2 < c < 0 gives the child, recorded in both directions;
+    c > 0 gives the parent, recorded from its side (None for beta = e_i,
+    whose image is -e_i); c <= -2 gives no small root.
     """
     ctx = FieldContext(matrix)
     F = ctx.field
+    two = F.from_int(2)
     found: list[Root] = list(ctx.simple_roots)
     index = {r: k for k, r in enumerate(found)}
     action: list[list[int | None]] = [[None] * ctx.rank for _ in range(ctx.rank)]
@@ -139,8 +131,8 @@ def small_roots(
             c = ctx.inner_simple(i, beta)
             if F.is_zero(c):
                 action[i][b] = b
-            elif F.sign(c) < 0 < F.sign(F.add(c, F.one)):
-                child = beta[:i] + (F.sub(beta[i], F.scale(2, c)),) + beta[i + 1 :]
+            elif F.sign(c) < 0 < F.sign(F.add(c, two)):
+                child = beta[:i] + (F.sub(beta[i], c),) + beta[i + 1 :]
                 k = index.get(child)
                 if k is None:
                     if len(found) >= DEFAULT_ROOT_CAP:

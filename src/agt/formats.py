@@ -132,8 +132,9 @@ def matrix_from_json(data: dict) -> CoxeterMatrix:
     if "m" not in data:
         raise UsageError("Coxeter matrix file needs an 'm' table")
     m = CoxeterMatrix(data["m"])
-    if "rank" in data and data["rank"] != m.rank:
-        raise UsageError("declared rank does not match the matrix")
+    rank = data.get("rank", m.rank)
+    if isinstance(rank, bool) or rank != m.rank:
+        raise UsageError(f"declared rank {rank!r} does not match the matrix's {m.rank}")
     return m
 
 

@@ -261,7 +261,7 @@ def cyclic_conjugacy_oracle(u: tuple, v: tuple, inv=(1, 0, 3, 2)) -> bool:
 
 
 def inner(ctx, u, v):
-    """Bilinear form value B(u, v), exact."""
+    """Twice the bilinear form, 2B(u, v), exact: ``ctx.form`` holds 2B."""
     F = ctx.field
     total = F.zero
     for i, ui in enumerate(u):
@@ -284,17 +284,17 @@ def root_sign(ctx, v) -> int:
 
 
 def reflect(ctx, i: int, v):
-    """r_i(v) = v - 2 B(v, e_i) e_i: the reference the action table of
+    """r_i(v) = v - 2B(v, e_i) e_i: the reference the action table of
     ``small_roots`` is tested against."""
     F = ctx.field
     out = list(v)
-    out[i] = F.sub(out[i], F.scale(2, inner(ctx, v, ctx.simple_roots[i])))
+    out[i] = F.sub(out[i], inner(ctx, v, ctx.simple_roots[i]))
     return tuple(out)
 
 
-def as_rational(F, a):
-    """The rational number that the field element a is."""
-    assert F.is_rational(a), a
+def as_integer(F, a):
+    """The integer that the ring element a is."""
+    assert F.is_integer(a), a
     return a[0]
 
 
@@ -313,14 +313,15 @@ def root_depth(ctx, beta) -> int:
 
 def dominates(ctx, alpha, beta) -> bool:
     """Positive root alpha dominates beta (alpha != beta) iff
-    B(alpha, beta) >= 1 and dp(alpha) > dp(beta).  The inner product
-    alone is symmetric; of two such roots only the deeper dominates."""
+    B(alpha, beta) >= 1, that is 2B >= 2, and dp(alpha) > dp(beta).  The
+    inner product alone is symmetric; of two such roots only the deeper
+    dominates."""
     if alpha == beta:
         raise ValueError("dominance is between distinct positive roots")
     if root_sign(ctx, alpha) <= 0 or root_sign(ctx, beta) <= 0:
         raise ValueError("dominance needs positive roots")
     F = ctx.field
-    if F.sign(F.sub(inner(ctx, alpha, beta), F.one)) < 0:
+    if F.sign(F.sub(inner(ctx, alpha, beta), F.from_int(2))) < 0:
         return False
     return root_depth(ctx, alpha) > root_depth(ctx, beta)
 

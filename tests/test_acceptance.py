@@ -30,7 +30,7 @@ from oracles import (
     AffineA2Model,
     BurauB3Model,
     ZSquaredModel,
-    as_rational,
+    as_integer,
     cyclic_conjugacy_oracle,
     dominance_semi_oracle,
     dominates,
@@ -181,7 +181,7 @@ def test_criterion_6_infinite_dihedral():
         e1, e2 = ctx.simple_roots
         r = reflect(ctx, 0, e2)  # 2 e1 + e2
         F = ctx.field
-        assert as_rational(F, inner(ctx, r, e1)) == 1
+        assert as_integer(F, inner(ctx, r, e1)) == 2  # 2B(r, e1)
         assert dominates(ctx, r, e1)
         assert dominance_semi_oracle(ctx, r, e1, 10)
 

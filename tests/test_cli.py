@@ -118,6 +118,35 @@ def test_cox_subcommands(a2_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "equal"
 
 
+# 2cos(pi/5) = C_6(t) = -2 + 9t^2 - 6t^4 + t^6 for t = 2cos(2pi/60)
+H3_ROOTS = (
+    "conductor: 60\n"
+    "small roots: 15\n"
+    "e1\n"
+    "e2\n"
+    "e3\n"
+    "e1 + (-2 + 9*t^2 - 6*t^4 + t^6)*e2\n"
+    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + e2\n"
+    "e2 + e3\n"
+    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + (-2 + 9*t^2 - 6*t^4 + t^6)*e2\n"
+    "e1 + (-2 + 9*t^2 - 6*t^4 + t^6)*e2 + (-2 + 9*t^2 - 6*t^4 + t^6)*e3\n"
+    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + e2 + e3\n"
+    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + (-2 + 9*t^2 - 6*t^4 + t^6)*e2 + (-2 + 9*t^2 - 6*t^4 + t^6)*e3\n"
+    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + (-1 + 9*t^2 - 6*t^4 + t^6)*e2 + e3\n"
+    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + (-1 + 9*t^2 - 6*t^4 + t^6)*e2 + (-2 + 9*t^2 - 6*t^4 + t^6)*e3\n"
+    "(-1 + 9*t^2 - 6*t^4 + t^6)*e1 + (-1 + 9*t^2 - 6*t^4 + t^6)*e2 + e3\n"
+    "(-1 + 9*t^2 - 6*t^4 + t^6)*e1 + (-1 + 9*t^2 - 6*t^4 + t^6)*e2 + (-2 + 9*t^2 - 6*t^4 + t^6)*e3\n"
+    "(-1 + 9*t^2 - 6*t^4 + t^6)*e1 + (-4 + 18*t^2 - 12*t^4 + 2*t^6)*e2 + (-2 + 9*t^2 - 6*t^4 + t^6)*e3\n"
+)
+
+
+def test_cox_roots_prints_polynomials_in_t(tmp_path, capsys):
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps({"m": [[1, 5, 2], [5, 1, 3], [2, 3, 1]]}))
+    assert main(["cox", "roots", str(path)]) == 0
+    assert capsys.readouterr().out == H3_ROOTS
+
+
 @pytest.mark.parametrize("names", ["a,", ",b", "a b,c"])
 def test_cox_names_must_be_nonempty_without_whitespace(names, a2_file, capsys):
     assert main(["cox", "wa", a2_file, "--names", names]) == 2
@@ -386,7 +415,16 @@ MALFORMED_FILES = {
     "relator_not_a_word": (
         ["kb"], {"generators": ["a"], "inverses": {"a": "A"}, "relators": [5]}, "AttributeError"
     ),
-    "matrix_row_not_numbers": (["cox", "wa"], {"m": [[1, "x"], [3]]}, "ValueError"),
+    "matrix_row_not_numbers": (
+        ["cox", "wa"], {"m": [[1, "x"], [3]]}, "Coxeter matrix entries must be integers, got 'x'"
+    ),
+    "matrix_entries_not_integers": (
+        ["cox", "roots"], {"m": [[True, "3"], ["3", True]]},
+        "Coxeter matrix entries must be integers, got True",
+    ),
+    "matrix_rank_not_an_integer": (
+        ["cox", "roots"], {"m": [[1]], "rank": True}, "declared rank True does not match the matrix's 1"
+    ),
     "matrix_missing": (["cox", "wa"], None, "no such file"),
     "order_omits_a_generator": (
         ["autstructure"], {**Z2_ORDER, "order": ["a", "A"]},

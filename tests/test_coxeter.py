@@ -1,6 +1,5 @@
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -13,6 +12,7 @@ from agt.coxeter import (
     build_shortlex_word_acceptor,
     small_roots,
 )
+from agt.cyclotomic import CyclotomicField
 from agt.errors import ResourceLimitError, UsageError
 from agt.rewrite import Presentation
 from agt.words import inverse_closed_alphabet
@@ -21,7 +21,7 @@ from oracles import (
     AffineA2Model,
     DInfinityModel,
     SignedPermModel,
-    as_rational,
+    as_integer,
     dominance_semi_oracle,
     dominates,
     inner,
@@ -86,6 +86,9 @@ def coxeter_presentation(matrix, names):
 def test_matrix_validation():
     with pytest.raises(UsageError):
         CoxeterMatrix([[1, 2], [3, 1]])  # asymmetric
+    for bad in (2.7, True, "3"):
+        with pytest.raises(UsageError, match="must be integers"):
+            CoxeterMatrix([[1, bad], [bad, 1]])  # once coerced: 2.7 was read as 2
     with pytest.raises(UsageError):
         CoxeterMatrix([[2, 3], [3, 1]])  # bad diagonal
     with pytest.raises(UsageError):
@@ -96,26 +99,27 @@ def test_inner_product_examples():
     ctx = FieldContext(A2)
     F = ctx.field
     e1, e2 = ctx.simple_roots
-    assert as_rational(F, inner(ctx, e1, e2)) == Fraction(-1, 2)
-    assert as_rational(F, inner(ctx, e1, e1)) == 1
-    assert as_rational(F, ctx.inner_simple(0, e2)) == Fraction(-1, 2)
+    # inner is 2B: B(e1, e2) = -1/2, B(e1, e1) = 1
+    assert as_integer(F, inner(ctx, e1, e2)) == -1
+    assert as_integer(F, inner(ctx, e1, e1)) == 2
+    assert as_integer(F, ctx.inner_simple(0, e2)) == -1
     ctx_inf = FieldContext(DINF)
-    assert as_rational(
+    assert as_integer(
         ctx_inf.field, inner(ctx_inf, ctx_inf.simple_roots[0], ctx_inf.simple_roots[1])
-    ) == -1
+    ) == -2
 
 
 def test_reflection_examples():
     ctx = FieldContext(A2)
     F = ctx.field
     e1, e2 = ctx.simple_roots
-    assert reflect(ctx, 0, e1) == tuple(F.neg(c) for c in e1)
+    assert reflect(ctx, 0, e1) == tuple(F.scale(-1, c) for c in e1)
     # A2: r1(e2) = e2 + e1
     assert reflect(ctx, 0, e2) == (F.one, F.one)
     ctx_inf = FieldContext(DINF)
     f1, f2 = ctx_inf.simple_roots
     # D-infinity: r1(e2) = e2 + 2 e1
-    assert reflect(ctx_inf, 0, f2) == (ctx_inf.field.from_rational(2), ctx_inf.field.one)
+    assert reflect(ctx_inf, 0, f2) == (ctx_inf.field.from_int(2), ctx_inf.field.one)
 
 
 def test_reflection_involutive_and_form_preserving():
@@ -190,7 +194,7 @@ def test_dominance_consistent_with_semi_oracle():
         comparable = 0
         for x, a in enumerate(roots):
             for b in roots[x + 1 :]:
-                if F.sign(F.sub(inner(ctx, a, b), F.one)) < 0:
+                if F.sign(F.sub(inner(ctx, a, b), F.from_int(2))) < 0:
                     assert not dominates(ctx, a, b) and not dominates(ctx, b, a)
                     continue
                 comparable += 1
@@ -271,6 +275,49 @@ def test_small_root_cap(monkeypatch):
         build_geodesic_acceptor(A2)
     monkeypatch.setattr(coxeter, "DEFAULT_ROOT_CAP", 3)
     assert len(small_roots(A2)[1]) == 3
+
+
+@pytest.mark.parametrize("m", [5, 31, 97])
+def test_dihedral_groups_have_m_small_roots(m, monkeypatch):
+    """I2(m) has order 2m and m positive roots, all small: an oracle that
+    uses no ring arithmetic.  For I2(97), t = 2cos(2pi/194) has degree 48
+    and root coordinates in the power basis grow like 2^k, so the float
+    filter leaves signs open and the exact path decides them."""
+    exact_calls = []
+    exact = CyclotomicField._exact_sign
+    monkeypatch.setattr(
+        CyclotomicField, "_exact_sign", lambda self, a: exact_calls.append(a) or exact(self, a)
+    )
+    ctx, roots, _ = small_roots(linear(m))
+    assert len(roots) == m
+    if m == 97:
+        assert ctx.field.degree == 48
+        assert len(exact_calls) > 0
+
+
+def test_float_signs_agree_with_exact_signs(monkeypatch):
+    """Every sign the float filter decides over the corpus, the exact
+    path decides the same way."""
+    sign, exact = CyclotomicField.sign, CyclotomicField._exact_sign
+    went_exact, compared = [], []
+
+    def counted_exact(self, a):
+        went_exact.append(a)
+        return exact(self, a)
+
+    def checked_sign(self, a):
+        before = len(went_exact)
+        s = sign(self, a)
+        if not self.is_integer(a) and len(went_exact) == before:
+            assert exact(self, a) == s, a
+            compared.append(a)
+        return s
+
+    monkeypatch.setattr(CyclotomicField, "_exact_sign", counted_exact)
+    monkeypatch.setattr(CyclotomicField, "sign", checked_sign)
+    for matrix in (*CORPUS.values(), linear(5, 3, 3), triangle(2, 3, 11), linear(31)):
+        small_roots(matrix)
+    assert len(compared) > 400
 
 
 def test_small_roots_pairwise_non_dominating():
