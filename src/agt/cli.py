@@ -3,8 +3,9 @@
 Subcommands: kb, autstructure, reduce, wp, order, growth, enumerate,
 conetypes, conj, cox {wa,geo,roots}, fsa {min,and,or,not,minus,eq}.
 Exit codes: 0 success/verified, 1 procedure abandoned, 2 usage error,
-3 resource limit.  Identical inputs and limits give byte-identical
-outputs.  AGT_STATE_CAP overrides the subset-construction state cap.
+3 resource limit.  Every limit is a count set by one flag, and each
+command takes only the limit flags it reads.  Identical inputs and
+limits give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -52,37 +52,26 @@ def _load_dfa(path: str):
     return m
 
 
-def _state_cap(default: int) -> int:
-    """AGT_STATE_CAP when it is set, else ``default``."""
-    env = os.environ.get("AGT_STATE_CAP")
-    if env is None:
-        return default
-    try:
-        state_cap = int(env)
-    except ValueError:
-        state_cap = 0
-    if state_cap < 1:
-        raise UsageError(f"AGT_STATE_CAP must be an integer >= 1, got {env!r}")
-    return state_cap
+LIMITS = tuple(f.name for f in dataclasses.fields(Limits))
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _limits(args) -> Limits:
-    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(Limits)}
+    """Limits from the limit flags the command has, defaults for the rest."""
+    values = {name: getattr(args, name) for name in LIMITS if hasattr(args, name)}
     for name, value in values.items():
-        check_limit(name, value, f"--{name.replace('_', '-')}")
-    values["state_cap"] = _state_cap(values["state_cap"])
+        check_limit(name, value, _flag(name))
     return Limits(**values)
 
 
-def _add_limit_flags(p: argparse.ArgumentParser) -> None:
+def _add_limit_flags(p: argparse.ArgumentParser, names, note: str | None = None) -> None:
+    """One int flag per ``Limits`` field in ``names``, with its default."""
     d = Limits()
-    p.add_argument("--max-rules", type=int, default=d.max_rules)
-    p.add_argument("--max-lhs-len", type=int, default=d.max_lhs_len)
-    p.add_argument("--max-rhs-len", type=int, default=d.max_rhs_len)
-    p.add_argument("--max-seconds", type=float, default=d.max_seconds)
-    p.add_argument("--max-passes", type=int, default=d.max_passes)
-    p.add_argument("--stability-window", type=int, default=d.stability_window)
-    p.add_argument("--state-cap", type=int, default=d.state_cap)
+    for name in names:
+        p.add_argument(_flag(name), type=int, default=getattr(d, name), help=note)
 
 
 def _emit(args, text: str) -> None:
@@ -194,6 +183,7 @@ def cmd_conj(args) -> int:
 
 
 def cmd_cox(args) -> int:
+    state_cap = _limits(args).state_cap
     matrix = _load_matrix(args.matrix)
     if args.what == "roots":
         ctx, roots, _ = small_roots(matrix)
@@ -203,7 +193,7 @@ def cmd_cox(args) -> int:
         return EXIT_OK
     builder = build_shortlex_word_acceptor if args.what == "wa" else build_geodesic_acceptor
     names = args.names.split(",") if args.names else None
-    wa = builder(matrix, names, _state_cap(fsa.DEFAULT_STATE_CAP))
+    wa = builder(matrix, names, state_cap)
     count = fsa.language_is_finite(wa)
     sys.stdout.write(
         f"states: {wa.num_states} language: "
@@ -245,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kb", help="run Knuth-Bendix completion, dump the rules")
     p.add_argument("presentation")
     p.add_argument("-o", "--output", help="write rules to a file")
-    _add_limit_flags(p)
+    _add_limit_flags(p, ["max_rules", "max_lhs_len", "max_rhs_len"])
     p.set_defaults(func=cmd_kb)
 
     p = sub.add_parser("autstructure", help="derive and verify a shortlex automatic structure")
     p.add_argument("presentation")
     p.add_argument("-o", "--outdir", help="write the structure bundle here")
     p.add_argument("-q", "--quiet", action="store_true", help="print only the outcome line")
-    _add_limit_flags(p)
+    _add_limit_flags(p, LIMITS)
     p.set_defaults(func=cmd_autstructure)
 
     p = sub.add_parser("reduce", help="normal form of a word via the structure")
@@ -300,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--names", help="comma-separated generator names")
     p.add_argument("-o", "--output")
+    _add_limit_flags(p, ["state_cap"], "caps the subset states of wa and geo")
     p.set_defaults(func=cmd_cox)
 
     p = sub.add_parser("fsa", help="automaton algebra on JSON files")

@@ -2,7 +2,8 @@
 
 The Chebyshev polynomials C_0 = 2, C_1 = x, C_{k+1} = x*C_k - C_{k-1}
 have integer coefficients and C_k(2cos a) = 2cos(ka), so
-2cos(pi/m) = C_{N/(2m)}(t) lies in the ring when 2m divides N.  The
+2cos(pi/m) = C_{N/(2m)}(t) lies in the ring when 2m divides N (for
+m <= 3 it is an integer, so any N holds it).  The
 minimal polynomial Psi_N of t is monic with integer coefficients, of
 degree d = phi(N)/2 (d = 1 for N <= 2): for N >= 3 the cyclotomic
 polynomial Phi_N is palindromic and z^(-phi/2) * Phi_N(z) =
@@ -150,7 +151,10 @@ class CyclotomicField:
         return not any(a[1:])
 
     def two_cos_pi_over(self, m: int) -> Element:
-        """2cos(pi/m) = C_{N/(2m)}(t), requires 2m | N."""
+        """2cos(pi/m): the integers -2, 0 and 1 for m = 1, 2, 3, else
+        C_{N/(2m)}(t), which requires 2m | N."""
+        if m in (1, 2, 3):
+            return self.from_int((-2, 0, 1)[m - 1])
         if m < 1 or self.conductor % (2 * m) != 0:
             raise UsageError(f"conductor {self.conductor} does not contain cos(pi/{m})")
         return self._reduce(_chebyshev(self.conductor // (2 * m)))
@@ -208,10 +212,10 @@ class CyclotomicField:
 
 
 def conductor_for(orders: Sequence[int]) -> int:
-    """lcm of 2m over the relation orders m, at least 2; 0 (an infinite
-    order) is skipped, and 1 only adds a factor 2."""
+    """lcm of 2m over the relation orders m >= 4, at least 2: 2cos(pi/m)
+    is an integer for m = 1, 2, 3, and 0 (an infinite order) needs none."""
     n = 1
     for m in orders:
-        if m:
+        if m >= 4:
             n = n * (2 * m) // gcd(n, 2 * m)
     return max(n, 2)

@@ -155,19 +155,15 @@ class PairDfa:
 
 
 def diagonal(m: Dfa) -> PairDfa:
-    """Identity relation on L(m): accepts exactly the pairs (w, w), w in L(m)."""
+    """Identity relation on L(m): accepts exactly the pairs (w, w), w in L(m).
+
+    ``m`` must be minimal, as word acceptors are: renaming each symbol c
+    to (c, c) is one-to-one and keeps the symbol order, so the result
+    needs only :func:`fsa.canonical`, not a minimisation.
+    """
     pa = PairAlphabet(m.alphabet)
-    k = m.alphabet.size
-    rows = []
-    for s in range(m.num_states):
-        row = [FAIL] * pa.alphabet.size
-        for c in range(k):
-            t = m.transitions[s][c]
-            if t != FAIL:
-                row[pa.index(c, c)] = t
-        rows.append(row)
-    d = Dfa(pa.alphabet, m.num_states, m.initial, m.accepting, rows)
-    return PairDfa(m.alphabet, fsa.minimize(d), pa)
+    rows = [[(pa.index(c, c), t) for c, t in enumerate(row) if t != FAIL] for row in m.transitions]
+    return PairDfa(m.alphabet, fsa.canonical(pa.alphabet, m.initial, m.accepting, rows), pa)
 
 
 def swap(p: PairDfa) -> PairDfa:

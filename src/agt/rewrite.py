@@ -21,7 +21,6 @@ prefixes and suffixes of the live left sides.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -410,14 +409,9 @@ class Completion:
     def run(
         self, pause_when: Callable[["Completion"], bool] | None = None
     ) -> CompletionResult:
-        deadline = None
-        if self.limits.max_seconds is not None:
-            deadline = time.monotonic() + self.limits.max_seconds
         while self.queue:
             if self.limit_hit:
                 return self._result("limitHit", self.limit_hit)
-            if deadline is not None and time.monotonic() > deadline:
-                return self._result("limitHit", "maxSeconds")
             self.step()
             if pause_when is not None and pause_when(self):
                 return self._result("paused")

@@ -118,25 +118,25 @@ def test_cox_subcommands(a2_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "equal"
 
 
-# 2cos(pi/5) = C_6(t) = -2 + 9t^2 - 6t^4 + t^6 for t = 2cos(2pi/60)
+# 2cos(pi/5) = C_1(t) = t for t = 2cos(2pi/10), the golden ratio
 H3_ROOTS = (
-    "conductor: 60\n"
+    "conductor: 10\n"
     "small roots: 15\n"
     "e1\n"
     "e2\n"
     "e3\n"
-    "e1 + (-2 + 9*t^2 - 6*t^4 + t^6)*e2\n"
-    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + e2\n"
+    "e1 + (t)*e2\n"
+    "(t)*e1 + e2\n"
     "e2 + e3\n"
-    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + (-2 + 9*t^2 - 6*t^4 + t^6)*e2\n"
-    "e1 + (-2 + 9*t^2 - 6*t^4 + t^6)*e2 + (-2 + 9*t^2 - 6*t^4 + t^6)*e3\n"
-    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + e2 + e3\n"
-    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + (-2 + 9*t^2 - 6*t^4 + t^6)*e2 + (-2 + 9*t^2 - 6*t^4 + t^6)*e3\n"
-    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + (-1 + 9*t^2 - 6*t^4 + t^6)*e2 + e3\n"
-    "(-2 + 9*t^2 - 6*t^4 + t^6)*e1 + (-1 + 9*t^2 - 6*t^4 + t^6)*e2 + (-2 + 9*t^2 - 6*t^4 + t^6)*e3\n"
-    "(-1 + 9*t^2 - 6*t^4 + t^6)*e1 + (-1 + 9*t^2 - 6*t^4 + t^6)*e2 + e3\n"
-    "(-1 + 9*t^2 - 6*t^4 + t^6)*e1 + (-1 + 9*t^2 - 6*t^4 + t^6)*e2 + (-2 + 9*t^2 - 6*t^4 + t^6)*e3\n"
-    "(-1 + 9*t^2 - 6*t^4 + t^6)*e1 + (-4 + 18*t^2 - 12*t^4 + 2*t^6)*e2 + (-2 + 9*t^2 - 6*t^4 + t^6)*e3\n"
+    "(t)*e1 + (t)*e2\n"
+    "e1 + (t)*e2 + (t)*e3\n"
+    "(t)*e1 + e2 + e3\n"
+    "(t)*e1 + (t)*e2 + (t)*e3\n"
+    "(t)*e1 + (1 + t)*e2 + e3\n"
+    "(t)*e1 + (1 + t)*e2 + (t)*e3\n"
+    "(1 + t)*e1 + (1 + t)*e2 + e3\n"
+    "(1 + t)*e1 + (1 + t)*e2 + (t)*e3\n"
+    "(1 + t)*e1 + (2*t)*e2 + (t)*e3\n"
 )
 
 
@@ -203,15 +203,23 @@ def test_exit_code_abandoned(tmp_path, capsys):
     assert "abandoned" in capsys.readouterr().out
 
 
-def test_exit_code_resource_limit(z2_file, capsys, monkeypatch):
-    monkeypatch.setenv("AGT_STATE_CAP", "2")
-    assert main(["autstructure", z2_file]) == 3
-    monkeypatch.delenv("AGT_STATE_CAP")
+def test_exit_code_resource_limit(z2_file, capsys):
+    assert main(["autstructure", z2_file, "--state-cap", "2"]) == 3
 
 
 def test_removed_radius_flag_is_a_usage_error(z2_file, capsys):
     assert main(["autstructure", z2_file, "--check-radius", "6"]) == 2
     assert "--check-radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("kb", "--state-cap", "5"), ("kb", "--max-passes", "2"), ("autstructure", "--max-seconds", "1")],
+)
+def test_removed_limit_flag_is_a_usage_error(command, flag, value, z2_file, capsys):
+    # completion reads no state cap and no pass count, and no limit is a wall-clock time
+    assert main([command, z2_file, flag, value]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_outputs_deterministic(z2_file, tmp_path, capsys):
@@ -309,14 +317,6 @@ def test_wrong_automaton_kind_rejected_under_optimisation(z2_bundle_master, tmp_
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "0", "", "2.5"])
-def test_invalid_state_cap_variable_is_a_usage_error(value, z2_file, capsys, monkeypatch):
-    monkeypatch.setenv("AGT_STATE_CAP", value)
-    assert main(["autstructure", z2_file]) == 2
-    err = capsys.readouterr().err
-    assert "AGT_STATE_CAP" in err and err.count("\n") == 1
-
-
 @pytest.fixture()
 def a3_file(tmp_path):
     p = tmp_path / "a3.json"
@@ -324,20 +324,18 @@ def a3_file(tmp_path):
     return str(p)
 
 
-def test_cox_acceptor_obeys_the_state_cap_variable(a3_file, capsys, monkeypatch):
+def test_cox_acceptor_obeys_the_state_cap_flag(a3_file, capsys):
     # A3's shortlex acceptor explores 24 subset states
-    monkeypatch.setenv("AGT_STATE_CAP", "5")
-    assert main(["cox", "wa", a3_file]) == 3
+    assert main(["cox", "wa", a3_file, "--state-cap", "5"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ") and err.count("\n") == 1
     assert "acceptor subset states (cap 5)" in err
 
 
-def test_cox_invalid_state_cap_variable_is_a_usage_error(a3_file, capsys, monkeypatch):
-    monkeypatch.setenv("AGT_STATE_CAP", "abc")
-    assert main(["cox", "geo", a3_file]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "AGT_STATE_CAP" in err and err.count("\n") == 1
+def test_cox_invalid_state_cap_flag_is_a_usage_error(a3_file, capsys):
+    assert main(["cox", "geo", a3_file, "--state-cap", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --state-cap ") and err.count("\n") == 1
 
 
 def test_invalid_state_cap_flag_is_a_usage_error(z2_file, capsys):
@@ -351,15 +349,20 @@ def test_invalid_state_cap_flag_is_a_usage_error(z2_file, capsys):
         ("--max-rules", "-5"),
         ("--max-lhs-len", "0"),
         ("--max-rhs-len", "0"),
-        ("--max-seconds", "nan"),
         ("--max-passes", "-2"),
         ("--stability-window", "0"),
         ("--state-cap", "0"),
     ],
 )
-def test_limit_flag_out_of_range_is_a_usage_error(flag, value, z2_file, capsys):
-    for command in ("kb", "autstructure"):
-        assert main([command, z2_file, flag, value]) == 2
+def test_limit_flag_out_of_range_is_a_usage_error(flag, value, z2_file, a3_file, capsys):
+    # each flag on exactly the commands that read it
+    argvs = [["autstructure", z2_file]]
+    if flag in ("--max-rules", "--max-lhs-len", "--max-rhs-len"):
+        argvs.append(["kb", z2_file])
+    if flag == "--state-cap":
+        argvs += [["cox", what, a3_file] for what in ("wa", "geo", "roots")]
+    for argv in argvs:
+        assert main([*argv, flag, value]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {flag} ") and err.count("\n") == 1
 

@@ -470,7 +470,7 @@ def test_rank_three_finite_b3():
 def test_hyperbolic_triangle_group_2_3_7():
     matrix = CoxeterMatrix([[1, 2, 3], [2, 1, 7], [3, 7, 1]])
     ctx, roots, _ = small_roots(matrix)
-    assert ctx.field.conductor == 84
+    assert ctx.field.conductor == 14
     assert len(roots) == 12
     wa = build_shortlex_word_acceptor(matrix, ["a", "b", "c"])
     assert fsa.count_words_by_length(wa, 8) == [1, 3, 5, 7, 9, 12, 16, 20, 24]

@@ -54,16 +54,20 @@ def test_chebyshev_polynomials():
 
 def test_conductor_for():
     assert conductor_for([]) == 2
-    assert conductor_for([3]) == 6
-    assert conductor_for([3, 4]) == 24
-    assert conductor_for([0, 3]) == 6  # 0 encodes infinity, contributes nothing
+    assert conductor_for([1, 2, 3]) == 2  # 2cos(pi/m) is an integer for m <= 3
+    assert conductor_for([3, 4]) == 8
+    assert conductor_for([0, 5]) == 10  # 0 encodes infinity, contributes nothing
+    assert conductor_for([2, 3, 7]) == 14
 
 
 def test_rational_cosine():
-    F = CyclotomicField(6)
-    c = F.two_cos_pi_over(3)
-    assert F.is_integer(c)
-    assert as_integer(F, c) == 1
+    # 2cos(pi/m) for m <= 3 is in every ring, also where 2m does not divide N
+    for conductor in (2, 6, 10):
+        F = CyclotomicField(conductor)
+        for m, value in [(1, -2), (2, 0), (3, 1)]:
+            c = F.two_cos_pi_over(m)
+            assert F.is_integer(c)
+            assert as_integer(F, c) == value
 
 
 def test_sqrt_two_squares_to_two():

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from agt.errors import UsageError
@@ -8,7 +6,7 @@ from agt.limits import Limits
 
 @pytest.mark.parametrize(
     "field, value",
-    [("max_passes", 0), ("stability_window", -1), ("max_seconds", math.nan)],
+    [("max_passes", 0), ("stability_window", -1), ("max_rules", True)],
 )
 def test_out_of_range_limit_is_a_usage_error(field, value):
     with pytest.raises(UsageError, match=f"^{field} must be "):
@@ -16,5 +14,5 @@ def test_out_of_range_limit_is_a_usage_error(field, value):
 
 
 def test_in_range_limits_are_kept():
-    assert Limits(max_seconds=None).max_seconds is None
-    assert Limits(max_seconds=0.5, max_passes=1).max_passes == 1
+    limits = Limits(max_passes=1, state_cap=2)
+    assert (limits.max_passes, limits.state_cap) == (1, 2)
