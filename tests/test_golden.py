@@ -14,10 +14,11 @@ and re-pin; if not, it is a regression.
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from agt import autostruct, formats, pairfsa
+from agt import autostruct, formats, groupcalc, pairfsa
 from agt.autostruct import AxiomReport, CheckFailure, ElementaryReport, derive_shortlex_structure
 from agt.coxeter import (
     CoxeterMatrix,
@@ -337,3 +338,34 @@ def test_axiom_check_composites_are_pinned(b3_structure, monkeypatch):
     assert autostruct.axiom_check(b3_structure).ok
     assert len(built) == 4
     assert _digest(_composite_texts(built)) == AXIOM_COMPOSITES
+
+
+# -- normal forms --------------------------------------------------------------
+#
+# Each digest covers the normal forms of 13 seeded random words of length
+# 50 and 13 of length 200, then the cone-type count at radius 8, of one
+# structure.  They pin the multiplier lookup's answers, whatever route it
+# takes to them.
+
+
+NORMAL_FORMS = {
+    "b3_structure": "efa8305637cbba041d74b89c917ae1fe674e965fd698539d031b766397883b33",
+    "dinf_structure": "e8de047e4d9bb5edd7f2145e309297e4cda40757afc455985c39f18f09f3a2af",
+    "s3_structure": "482f310936b09594f8b18276132bc947fdb300bc2eff3dc84a80206879cfdd59",
+    "z2_structure": "56b2b4da76d31404cfd877c88c7e71d8c12a7e9ab38d65e7f48fdae4a56ef656",
+}
+
+
+def _normal_form_texts(s, seed):
+    rng = random.Random(seed)
+    A = s.alphabet
+    for n in (50,) * 13 + (200,) * 13:
+        w = bytes(rng.randrange(A.size) for _ in range(n))
+        yield A.format_word(groupcalc.normal_form(s, w))
+    yield str(groupcalc.cone_types(s, 8).count)
+
+
+@pytest.mark.parametrize("fixture", sorted(NORMAL_FORMS))
+def test_normal_forms_are_pinned(fixture, request):
+    s = request.getfixturevalue(fixture)
+    assert _digest(_normal_form_texts(s, fixture)) == NORMAL_FORMS[fixture]
