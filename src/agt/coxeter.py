@@ -93,7 +93,9 @@ class FieldContext:
         for i, c in enumerate(v):
             if not F.is_zero(c):
                 txt = F.format_element(c)
-                coeff = {"1": "", "-1": "-"}.get(txt, f"{txt}*" if F.is_integer(c) else f"({txt})*")
+                # only a sum of several terms needs parentheses
+                single = sum(1 for x in c if x) == 1
+                coeff = {"1": "", "-1": "-"}.get(txt, f"{txt}*" if single else f"({txt})*")
                 parts.append(f"{coeff}e{i + 1}")
         return " + ".join(parts).replace("+ -", "- ") or "0"
 

@@ -3,10 +3,12 @@
 Normal forms are computed by folding the multiplier automata (one
 functional partner lookup per letter), which makes the word problem,
 order, growth and enumeration immediate.  A lookup is one forward pass
-of :func:`agt.pairfsa.partners` over M_y's transition table that
-returns the unique partner, linear in |u| for a fixed structure and
-building no automaton, so a normal form of w costs O(|w|^2); lookups
-are memoised per structure, keyed (y, u).
+of :func:`agt.pairfsa.partners` that returns the unique partner and
+builds no automaton.  Each step of the pass is one move of M_y's first
+tape, determinised as lookups reach it and cached with M_y, so a
+lookup is linear in |u| for a fixed structure and a normal form of w
+costs O(|w|^2) cached moves in the worst case.  Whole lookups are also
+memoised per structure, keyed (y, u).
 
 Conjugacy search follows the bounded-conjugator bound a^(|u|+|v|) with
 a = |X^+-|^k: the answer is tri-state, since reaching the full bound is
@@ -226,7 +228,6 @@ def conjugacy_search(
     target = normal_form(s, v)
     for g in fsa.enumerate_words(s.word_acceptor, max_len):
         if normal_form(s, A.invert(g) + u + g) == target:
-            assert word_problem(s, A.invert(g) + u + g, v)
             return ConjugacyAnswer("conjugate", g, max_len)
     if max_len >= conjugacy_bound(s, u, v):
         return ConjugacyAnswer("notConjugateWithin", None, max_len)

@@ -16,6 +16,9 @@ inputs, and the automata it returns have it too.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import itemgetter
+
 from . import fsa
 from .errors import UsageError
 from .fsa import FAIL, DEFAULT_STATE_CAP, Dfa
@@ -107,7 +110,7 @@ def decode_pair(pa: PairAlphabet, pw: bytes) -> tuple[Word, Word]:
 class PairDfa:
     """A Dfa over the pair alphabet of ``base``, accepting padded pairs."""
 
-    __slots__ = ("base", "pairs", "dfa", "_by_first")
+    __slots__ = ("base", "pairs", "dfa", "_by_first", "_lookup")
 
     def __init__(self, base: Alphabet, dfa: Dfa, pairs: PairAlphabet | None = None):
         self.base = base
@@ -116,6 +119,7 @@ class PairDfa:
             raise UsageError("automaton alphabet is not the pair alphabet of base")
         self.dfa = dfa
         self._by_first: list[dict[int, list[tuple[int, int]]]] | None = None
+        self._lookup: _LookupIndex | None = None  # built by partners on first use
 
     @property
     def by_first(self) -> list[dict[int, list[tuple[int, int]]]]:
@@ -303,16 +307,21 @@ def partners(p: PairDfa, u: Word) -> Word | None:
     """The unique v with (u, v) accepted; None when there is none or
     more than one.
 
-    One forward pass over p's table, building no automaton.  Layer i
-    maps each state reached by a v of length i, read against u_0..u_{i-1}
+    One forward pass over layers, building no automaton.  Layer i maps
+    each state reached by a v of length i, read against u_0..u_{i-1}
     and, once i passes |u|, against $, to the number of such paths,
-    capped at 2, one previous state and one letter b of v.  Before the
-    end of u, v may end at (i, s) when the rest of u padded with $ ends
-    accepting from s (memoised per position and state); from the end of
-    u on, when s accepts.  The pass stops at an empty layer, at the
-    second ended path, or after 2|Q| positions past the end of u, |Q|
-    being p's state count.  One ended path is read back along the
-    pointers.
+    capped at 2.  Before the end of u, v may end at (i, s) when s is in
+    pad set i, the states from which (u_i,$)...(u_{|u|-1},$) ends
+    accepting; from the end of u on, when s accepts.  The pass stops at
+    an empty layer, at the second ended path, or after 2|Q| positions
+    past the end of u, |Q| being p's state count.  One ended path is
+    read back along back pointers.
+
+    Every step is read from p's lookup index (:class:`_LookupIndex`),
+    which computes a layer move, a pad set or an end count the first
+    time a lookup on p needs it and keeps it with p.  A step seen before
+    is a few dict reads, so a lookup costs O(|u| + |Q|) of them plus
+    the steps seen for the first time.
 
     Why 2|Q| positions suffice.  Call v's part past the end of u its
     overhang.  An overhang path that repeats a state has a loop, which
@@ -325,73 +334,145 @@ def partners(p: PairDfa, u: Word) -> Word | None:
     partners with overhangs shorter than |Q| and 2|Q|.
 
     Only correctly padded encodings of (u, v) are followed, as in
-    :func:`slice_first`.  Cost O((|u| + |Q|) * r * d), where r bounds
-    the states in one layer (at most |Q|) and d the moves per state and
-    letter.
+    :func:`slice_first`.
     """
-    pad = p.pairs.pad
-    rows = p.dfa.transitions
-    accepting = p.dfa.accepting
-    view = p.by_first
-    nu = len(u)
-    pad_cols = [a * (pad + 1) + pad for a in u]  # the pair symbols (u_i, $)
-    pad_memo: list[dict[int, bool]] = [{} for _ in range(nu)]
+    index = p._lookup
+    if index is None:
+        index = p._lookup = _LookupIndex(p)
+    return index.partner(u)
 
-    def pad_ok(i: int, s: int) -> bool:
-        # reading (u_i,$)...(u_{nu-1},$) from s ends accepting
-        chain = []
-        while True:
-            if i == nu:
-                ok = s in accepting
-                break
-            ok = pad_memo[i].get(s)
-            if ok is not None:
-                break
-            chain.append((i, s))
-            s = rows[s][pad_cols[i]]
-            i += 1
-            if s == FAIL:
-                ok = False
-                break
-        for j, t in chain:
-            pad_memo[j][t] = ok
-        return ok
 
-    # state -> (paths capped at 2, previous state, letter b of v)
-    layer = {p.dfa.initial: (1, FAIL, FAIL)}
-    layers = [layer]
-    found = 0
-    end = (0, FAIL)
-    for i in range(nu + 2 * p.dfa.num_states):
-        if i < nu:
-            # most states have no (u_i, $) move, so that is tested first
-            col = pad_cols[i]
-            ends = [s for s in layer if rows[s][col] != FAIL and pad_ok(i, s)]
-        else:
-            ends = [s for s in layer if s in accepting]
-        for s in ends:
-            found += layer[s][0]
-            end = (i, s)
-        if found > 1:
+class _LookupIndex:
+    """A pair automaton's first tape, determinised as lookups reach it.
+
+    A layer is the tuple of (state, path count capped at 2), states
+    ascending; a pad set is a frozenset of states.  Each is numbered
+    when first seen; layer 0 is the initial state alone and pad set 0
+    the accepting states.  Three caches, keyed by those numbers and a
+    first letter a (the pad index for $), grow as lookups need them:
+
+    - ``moves[layer * width + a]``: the next layer on (a, b) moves,
+      b not $, with each state reached by one path mapped to its back
+      pointer (previous state, letter b); ``()`` for an empty layer;
+    - ``pad_moves[pad set * width + a]``: the states whose (a, $) move
+      enters the pad set;
+    - ``ends[layer, pad set]``: the layer's paths that end in the pad
+      set, capped at 2, and the last such state, which is the only one
+      when there is one path.
+
+    An entry is a function of its key and the automaton alone, so no
+    answer depends on the lookups made before it: a back pointer is read
+    only along a path of count 1, where it is the only one.  The index
+    keeps the automaton's table but not the automaton, so the two make
+    no reference cycle.
+    """
+
+    __slots__ = ("rows", "pad", "width", "overhang", "layers", "layer_ids", "moves",
+                 "pad_sets", "pad_ids", "pad_moves", "ends")
+
+    def __init__(self, p: PairDfa):
+        self.rows = p.dfa.transitions
+        self.pad = p.pairs.pad
+        self.width = self.pad + 1
+        self.overhang = 2 * p.dfa.num_states
+        start = ((p.dfa.initial, 1),)
+        self.layers = [start]
+        self.layer_ids = {start: 0}
+        self.moves: dict[int, tuple] = {}
+        self.pad_sets = [p.dfa.accepting]
+        self.pad_ids = {p.dfa.accepting: 0}
+        self.pad_moves: dict[int, int] = {}
+        self.ends: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def partner(self, u: Word) -> Word | None:
+        width = self.width
+        pad = self.pad
+        moves = self.moves
+        pad_moves = self.pad_moves
+        ends = self.ends
+        nu = len(u)
+        sets = [0] * nu  # sets[i]: the pad set of u[i:]
+        sid = 0
+        for i in range(nu - 1, -1, -1):
+            key = sid * width + u[i]
+            got = pad_moves.get(key)
+            sid = self._pad_move(key) if got is None else got
+            sets[i] = sid
+        backs = []
+        found = 0
+        end = (0, FAIL)
+        lid = 0
+        for i in range(nu + self.overhang):
+            if i < nu:
+                sid = sets[i]
+                a = u[i]
+            else:
+                sid = 0
+                a = pad
+            got = ends.get((lid, sid))
+            n, s = self._end(lid, sid) if got is None else got
+            if n:
+                found += n
+                if found > 1:
+                    return None
+                end = (i, s)
+            key = lid * width + a
+            move = moves.get(key)
+            if move is None:
+                move = self._move(key)
+            if not move:
+                break
+            lid, back = move
+            backs.append(back)
+        if not found:
             return None
-        a = u[i] if i < nu else pad
-        nxt: dict[int, tuple[int, int, int]] = {}
-        for s, (n, _s, _b) in layer.items():
-            for b, t in view[s].get(a, ()):
-                if b != pad:
-                    got = nxt.get(t)
-                    nxt[t] = (n, s, b) if got is None else (2, got[1], got[2])
-        if not nxt:
-            break
-        layer = nxt
-        layers.append(layer)
-    if not found:
-        return None
-    i, s = end
-    v = bytearray()
-    while i:
-        _n, s, b = layers[i][s]
-        v.append(b)
-        i -= 1
-    v.reverse()
-    return bytes(v)
+        i, s = end
+        v = bytearray(i)
+        while i:
+            i -= 1
+            s, v[i] = backs[i][s]
+        return bytes(v)
+
+    def _move(self, key: int) -> tuple[int, dict[int, tuple[int, int]]] | tuple[()]:
+        lid, a = divmod(key, self.width)
+        rows = self.rows
+        lo = a * self.width  # the pair symbols (a, b), b not $, are lo .. lo + pad - 1
+        hi = lo + self.pad
+        paths: dict[int, int] = {}
+        back: dict[int, tuple[int, int]] = {}
+        for s, n in self.layers[lid]:
+            for b, t in enumerate(rows[s][lo:hi]):
+                if t != FAIL:
+                    paths[t] = 2 if t in paths else n
+                    back[t] = (s, b)
+        move: tuple = ()
+        if paths:
+            layer = tuple(sorted(paths.items()))
+            nid = self.layer_ids.setdefault(layer, len(self.layers))
+            if nid == len(self.layers):
+                self.layers.append(layer)
+            move = (nid, {t: sb for t, sb in back.items() if paths[t] == 1})
+        self.moves[key] = move
+        return move
+
+    def _pad_move(self, key: int) -> int:
+        sid, a = divmod(key, self.width)
+        # the states whose (a, $) move enters the pad set
+        column = map(itemgetter(a * self.width + self.pad), self.rows)
+        states = frozenset(compress(count(), map(self.pad_sets[sid].__contains__, column)))
+        got = self.pad_ids.setdefault(states, len(self.pad_sets))
+        if got == len(self.pad_sets):
+            self.pad_sets.append(states)
+        self.pad_moves[key] = got
+        return got
+
+    def _end(self, lid: int, sid: int) -> tuple[int, int]:
+        target = self.pad_sets[sid]
+        n = 0
+        last = FAIL
+        for s, c in self.layers[lid]:
+            if s in target:
+                n += c
+                last = s
+        got = self.ends[lid, sid] = (min(n, 2), last)
+        return got

@@ -125,18 +125,18 @@ H3_ROOTS = (
     "e1\n"
     "e2\n"
     "e3\n"
-    "e1 + (t)*e2\n"
-    "(t)*e1 + e2\n"
+    "e1 + t*e2\n"
+    "t*e1 + e2\n"
     "e2 + e3\n"
-    "(t)*e1 + (t)*e2\n"
-    "e1 + (t)*e2 + (t)*e3\n"
-    "(t)*e1 + e2 + e3\n"
-    "(t)*e1 + (t)*e2 + (t)*e3\n"
-    "(t)*e1 + (1 + t)*e2 + e3\n"
-    "(t)*e1 + (1 + t)*e2 + (t)*e3\n"
+    "t*e1 + t*e2\n"
+    "e1 + t*e2 + t*e3\n"
+    "t*e1 + e2 + e3\n"
+    "t*e1 + t*e2 + t*e3\n"
+    "t*e1 + (1 + t)*e2 + e3\n"
+    "t*e1 + (1 + t)*e2 + t*e3\n"
     "(1 + t)*e1 + (1 + t)*e2 + e3\n"
-    "(1 + t)*e1 + (1 + t)*e2 + (t)*e3\n"
-    "(1 + t)*e1 + (2*t)*e2 + (t)*e3\n"
+    "(1 + t)*e1 + (1 + t)*e2 + t*e3\n"
+    "(1 + t)*e1 + 2*t*e2 + t*e3\n"
 )
 
 

@@ -237,6 +237,20 @@ def test_corpus_other_roots_dominate_a_small_root(name):
     assert len(others) == expected.get(name, 0)
 
 
+def test_format_root_parenthesises_only_sums():
+    ctx = FieldContext(linear(5, 3))  # Z[t], t the golden ratio
+    one, t, zero = (1, 0), (0, 1), (0, 0)
+    cases = {
+        (t, (0, 2), zero): "t*e1 + 2*t*e2",
+        (one, (0, -1), zero): "e1 - t*e2",
+        ((-1, 0), (1, 1), (-3, 0)): "-e1 + (1 + t)*e2 - 3*e3",
+        (zero, (-1, -1), t): "(-1 - t)*e2 + t*e3",
+        (zero, zero, zero): "0",
+    }
+    for root, text in cases.items():
+        assert ctx.format_root(root) == text
+
+
 def test_h4_small_roots_and_acceptor():
     """H4: all 60 positive roots are small, the shortlex acceptor counts
     the 14400 group elements, and the geodesic acceptor has one state

@@ -1,6 +1,9 @@
+import gc as pygc
+import random
+
 import pytest
 
-from agt import fsa, groupcalc as gc
+from agt import formats, fsa, groupcalc as gc
 from agt.autostruct import derive_shortlex_structure
 from agt.errors import UsageError
 from agt.rewrite import Presentation
@@ -26,8 +29,6 @@ def test_normal_form_examples(ab_alphabet, z2_structure, free_structure):
 
 def test_normal_form_properties(ab_alphabet, z2_structure):
     A = ab_alphabet
-    import random
-
     rng = random.Random(3)
     for _ in range(100):
         w = bytes(rng.randrange(A.size) for _ in range(rng.randrange(9)))
@@ -161,8 +162,6 @@ def test_conjugacy_search_unknown_with_oracle(ab_alphabet, free_structure):
 
 def test_conjugacy_oracle_agrees_on_free_group(ab_alphabet, free_structure):
     A = ab_alphabet
-    import random
-
     rng = random.Random(8)
     for _ in range(30):
         u = bytes(rng.randrange(4) for _ in range(rng.randrange(1, 4)))
@@ -209,3 +208,22 @@ def test_multiply_integrity_error_on_corrupt_structure(ab_alphabet, z2_structure
     )
     with pytest.raises(IntegrityError):
         gc.normal_form(bad, ab_alphabet.parse_word("a"))
+
+
+def test_normal_form_on_a_loaded_structure_leaves_no_cyclic_garbage(b3_structure, tmp_path):
+    # each multiplier keeps its lookup index; dropping the structure
+    # must free both by reference counting alone
+    formats.save_structure(b3_structure, tmp_path / "b3")
+    s = formats.load_structure(tmp_path / "b3")
+    rng = random.Random(7)
+    w = bytes(rng.randrange(s.alphabet.size) for _ in range(100))
+    pygc.collect()
+    pygc.disable()
+    try:
+        nf = gc.normal_form(s, w)
+        assert all(s.multipliers[y]._lookup is not None for y in w)
+        del s
+        assert pygc.collect() == 0
+    finally:
+        pygc.enable()
+    assert gc.normal_form(b3_structure, w) == nf

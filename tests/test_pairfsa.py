@@ -335,6 +335,53 @@ def test_partners_match_slice_route_on_random_automata():
     assert several > 0
 
 
+def _lookups_in_two_orders(build, words):
+    """Answers of two separately built copies of one automaton, the
+    second asked the words in reverse order."""
+    first, second = build(), build()
+    assert first is not second
+    forward = [partners(first, u) for u in words]
+    backward = [partners(second, u) for u in reversed(words)]
+    return forward, backward[::-1]
+
+
+def test_partners_do_not_depend_on_the_lookups_before():
+    several = 0
+    for seed in range(300):
+        def build():
+            return random_pair_automaton(random.Random(seed))
+
+        p = build()
+        words = list(words_up_to(p.base.size, 4))
+        forward, backward = _lookups_in_two_orders(build, words)
+        for u, got, again in zip(words, forward, backward):
+            want = slice_route_partners(p, u)
+            unique = want is not None and len(want) == 1
+            assert got == again == (want[0] if unique else None), (seed, u)
+            several += want is None or len(want) >= 2  # the pass stops at the second end
+    assert several > 0
+
+
+def test_partners_do_not_depend_on_the_lookups_before_on_starved_b3(starved_b3_structure):
+    s = starved_b3_structure
+    rng = random.Random(5)
+    words = fsa.enumerate_words(s.word_acceptor, 4)
+    words += [bytes(rng.randrange(s.alphabet.size) for _ in range(rng.randrange(5, 12)))
+              for _ in range(40)]
+    rng.shuffle(words)
+    several = 0
+    for y in range(s.alphabet.size):
+        mult = s.multipliers[y]
+        forward, backward = _lookups_in_two_orders(lambda: compose(swap(mult), mult), words)
+        rel = compose(swap(mult), mult)
+        for u, got, again in zip(words, forward, backward):
+            want = slice_route_partners(rel, u)
+            unique = want is not None and len(want) == 1
+            assert got == again == (want[0] if unique else None), (y, u)
+            several += want is None or len(want) >= 2
+    assert several > 0
+
+
 def a_powers_from_empty(ab) -> PairDfa:
     """Hand-built pair automaton for {(eps, a^n) : n >= 0}."""
     pa = PairAlphabet(ab)
