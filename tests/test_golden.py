@@ -7,7 +7,9 @@ acceptor and every multiplier table (epsilon first, then generator
 order), or one Coxeter acceptor, in the JSON encoding of the bundle
 files, or the rules and result of one Knuth-Bendix completion, or the
 outcome of one abandoned derivation, or the composite multipliers that
-one check builds, or the small-root action table of one Coxeter matrix.
+one check builds, or the small-root action table of one Coxeter matrix,
+or the normal forms of seeded random words and the cone-type count of
+one structure.
 A failing pin means an output changed: if the change is meant, say so
 and re-pin; if not, it is a regression.
 """

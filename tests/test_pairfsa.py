@@ -339,7 +339,6 @@ def _lookups_in_two_orders(build, words):
     """Answers of two separately built copies of one automaton, the
     second asked the words in reverse order."""
     first, second = build(), build()
-    assert first is not second
     forward = [partners(first, u) for u in words]
     backward = [partners(second, u) for u in reversed(words)]
     return forward, backward[::-1]
