@@ -2,18 +2,20 @@
 
 The reflection representation acts on exact coordinates in the
 simple-root basis, over the ring Z[2cos(2*pi/N)] of ``cyclotomic``.
-The small roots (Brink & Howlett 1993) are the positive roots that dominate no other positive root, where alpha is
-said to dominate beta when every group element sending alpha negative
-also sends beta negative.  They are finitely many, and they are the
-state alphabet of the shortlex word acceptor.  ``small_roots`` builds
-them by their closure characterisation, one exact inner product per
-root and generator, with no dominance test; the same products give the
-action of each s_i on the small roots, so the acceptors do no field
-arithmetic.  An acceptor state is a subset of the small roots held as
-an int bitmask, and its image under a generator is read from per-byte
-tables of that action.  The geodesic acceptor omits the
-shortlex-precedence term; for a finite group it is minimal as explored
-and skips the refinement.
+The small roots (Brink & Howlett 1993) are the positive roots that
+dominate no other positive root, where alpha is said to dominate beta
+when every group element sending alpha negative also sends beta
+negative.  They are finitely many, and they are the state alphabet of
+the shortlex word acceptor.  ``small_roots`` builds them by their
+closure characterisation, one exact inner product per root and
+generator, with no dominance test; the same products give the action
+of each s_i on the small roots, so the acceptors do no field
+arithmetic.  The action also decides whether the group is finite
+(``is_finite``), with no automaton.  An acceptor state is a subset of
+the small roots held as an int bitmask, and its image under a
+generator is read from per-byte tables of that action.  The geodesic
+acceptor omits the shortlex-precedence term; for a finite group it is
+minimal as explored and skips the refinement.
 """
 
 from __future__ import annotations
@@ -147,6 +149,15 @@ def small_roots(
     return ctx, found, action
 
 
+def is_finite(action: Sequence[Sequence[int | None]]) -> bool:
+    """Whether the Coxeter group is finite, read from the action table
+    of ``small_roots``: exactly when s_i(roots[r]) is a small root for
+    every r but r = i (see ``_subset_acceptor`` for the argument)."""
+    return all(
+        k is not None or r == i for i, images in enumerate(action) for r, k in enumerate(images)
+    )
+
+
 def _coxeter_alphabet(matrix: CoxeterMatrix, names: Sequence[str] | None) -> Alphabet:
     if names is None:
         if matrix.rank <= 26:
@@ -167,24 +178,38 @@ def _subset_acceptor(
     """The subset construction of both acceptors, its states bitmasks
     over the small roots (bit r is root r), explored from the empty set.
 
-    A geodesic table with a finite language is returned as explored,
-    with no refinement: it is already minimal and canonical.  The
-    language is finite only when W is, and then the form B is positive
-    definite, so |B(alpha, beta)| < 1 for distinct positive roots.  A
-    root dominates another only when their product is at least 1, so
-    every positive root is small, and the state after reading w is the
-    whole set N(w) of positive roots that w sends negative.  N(w)
-    determines w, so there is exactly one state per element of W.
-    Distinct elements have distinct cone types, since the cone type of w
-    is the right-weak-order interval below w^-1 w_0, whose top element
-    fixes w (Björner & Brenti, *Combinatorics of Coxeter Groups*,
-    ch. 3).  So there are at least |W| Nerode classes; every state
-    accepts, and the table is minimal.  ``fsa.explore`` numbers states
-    breadth-first with symbols in ascending order, which is the
-    numbering ``fsa.canonical`` gives.  Infinite groups need the
-    refinement: the C~3 geodesic table has 343 states and its minimal
-    automaton 317, the (2,3,7) triangle group's 40 and 35.  The
-    shortlex table is always refined.
+    Whether W is finite is read from the action table by ``is_finite``:
+    W is finite exactly when ``action[i][r]`` is None only for r = i.
+    If W is finite, B is positive definite, so |B(alpha, beta)| < 1 for
+    distinct positive roots.  A root dominates another only when their
+    product is at least 1, so every positive root is small, and
+    c = 2B(e_i, beta) lies in (-2, 2) for every positive beta other than
+    e_i.  So each image is recorded: from beta's side when c <= 0, and
+    from the side of s_i(beta), whose c is -c, when c > 0.  If W is
+    infinite, it has infinitely many positive roots; take one, gamma, of
+    least depth that is not small.  It is not simple, so
+    gamma = s_i(beta) for some i and some positive beta of smaller
+    depth, which is small, with beta != e_i and c < 0.  Were c > -2,
+    gamma would be the child of beta and small; so c <= -2, and
+    ``action[i][beta]`` is None.
+
+    A finite group's geodesic table is returned as explored, with no
+    refinement: it is already minimal and canonical.  Every positive
+    root is small, so the state after reading w is the whole set N(w) of
+    positive roots that w sends negative.  N(w) determines w, so there
+    is exactly one state per element of W.  Distinct elements have
+    distinct cone types, since the cone type of w is the
+    right-weak-order interval below w^-1 w_0, whose top element fixes w
+    (Björner & Brenti, *Combinatorics of Coxeter Groups*, ch. 3).  So
+    there are at least |W| Nerode classes; every state accepts, and the
+    table is minimal.  ``fsa.explore`` numbers states breadth-first with
+    symbols in ascending order, which is the numbering ``fsa.canonical``
+    gives, and every target is such a number or ``FAIL``, so the table
+    skips ``Dfa``'s checks.  Infinite groups need the refinement: the
+    C~3 geodesic table has 343 states and its minimal automaton 317, the
+    (2,3,7) triangle group's 40 and 35.  The shortlex table is always
+    refined.  A refined table goes to ``fsa.minimal`` as sparse rows,
+    with no intermediate ``Dfa``.
     """
     alphabet = _coxeter_alphabet(matrix, names)
     action = small_roots(matrix)[2]
@@ -221,10 +246,10 @@ def _subset_acceptor(
         ]
 
     order, rows = fsa.explore(0, expand, state_cap, "acceptor subset states")
-    dfa = Dfa(alphabet, len(order), 0, range(len(order)), rows)
-    if not shortlex and fsa.language_is_finite(dfa) is not None:
-        return dfa
-    return fsa.minimize(dfa)
+    if not shortlex and is_finite(action):
+        return Dfa._trusted(alphabet, len(order), 0, range(len(order)), rows)
+    moves = [[(c, t) for c, t in enumerate(row) if t != FAIL] for row in rows]
+    return fsa.minimal(alphabet, 0, range(len(order)), moves)
 
 
 def build_shortlex_word_acceptor(

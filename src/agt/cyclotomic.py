@@ -147,9 +147,6 @@ class CyclotomicField:
     def is_zero(self, a: Element) -> bool:
         return not any(a)
 
-    def is_integer(self, a: Element) -> bool:
-        return not any(a[1:])
-
     def two_cos_pi_over(self, m: int) -> Element:
         """2cos(pi/m): the integers -2, 0 and 1 for m = 1, 2, 3, else
         C_{N/(2m)}(t), which requires 2m | N."""

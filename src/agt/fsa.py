@@ -34,7 +34,17 @@ DEFAULT_STATE_CAP = 10**6
 
 
 class Dfa:
-    """Immutable deterministic automaton; FAIL (-1) is the implicit sink."""
+    """Immutable deterministic automaton; FAIL (-1) is the implicit sink.
+
+    ``Dfa(...)`` checks its arguments: the state count, the initial and
+    accepting states, one row per state, each as wide as the alphabet,
+    and every target a state or ``FAIL``.  Tables read from files and
+    built by callers go through it.  ``Dfa._trusted(...)`` takes the same
+    arguments and skips those checks; it is for tables this package has
+    just built whose targets are ``explore`` numbers or ``FAIL`` and
+    whose rows are as wide as the alphabet by construction.  Both store
+    the same immutable tuples, so equal tables give equal automata.
+    """
 
     __slots__ = ("alphabet", "num_states", "initial", "accepting", "transitions")
 
@@ -67,6 +77,24 @@ class Dfa:
         self.initial = initial
         self.accepting = accepting
         self.transitions = rows
+
+    @classmethod
+    def _trusted(
+        cls,
+        alphabet: Alphabet,
+        num_states: int,
+        initial: int,
+        accepting: Iterable[int],
+        transitions: Iterable[Sequence[int]],
+    ) -> Dfa:
+        """The automaton ``Dfa(...)`` builds, without its checks."""
+        dfa = object.__new__(cls)
+        dfa.alphabet = alphabet
+        dfa.num_states = num_states
+        dfa.initial = initial
+        dfa.accepting = frozenset(accepting)
+        dfa.transitions = tuple(map(tuple, transitions))
+        return dfa
 
     @property
     def num_states_with_sink(self) -> int:
@@ -385,7 +413,9 @@ def canonical(
 
     On a minimal automaton this is the canonical form that ``minimal``
     returns.  Permuting the symbols keeps an automaton minimal, so a
-    permuted copy of a minimal automaton needs only this step.
+    permuted copy of a minimal automaton needs only this step.  Every
+    target is an ``explore`` number and every row as wide as the
+    alphabet, so the result skips ``Dfa``'s checks.
     """
     width = alphabet.size
 
@@ -396,7 +426,8 @@ def canonical(
         return row
 
     order, dense = explore(initial, expand, len(rows), "canonical states")
-    return Dfa(alphabet, len(order), 0, [i for i, s in enumerate(order) if s in accepting], dense)
+    accept = [i for i, s in enumerate(order) if s in accepting]
+    return Dfa._trusted(alphabet, len(order), 0, accept, dense)
 
 
 # -- boolean algebra ---------------------------------------------------
@@ -504,12 +535,9 @@ def language_is_finite(dfa: Dfa) -> int | None:
     return sum(paths[s] for s in dfa.accepting)
 
 
-def count_words_by_length(dfa: Dfa, max_len: int) -> list[int]:
-    """Exact accepted-word counts per length 0..max_len (big integers)."""
-    return _count_words(dfa, live_states(dfa), max_len)
-
-
 def _count_words(dfa: Dfa, live: list[int], max_len: int) -> list[int]:
+    """Exact accepted-word counts per length 0..max_len over the live
+    states ``live``."""
     if dfa.initial not in live:
         return [0] * (max_len + 1)
     live_ix = {s: i for i, s in enumerate(live)}

@@ -13,8 +13,8 @@ rewrite system's rules and a difference machine's table, and the
 rewriting references (leftmost, lowest-indexed reduction by rescanning
 and the critical pairs of two rules, containment included) read rule
 lists.  The subset
-table and the finite-language count read a machine's moves and a
-table directly.  None of these shares code with the package.  The builders at the end make small
+table reads a machine's moves, and the finite-language size and the
+counts by length read a table directly.  None of these shares code with the package.  The builders at the end make small
 package objects the tests need, from the package's public constructors,
 and the slice route answers a partner lookup through ``slice_first``
 and the automaton counts, not the forward pass of ``partners``.  The
@@ -293,8 +293,8 @@ def reflect(ctx, i: int, v):
 
 
 def as_integer(F, a):
-    """The integer that the ring element a is."""
-    assert F.is_integer(a), a
+    """The integer that the ring element a is: a has no term in t."""
+    assert not any(a[1:]), a
     return a[0]
 
 
@@ -618,9 +618,22 @@ def finite_language_size(num_states, initial, accepting, rows) -> int | None:
     infinite iff some accepted word has such a length, and otherwise
     every accepted word is shorter than n.
     """
+    counts = _length_counts(initial, accepting, rows, 2 * num_states)
+    if any(counts[num_states:]):
+        return None
+    return sum(counts)
+
+
+def count_words_by_length(dfa: Dfa, max_len: int) -> list[int]:
+    """Number of words of each length 0..max_len that ``dfa`` accepts."""
+    return _length_counts(dfa.initial, dfa.accepting, dfa.transitions, max_len + 1)
+
+
+def _length_counts(initial, accepting, rows, n: int) -> list[int]:
+    """Accepted words of each length below n, pushed one length at a time."""
     counts = []
     layer = {initial: 1}  # state -> words of the current length reaching it
-    for _length in range(2 * num_states):
+    for _length in range(n):
         counts.append(sum(k for s, k in layer.items() if s in accepting))
         nxt: dict[int, int] = {}
         for s, k in layer.items():
@@ -628,9 +641,7 @@ def finite_language_size(num_states, initial, accepting, rows) -> int | None:
                 if t != FAIL:
                     nxt[t] = nxt.get(t, 0) + k
         layer = nxt
-    if any(counts[num_states:]):
-        return None
-    return sum(counts)
+    return counts
 
 
 # -- small package objects built from public constructors ----------------------

@@ -31,6 +31,7 @@ from oracles import (
     BurauB3Model,
     ZSquaredModel,
     as_integer,
+    count_words_by_length,
     cyclic_conjugacy_oracle,
     dominance_semi_oracle,
     dominates,
@@ -104,7 +105,7 @@ def test_criterion_2_z_squared():
         assert out.verified
         s = out.structure
         assert s.k == 2
-        counts = fsa.count_words_by_length(s.word_acceptor, 10)
+        counts = count_words_by_length(s.word_acceptor, 10)
         assert counts == [1] + [4 * n for n in range(1, 11)]
         assert counts == ZSquaredModel().sphere_sizes(10, 4)
         assert axiom_check(s).ok
@@ -131,7 +132,7 @@ def test_criterion_4_braid_b3():
         A = free_ab()
         out = derive_shortlex_structure(Presentation(A, [A.parse_word("abaBAB")]))
         assert out.verified
-        counts = fsa.count_words_by_length(out.structure.word_acceptor, 8)
+        counts = count_words_by_length(out.structure.word_acceptor, 8)
         assert counts == BurauB3Model().sphere_sizes(8, 4)
         ball = gc.element_ball(out.structure, 8)
         by_len = [0] * 9
@@ -194,8 +195,8 @@ def test_criterion_7_affine_a2():
         wa = build_shortlex_word_acceptor(matrix, ["a", "b", "c"])
         out = derive_shortlex_structure(coxeter_presentation(matrix, ["a", "b", "c"]))
         assert out.verified
-        counts = fsa.count_words_by_length(wa, 8)
-        assert counts == fsa.count_words_by_length(out.structure.word_acceptor, 8)
+        counts = count_words_by_length(wa, 8)
+        assert counts == count_words_by_length(out.structure.word_acceptor, 8)
         assert counts == AffineA2Model().sphere_sizes(8, 3)
 
 

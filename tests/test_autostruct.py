@@ -27,6 +27,7 @@ from oracles import (
     FreeGroupModel,
     ZSquaredModel,
     accepts_pair,
+    count_words_by_length,
     empty_language_dfa,
     reference_verdict,
     run_pair,
@@ -380,7 +381,7 @@ def test_derive_z2(z2_structure):
 
 def test_derive_b3_within_default_limits(b3_structure):
     assert b3_structure.verified
-    counts = fsa.count_words_by_length(b3_structure.word_acceptor, 8)
+    counts = count_words_by_length(b3_structure.word_acceptor, 8)
     assert counts == BurauB3Model().sphere_sizes(8, 4)
 
 
@@ -402,7 +403,7 @@ def test_derive_genus_two_surface_group():
             + sum(c * spheres[n - 1 - i] for i, c in enumerate(den) if n - 1 - i >= 0)
         )
     assert spheres[:6] == [1, 8, 56, 392, 2736, 19096]
-    assert fsa.count_words_by_length(out.structure.word_acceptor, 8) == spheres
+    assert count_words_by_length(out.structure.word_acceptor, 8) == spheres
     assert elapsed < 60.0
 
 
@@ -425,7 +426,7 @@ def test_derive_free_rank_one():
     out = derive_shortlex_structure(Presentation(A, []))
     assert out.verified
     assert out.structure.k == 1
-    assert fsa.count_words_by_length(out.structure.word_acceptor, 4) == [1, 2, 2, 2, 2]
+    assert count_words_by_length(out.structure.word_acceptor, 4) == [1, 2, 2, 2, 2]
 
 
 def test_derive_abandons_at_pass_limit(ab_alphabet):
@@ -464,7 +465,7 @@ def _ball_counts(model, n_syms, radius):
 )
 def test_accepted_counts_equal_element_counts(request, fixture_name, model, radius):
     s = request.getfixturevalue(fixture_name)
-    counts = fsa.count_words_by_length(s.word_acceptor, radius)
+    counts = count_words_by_length(s.word_acceptor, radius)
     n_syms = s.alphabet.size
     assert counts == model.sphere_sizes(radius, n_syms)
 

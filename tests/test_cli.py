@@ -411,6 +411,13 @@ MALFORMED_FILES = {
         "non-integer number 2.0",
     ),
     "bundle_float_target": (["order"], _set_target("m_a.json", 1.5), "non-integer number 1.5"),
+    "automaton_target_out_of_range": (
+        ["fsa", "min"], {**FLOAT_TARGET, "transitions": [[2], [0]]}, "transition target out of range"
+    ),
+    "automaton_short_row": (
+        ["fsa", "min"], {**FLOAT_TARGET, "transitions": [[], [0]]},
+        "transition row width must match alphabet size",
+    ),
     "automaton_without_states": (
         ["fsa", "min"], {"alphabet": ["a"], "inverses": {"a": "a"}}, "KeyError: 'states'"
     ),

@@ -22,8 +22,10 @@ from oracles import (
     DInfinityModel,
     SignedPermModel,
     as_integer,
+    count_words_by_length,
     dominance_semi_oracle,
     dominates,
+    finite_language_size,
     inner,
     minimal_state_count,
     positive_roots_by_depth,
@@ -280,6 +282,36 @@ def test_finite_geodesic_acceptor_is_minimal(matrix):
     assert fsa.minimize(geo) == geo
 
 
+# |W| for each group whose finiteness is checked, None when W is infinite
+ORDERS = {
+    "A4": 120, "D4": 192, "H3": 120, "F4": 1152, "E6": 51840, "A2aff": None, "C3aff": None,
+    "T237": None, "T245": None, "T246": None,
+    "H4": 14400, "T2311": None, "A1": 2, "A1aff": None, "H435": None,
+}
+FINITENESS_CASES = {
+    **CORPUS, "H4": linear(5, 3, 3), "T2311": triangle(2, 3, 11),
+    "A1": CoxeterMatrix([[1]]), "A1aff": DINF, "H435": linear(4, 3, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITENESS_CASES))
+def test_finiteness_read_from_the_action_table(name):
+    """The action table's verdict agrees with the finiteness of the
+    geodesic language, counted by ``fsa`` and by the oracle, and with
+    the group order; a finite group's acceptors count its elements."""
+    matrix, order = FINITENESS_CASES[name], ORDERS[name]
+    finite = coxeter.is_finite(small_roots(matrix)[2])
+    assert finite == (order is not None)
+    geo = build_geodesic_acceptor(matrix)
+    assert finite == (fsa.language_is_finite(geo) is not None)
+    size = finite_language_size(geo.num_states, geo.initial, geo.accepting, geo.transitions)
+    assert finite == (size is not None)
+    if finite:
+        wa = build_shortlex_word_acceptor(matrix)
+        assert order == geo.num_states
+        assert order == finite_language_size(wa.num_states, wa.initial, wa.accepting, wa.transitions)
+
+
 def test_small_root_cap(monkeypatch):
     monkeypatch.setattr(coxeter, "DEFAULT_ROOT_CAP", 2)
     with pytest.raises(ResourceLimitError) as exc:
@@ -322,7 +354,7 @@ def test_float_signs_agree_with_exact_signs(monkeypatch):
     def checked_sign(self, a):
         before = len(went_exact)
         s = sign(self, a)
-        if not self.is_integer(a) and len(went_exact) == before:
+        if any(a[1:]) and len(went_exact) == before:  # not an integer
             assert exact(self, a) == s, a
             compared.append(a)
         return s
@@ -377,7 +409,7 @@ def test_acceptors_dinf():
     wa = build_shortlex_word_acceptor(DINF)
     geo = build_geodesic_acceptor(DINF)
     assert wa == geo
-    assert fsa.count_words_by_length(wa, 8) == [1, 2, 2, 2, 2, 2, 2, 2, 2]
+    assert count_words_by_length(wa, 8) == [1, 2, 2, 2, 2, 2, 2, 2, 2]
     g = fsa.growth_series(wa, 4)
     assert (g.numerator, g.denominator) == ((1, 1), (1, -1))
 
@@ -408,7 +440,7 @@ def test_shortlex_subset_of_geodesics():
 )
 def test_acceptor_counts_match_group_model(matrix, model, radius):
     wa = build_shortlex_word_acceptor(matrix)
-    assert fsa.count_words_by_length(wa, radius) == model.sphere_sizes(
+    assert count_words_by_length(wa, radius) == model.sphere_sizes(
         radius, matrix.rank
     )
 
@@ -443,7 +475,7 @@ def test_affine_a2_counts_match_kb_pipeline():
     out = derive_shortlex_structure(coxeter_presentation(AFFINE_A2, ["a", "b", "c"]))
     assert out.verified
     wa_cox = build_shortlex_word_acceptor(AFFINE_A2, ["a", "b", "c"])
-    assert fsa.count_words_by_length(wa_cox, 8) == fsa.count_words_by_length(
+    assert count_words_by_length(wa_cox, 8) == count_words_by_length(
         out.structure.word_acceptor, 8
     )
 
@@ -487,7 +519,7 @@ def test_hyperbolic_triangle_group_2_3_7():
     assert ctx.field.conductor == 14
     assert len(roots) == 12
     wa = build_shortlex_word_acceptor(matrix, ["a", "b", "c"])
-    assert fsa.count_words_by_length(wa, 8) == [1, 3, 5, 7, 9, 12, 16, 20, 24]
+    assert count_words_by_length(wa, 8) == [1, 3, 5, 7, 9, 12, 16, 20, 24]
     out = derive_shortlex_structure(coxeter_presentation(matrix, ["a", "b", "c"]))
     assert out.verified
     assert wa == out.structure.word_acceptor

@@ -92,6 +92,25 @@ def test_dfa_roundtrip(free_structure):
     assert wa2 == wa
 
 
+@pytest.mark.parametrize(
+    "transitions, message",
+    [
+        ([[2], [0]], "transition target out of range"),
+        ([[-2], [0]], "transition target out of range"),
+        ([[], [0]], "transition row width must match alphabet size"),
+    ],
+    ids=["target_past_the_end", "target_below_fail", "short_row"],
+)
+def test_dfa_from_json_checks_the_table(transitions, message):
+    """A table read from a file goes through the checking constructor."""
+    data = {
+        "alphabet": ["a"], "inverses": {"a": "a"}, "states": 2, "initial": 0,
+        "accepting": [1], "transitions": transitions,
+    }
+    with pytest.raises(UsageError, match=message):
+        formats.dfa_from_json(data)
+
+
 def test_pairdfa_roundtrip(z2_structure):
     m = z2_structure.multipliers[0]
     data = json.loads(formats.dumps(formats.pairdfa_to_json(m)))
