@@ -204,12 +204,9 @@ def _subset_acceptor(
     there are at least |W| Nerode classes; every state accepts, and the
     table is minimal.  ``fsa.explore`` numbers states breadth-first with
     symbols in ascending order, which is the numbering ``fsa.canonical``
-    gives, and every target is such a number or ``FAIL``, so the table
-    skips ``Dfa``'s checks.  Infinite groups need the refinement: the
-    C~3 geodesic table has 343 states and its minimal automaton 317, the
-    (2,3,7) triangle group's 40 and 35.  The shortlex table is always
-    refined.  A refined table goes to ``fsa.minimal`` as sparse rows,
-    with no intermediate ``Dfa``.
+    gives.  Infinite groups need the refinement: the C~3 geodesic table
+    has 343 states and its minimal automaton 317, the (2,3,7) triangle
+    group's 40 and 35.  The shortlex table is always refined.
     """
     alphabet = _coxeter_alphabet(matrix, names)
     action = small_roots(matrix)[2]
@@ -246,10 +243,10 @@ def _subset_acceptor(
         ]
 
     order, rows = fsa.explore(0, expand, state_cap, "acceptor subset states")
+    dfa = Dfa(alphabet, len(order), 0, range(len(order)), rows)
     if not shortlex and is_finite(action):
-        return Dfa._trusted(alphabet, len(order), 0, range(len(order)), rows)
-    moves = [[(c, t) for c, t in enumerate(row) if t != FAIL] for row in rows]
-    return fsa.minimal(alphabet, 0, range(len(order)), moves)
+        return dfa
+    return fsa.minimize(dfa)
 
 
 def build_shortlex_word_acceptor(

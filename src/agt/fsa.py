@@ -36,14 +36,9 @@ DEFAULT_STATE_CAP = 10**6
 class Dfa:
     """Immutable deterministic automaton; FAIL (-1) is the implicit sink.
 
-    ``Dfa(...)`` checks its arguments: the state count, the initial and
-    accepting states, one row per state, each as wide as the alphabet,
-    and every target a state or ``FAIL``.  Tables read from files and
-    built by callers go through it.  ``Dfa._trusted(...)`` takes the same
-    arguments and skips those checks; it is for tables this package has
-    just built whose targets are ``explore`` numbers or ``FAIL`` and
-    whose rows are as wide as the alphabet by construction.  Both store
-    the same immutable tuples, so equal tables give equal automata.
+    The constructor checks every table it is given, read from a file or
+    built here: the state count, the initial and accepting states, one
+    row per state as wide as the alphabet, every target a state or FAIL.
     """
 
     __slots__ = ("alphabet", "num_states", "initial", "accepting", "transitions")
@@ -61,40 +56,22 @@ class Dfa:
         if not 0 <= initial < num_states:
             raise UsageError("initial state out of range")
         accepting = frozenset(accepting)
-        if any(not 0 <= s < num_states for s in accepting):
+        if accepting and (min(accepting) < 0 or max(accepting) >= num_states):
             raise UsageError("accepting state out of range")
-        rows = tuple(tuple(row) for row in transitions)
+        rows = tuple(map(tuple, transitions))
         if len(rows) != num_states:
             raise UsageError("transition table must have one row per state")
-        k = alphabet.size
-        for row in rows:
-            if len(row) != k:
-                raise UsageError("transition row width must match alphabet size")
-            if min(row) < FAIL or max(row) >= num_states:
-                raise UsageError("transition target out of range")
+        # whole-table checks in C, with no Python-level loop per row
+        if set(map(len, rows)) != {alphabet.size}:
+            raise UsageError("transition row width must match alphabet size")
+        targets = set().union(*rows)
+        if targets and (min(targets) < FAIL or max(targets) >= num_states):
+            raise UsageError("transition target out of range")
         self.alphabet = alphabet
         self.num_states = num_states
         self.initial = initial
         self.accepting = accepting
         self.transitions = rows
-
-    @classmethod
-    def _trusted(
-        cls,
-        alphabet: Alphabet,
-        num_states: int,
-        initial: int,
-        accepting: Iterable[int],
-        transitions: Iterable[Sequence[int]],
-    ) -> Dfa:
-        """The automaton ``Dfa(...)`` builds, without its checks."""
-        dfa = object.__new__(cls)
-        dfa.alphabet = alphabet
-        dfa.num_states = num_states
-        dfa.initial = initial
-        dfa.accepting = frozenset(accepting)
-        dfa.transitions = tuple(map(tuple, transitions))
-        return dfa
 
     @property
     def num_states_with_sink(self) -> int:
@@ -413,9 +390,7 @@ def canonical(
 
     On a minimal automaton this is the canonical form that ``minimal``
     returns.  Permuting the symbols keeps an automaton minimal, so a
-    permuted copy of a minimal automaton needs only this step.  Every
-    target is an ``explore`` number and every row as wide as the
-    alphabet, so the result skips ``Dfa``'s checks.
+    permuted copy of a minimal automaton needs only this step.
     """
     width = alphabet.size
 
@@ -426,8 +401,7 @@ def canonical(
         return row
 
     order, dense = explore(initial, expand, len(rows), "canonical states")
-    accept = [i for i, s in enumerate(order) if s in accepting]
-    return Dfa._trusted(alphabet, len(order), 0, accept, dense)
+    return Dfa(alphabet, len(order), 0, [i for i, s in enumerate(order) if s in accepting], dense)
 
 
 # -- boolean algebra ---------------------------------------------------

@@ -11,29 +11,10 @@ from agt.autostruct import (
     build_multipliers,
     derive_shortlex_structure,
 )
-from agt.fsa import Dfa
 from agt.limits import Limits
 from agt.rewrite import Completion, Presentation, system_from_presentation
 from agt.worddiff import accumulate_from_rules
 from agt.words import inverse_closed_alphabet
-
-
-@pytest.fixture(scope="session", autouse=True)
-def trusted_tables_pass_the_checks():
-    """Every table built through ``Dfa._trusted`` in the suite, session
-    fixtures included, also passes the checking constructor and gives
-    the same automaton."""
-    trusted = Dfa._trusted
-
-    def checked(alphabet, num_states, initial, accepting, transitions):
-        accepting, transitions = list(accepting), list(transitions)
-        dfa = trusted(alphabet, num_states, initial, accepting, transitions)
-        assert dfa == Dfa(alphabet, num_states, initial, accepting, transitions)
-        return dfa
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Dfa, "_trusted", staticmethod(checked))
-        yield
 
 
 @pytest.fixture(scope="session")

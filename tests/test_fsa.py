@@ -464,12 +464,3 @@ def test_shortest_accepted(ab, f2_acceptor):
         "minus", f2_acceptor, Dfa(ab, 1, 0, (0,), [[FAIL] * ab.size])
     )
     assert fsa.shortest_accepted(no_eps) == ab.parse_word("a")
-
-
-def test_trusted_tables_are_checked_in_the_suite(ab_alphabet):
-    """Under the test suite ``Dfa._trusted`` also runs the checking
-    constructor (``tests/conftest.py``), so a table it would refuse fails."""
-    with pytest.raises(UsageError, match="transition target out of range"):
-        Dfa._trusted(ab_alphabet, 1, 0, (), [[1] * ab_alphabet.size])
-    table = [[0, FAIL, 0, FAIL]]
-    assert Dfa._trusted(ab_alphabet, 1, 0, [0], table) == Dfa(ab_alphabet, 1, 0, [0], table)
