@@ -393,7 +393,7 @@ def derive_shortlex_structure(
                     comp.enqueue((v1, v2))
                     injected += 1
             log(f"elementary=failed [{'; '.join(descs)}] injected={injected}")
-            if not comp.queue:
+            if not comp.pending:
                 log("no further equations available; giving up")
                 return abandon("elementary checks fail with no equations left to process")
             continue

@@ -92,6 +92,7 @@ def cmd_kb(args) -> int:
         f"status: {result.status}" + (f" ({result.which})" if result.which else ""),
         f"rules: {rs.num_live}",
         f"processed: {result.processed}",
+        f"queue: {result.queue_size}",
         f"confluent: {rs.confluent}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")

@@ -119,13 +119,18 @@ def presentation_from_json(data: dict) -> Presentation:
             raise UsageError(f"'order' must list each of {', '.join(names)} exactly once")
         inverse = [names[alphabet.inverse[alphabet.index(n)]] for n in order]
         alphabet = Alphabet(order, [order.index(n) for n in inverse])
-    relators = []
-    for r in data.get("relators", []):
+    relators = data.get("relators", [])
+    if not isinstance(relators, list):
+        raise UsageError("'relators' must be a list")
+    words = []
+    for i, r in enumerate(relators, 1):
         if isinstance(r, list):
-            relators.append(alphabet.word(r))
+            words.append(alphabet.word(r))
+        elif isinstance(r, str):
+            words.append(alphabet.parse_word(r))
         else:
-            relators.append(alphabet.parse_word(r))
-    return Presentation(alphabet, relators)
+            raise UsageError(f"relator {i} must be a string or a list of symbol names")
+    return Presentation(alphabet, words)
 
 
 def matrix_from_json(data: dict) -> CoxeterMatrix:

@@ -16,7 +16,10 @@ Completion processes critical pairs first-in first-out, orienting
 unresolved pairs into new rules, retiring rules whose left side becomes
 reducible (their equation is re-queued) and re-reducing right sides.
 The critical pairs of a new rule are read from an index of the proper
-prefixes and suffixes of the live left sides.
+prefixes and suffixes of the live left sides.  They are queued as one
+batch of references to the rules involved, and a pair's equation is
+built only when it is popped, so a pair that is never reached costs a
+list slot and an int instead of two words.
 """
 
 from __future__ import annotations
@@ -70,6 +73,29 @@ class Presentation:
 class RewriteRule(NamedTuple):
     lhs: Word
     rhs: Word
+
+
+class OverlapBatch(NamedTuple):
+    """The critical pairs of one rule, as references to the rules.
+
+    Pair i overlaps ``rule`` with ``partners[i]`` on k letters in the
+    direction ``way``, where ``codes[i] = k * 2 + way``.  Rules are never
+    edited in place (``add_rule`` replaces a rule whose right side it
+    reduces again), so the references keep the versions the batch was
+    made from, and a pair expands to the same equation whenever it is
+    read.
+    """
+
+    rule: RewriteRule
+    partners: list[RewriteRule]
+    codes: list[int]
+
+    def equation(self, i: int) -> tuple[Word, Word]:
+        """The two one-step reducts of pair i's superposition word."""
+        l1, r1 = self.rule
+        l2, r2 = self.partners[i]
+        k, way = divmod(self.codes[i], 2)
+        return (r2 + l1[k:], l2[:-k] + r1) if way else (r1 + l2[k:], l1[:-k] + r2)
 
 
 class RewriteSystem:
@@ -200,28 +226,29 @@ class RewriteSystem:
     def rules(self) -> list[RewriteRule]:
         return [r for r in self._rules if r is not None]
 
-    def overlaps(self, idx: int, both_ways: bool) -> list[tuple[Word, Word]]:
-        """Critical-pair equations of rule idx with the live rules.
+    def overlaps(self, idx: int, both_ways: bool) -> OverlapBatch:
+        """The critical pairs of rule idx with the live rules, unexpanded.
 
         Way 0: a suffix of length k of lhs_idx is a prefix of lhs_j, j = idx
         included.  Way 1, only if ``both_ways``: a suffix of length k of
         lhs_j is a prefix of lhs_idx, j != idx.  Each overlap is proper on
-        both sides and gives the two one-step reducts of its superposition
-        word; they come sorted by (j, way, k).  Containment overlaps need
-        no search, since the left sides are factor-free.
+        both sides; the pairs come sorted by (j, way, k), and
+        ``OverlapBatch.equation`` gives the two one-step reducts of a
+        pair's superposition word.  Containment overlaps need no search,
+        since the left sides are factor-free.
         """
-        l1, r1 = self._rules[idx]
+        rule = self._rules[idx]
+        l1 = rule.lhs
         found = []
         for k in range(1, len(l1)):
             found += [(j, 0, k) for j in self._prefixes.get(l1[-k:], ())]
             if both_ways:
                 found += [(j, 1, k) for j in self._suffixes.get(l1[:k], ()) if j != idx]
         found.sort()
-        out = []
-        for j, way, k in found:
-            l2, r2 = self._rules[j]
-            out.append((r2 + l1[k:], l2[:-k] + r1) if way else (r1 + l2[k:], l1[:-k] + r2))
-        return out
+        rules = self._rules
+        return OverlapBatch(
+            rule, [rules[j] for j, _, _ in found], [k * 2 + way for _, way, k in found]
+        )
 
     # -- reduction ------------------------------------------------------
 
@@ -353,15 +380,23 @@ class CompletionResult:
 class Completion:
     """FIFO critical-pair completion over a single-owner RewriteSystem.
 
-    ``on_rule`` (if set) is called for every added rule; it supports the
-    driver's word-difference stability heuristic.  ``processed`` counts
-    equations taken off the queue.
+    The queue holds plain equations (enqueued ones and the equations of
+    retired rules) and, per added rule, one ``OverlapBatch`` of its
+    critical pairs, never an empty one.  ``_cursor`` counts the pairs of
+    the head batch already popped; a pair's equation is built when it is
+    popped, so the order and the count are those of a queue of expanded
+    equations.  ``pending`` counts the equations not yet processed, and
+    ``processed`` those taken off the queue.  ``on_rule`` (if set) is
+    called for every added rule; it supports the word-difference
+    stability heuristic of ``derive_shortlex_structure``.
     """
 
     def __init__(self, system: RewriteSystem, limits: Limits | None = None):
         self.sys = system
         self.limits = limits or Limits()
-        self.queue: deque[tuple[Word, Word]] = deque()
+        self.queue: deque[tuple[Word, Word] | OverlapBatch] = deque()
+        self.pending = 0
+        self._cursor = 0
         self.lost_pairs = False
         self.processed = 0
         self.added = 0
@@ -371,10 +406,28 @@ class Completion:
 
     def _seed(self) -> None:
         for i, _ in self.sys.live_items():
-            self.queue.extend(self.sys.overlaps(i, both_ways=False))
+            self._push(self.sys.overlaps(i, both_ways=False))
+
+    def _push(self, batch: OverlapBatch) -> None:
+        if batch.codes:
+            self.queue.append(batch)
+            self.pending += len(batch.codes)
 
     def enqueue(self, eq: tuple[Word, Word]) -> None:
         self.queue.append(eq)
+        self.pending += 1
+
+    def pending_equations(self) -> list[tuple[Word, Word]]:
+        """The equations not yet processed, in queue order."""
+        out = []
+        start = self._cursor
+        for item in self.queue:
+            if isinstance(item, OverlapBatch):
+                out += map(item.equation, range(start, len(item.codes)))
+            else:
+                out.append(item)
+            start = 0
+        return out
 
     def _add_rule(self, lhs: Word, rhs: Word) -> None:
         rs = self.sys
@@ -386,11 +439,26 @@ class Completion:
         if self.on_rule is not None:
             self.on_rule(lhs, rhs)
         self.queue.extend(retired)
-        self.queue.extend(rs.overlaps(idx, both_ways=True))
+        self.pending += len(retired)
+        self._push(rs.overlaps(idx, both_ways=True))
+
+    def _pop(self) -> tuple[Word, Word]:
+        """Take the next equation off the queue."""
+        head = self.queue[0]
+        self.pending -= 1
+        if not isinstance(head, OverlapBatch):
+            return self.queue.popleft()
+        i = self._cursor
+        if i + 1 == len(head.codes):
+            self.queue.popleft()
+            self._cursor = 0
+        else:
+            self._cursor = i + 1
+        return head.equation(i)
 
     def step(self) -> None:
         """Process one queued equation."""
-        w1, w2 = self.queue.popleft()
+        w1, w2 = self._pop()
         self.processed += 1
         rs = self.sys
         a = rs.reduce(w1)
@@ -409,7 +477,7 @@ class Completion:
     def run(
         self, pause_when: Callable[["Completion"], bool] | None = None
     ) -> CompletionResult:
-        while self.queue:
+        while self.pending:
             if self.limit_hit:
                 return self._result("limitHit", self.limit_hit)
             self.step()
@@ -423,6 +491,4 @@ class Completion:
         return self._result("complete")
 
     def _result(self, status: str, which: str | None = None) -> CompletionResult:
-        return CompletionResult(
-            status, which, self.processed, self.added, len(self.queue)
-        )
+        return CompletionResult(status, which, self.processed, self.added, self.pending)

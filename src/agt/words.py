@@ -162,10 +162,23 @@ def inverse_closed_alphabet(
     generator (``a < a^-1 < b < b^-1`` style).
 
     Every generator must either be listed in ``involutions`` (its own
-    inverse) or have an entry in ``inverse_names``.
+    inverse) or have an entry in ``inverse_names``, not both, and both
+    may name only generators.
     """
     inverse_names = dict(inverse_names or {})
-    invol = set(involutions)
+    invol = list(involutions)
+    known = set(generators)
+    for g in invol:
+        if g not in known:
+            raise UsageError(f"involution {g!r} is not a generator")
+    for g in inverse_names:
+        if g not in known:
+            raise UsageError(f"inverse name given for {g!r}, which is not a generator")
+        if g in invol:
+            raise UsageError(
+                f"generator {g!r} is an involution and also has the inverse name"
+                f" {inverse_names[g]!r}"
+            )
     names: list[str] = []
     inv: list[int] = []
     for g in generators:

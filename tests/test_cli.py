@@ -58,6 +58,21 @@ def test_kb_dumps_rules(z2_file, capsys):
     assert "ba -> ab" in out
 
 
+def test_kb_reports_the_pending_equations(z2_file, tmp_path, capsys):
+    # B3 capped at 60 rules stops with equations still queued; the counts
+    # are those of the eager queue of expanded equations
+    p = tmp_path / "b3.json"
+    p.write_text(json.dumps(
+        {"generators": ["a", "b"], "inverses": {"a": "A", "b": "B"}, "relators": ["abaBAB"]}
+    ))
+    assert main(["kb", str(p), "--max-rules", "60"]) == 0
+    head = capsys.readouterr().out.splitlines()[:5]
+    assert head[0] == "status: limitHit (maxRules)" and head[1] == "rules: 60"
+    assert head[2:] == ["processed: 832", "queue: 1475", "confluent: False"]
+    assert main(["kb", z2_file]) == 0
+    assert capsys.readouterr().out.splitlines()[3] == "queue: 0"
+
+
 def test_reduce_wp_order(z2_bundle, capsys):
     assert main(["reduce", z2_bundle, "ba"]) == 0
     assert capsys.readouterr().out.strip() == "ab"
@@ -423,7 +438,24 @@ MALFORMED_FILES = {
     ),
     "automaton_not_an_object": (["fsa", "min"], [1, 2], "expected a JSON object"),
     "relator_not_a_word": (
-        ["kb"], {"generators": ["a"], "inverses": {"a": "A"}, "relators": [5]}, "AttributeError"
+        ["kb"], {"generators": ["a"], "inverses": {"a": "A"}, "relators": ["aa", 5]},
+        "relator 2 must be a string or a list of symbol names",
+    ),
+    "relators_not_a_list": (
+        ["kb"], {"generators": ["a"], "inverses": {"a": "A"}, "relators": "aa"},
+        "'relators' must be a list",
+    ),
+    "involution_with_an_inverse": (
+        ["kb"], {"generators": ["a"], "involutions": ["a"], "inverses": {"a": "A"}},
+        "generator 'a' is an involution and also has the inverse name 'A'",
+    ),
+    "involution_not_a_generator": (
+        ["autstructure"], {"generators": ["a"], "inverses": {"a": "A"}, "involutions": ["b"]},
+        "involution 'b' is not a generator",
+    ),
+    "inverse_of_no_generator": (
+        ["kb"], {"generators": ["a"], "inverses": {"a": "A", "c": "C"}},
+        "inverse name given for 'c', which is not a generator",
     ),
     "matrix_row_not_numbers": (
         ["cox", "wa"], {"m": [[1, "x"], [3]]}, "Coxeter matrix entries must be integers, got 'x'"

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from agt.errors import UsageError
 from agt.limits import Limits
 from agt.rewrite import (
     Completion,
+    OverlapBatch,
     Presentation,
     RewriteSystem,
     system_from_presentation,
@@ -318,6 +320,35 @@ def test_reduce_matches_the_leftmost_reference(ops, probes):
             assert rs.reduce(w) == leftmost_reduce(rs.rules, w)
 
 
+def presentation_over(involutions, relators):
+    if involutions:
+        alphabet = inverse_closed_alphabet(["a", "b"], involutions=["a", "b"])
+    else:
+        alphabet = inverse_closed_alphabet(["a", "b"], {"a": "A", "b": "B"})
+    return Presentation(alphabet, [bytes(c % alphabet.size for c in r) for r in relators])
+
+
+def seed_equations(rs):
+    """What the eager scan queues at the start: every pair of live rules."""
+    live = rs.live_items()
+    return [eq for i, r1 in live for j, r2 in live for eq in overlap_equations(r1, r2, i == j)]
+
+
+def added_equations(before, after):
+    """What the eager scan appends when a rule is added and the live
+    rules go from ``before`` to ``after`` (dicts by index): the retired
+    rules, then the new rule's overlaps with every live rule."""
+    expected = [rule for j, rule in before.items() if j not in after]
+    for idx in after.keys() - before.keys():
+        new = after[idx]
+        for j, rule in after.items():
+            if j != idx:
+                expected += overlap_equations(new, rule, False)
+                expected += overlap_equations(rule, new, False)
+        expected += overlap_equations(new, new, True)
+    return expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.booleans(),
@@ -326,33 +357,100 @@ def test_reduce_matches_the_leftmost_reference(ops, probes):
 def test_queued_equations_match_the_full_overlap_scan(involutions, relators):
     """The seed queue, and what each added rule appends to the queue, are
     the equations of the full scan of every pair of rules, in order."""
-    if involutions:
-        alphabet = inverse_closed_alphabet(["a", "b"], involutions=["a", "b"])
-    else:
-        alphabet = inverse_closed_alphabet(["a", "b"], {"a": "A", "b": "B"})
-    pres = Presentation(alphabet, [bytes(c % alphabet.size for c in r) for r in relators])
-    rs = system_from_presentation(pres)
+    rs = system_from_presentation(presentation_over(involutions, relators))
     comp = Completion(rs, Limits(max_rules=40))
-    live = rs.live_items()
-    assert list(comp.queue) == [
-        eq for i, r1 in live for j, r2 in live for eq in overlap_equations(r1, r2, i == j)
-    ]
+    assert comp.pending_equations() == seed_equations(rs)
     add_rule = comp._add_rule
 
     def checked(lhs, rhs):
         before = dict(rs.live_items())
-        start = len(comp.queue)
+        start = comp.pending
         add_rule(lhs, rhs)
-        after = dict(rs.live_items())
-        expected = [rule for j, rule in before.items() if j not in after]
-        for idx in after.keys() - before.keys():
-            new = after[idx]
-            for j, rule in after.items():
-                if j != idx:
-                    expected += overlap_equations(new, rule, False)
-                    expected += overlap_equations(rule, new, False)
-            expected += overlap_equations(new, new, True)
-        assert list(comp.queue)[start:] == expected
+        queued = comp.pending_equations()
+        assert len(queued) == comp.pending
+        assert queued[start:] == added_equations(before, dict(rs.live_items()))
 
     comp._add_rule = checked
     comp.run(lambda c: c.processed >= 300)
+
+
+class EagerShadow:
+    """An eager queue of expanded equations kept next to a completion's
+    lazy one: it is seeded and extended with the oracle's overlap scan
+    at every added rule, enqueued equation and retired rule, and every
+    popped equation is checked against its head.
+
+    ``stale`` counts the queued pairs whose rule or partner was replaced
+    (its right side reduced again) or retired while the pair waited.
+    """
+
+    def __init__(self, comp):
+        self.comp = comp
+        self.eqs = deque(seed_equations(comp.sys))
+        self.stale = 0
+        assert comp.pending == len(self.eqs)
+        self._add_rule, self._pop, self._enqueue = comp._add_rule, comp._pop, comp.enqueue
+        comp._add_rule, comp._pop, comp.enqueue = self.add_rule, self.pop, self.enqueue
+
+    def add_rule(self, lhs, rhs):
+        rs = self.comp.sys
+        before = dict(rs.live_items())
+        self._add_rule(lhs, rhs)
+        after = dict(rs.live_items())
+        changed = {id(rule) for j, rule in before.items() if after.get(j) is not rule}
+        start = self.comp._cursor
+        for item in self.comp.queue:
+            if isinstance(item, OverlapBatch):
+                waiting = item.partners[start:]
+                if id(item.rule) in changed:
+                    self.stale += len(waiting)
+                else:
+                    self.stale += sum(id(rule) in changed for rule in waiting)
+            start = 0
+        self.eqs.extend(added_equations(before, after))
+        assert self.comp.pending == len(self.eqs)
+
+    def enqueue(self, eq):
+        self._enqueue(eq)
+        self.eqs.append(eq)
+
+    def pop(self):
+        eq = self._pop()
+        assert eq == self.eqs.popleft()
+        assert self.comp.pending == len(self.eqs)
+        return eq
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(st.binary(min_size=1, max_size=7), min_size=1, max_size=2),
+    st.lists(st.tuples(st.binary(max_size=6), st.binary(max_size=6)), max_size=4),
+)
+def test_lazy_queue_pops_what_an_eager_queue_pops(involutions, relators, extra):
+    """Over a whole run with equations enqueued between pauses, each
+    popped equation is the eager queue's head and the pending count is
+    its length."""
+    pres = presentation_over(involutions, relators)
+    size = pres.alphabet.size
+    comp = Completion(system_from_presentation(pres), Limits(max_rules=40))
+    shadow = EagerShadow(comp)
+    for n, (w1, w2) in enumerate(extra, 1):
+        comp.run(lambda c: c.processed >= 25 * n)
+        comp.enqueue((bytes(c % size for c in w1), bytes(c % size for c in w2)))
+    result = comp.run(lambda c: c.processed >= 300)
+    assert result.queue_size == comp.pending == len(shadow.eqs)
+    assert comp.pending_equations() == list(shadow.eqs)
+
+
+def test_lazy_queue_reads_the_rule_versions_it_queued(ab):
+    """B3 capped at 60 rules: queued pairs outlive re-reduced and retired
+    partners, and still pop the eager equations."""
+    rs = system_from_presentation(Presentation(ab, [ab.parse_word("abaBAB")]))
+    comp = Completion(rs, Limits(max_rules=60))
+    shadow = EagerShadow(comp)
+    result = comp.run()
+    assert result.status == "limitHit" and result.which == "maxRules"
+    assert shadow.stale > 0
+    assert result.queue_size == len(comp.pending_equations()) == len(shadow.eqs)
+    assert comp.pending_equations() == list(shadow.eqs)
