@@ -3,9 +3,10 @@
 Subcommands: kb, autstructure, reduce, wp, order, growth, enumerate,
 conetypes, conj, cox {wa,geo,roots}, fsa {min,and,or,not,minus,eq}.
 Exit codes: 0 success/verified, 1 procedure abandoned, 2 usage error,
-3 resource limit.  Every limit is a count set by one flag, and each
-command takes only the limit flags it reads.  Identical inputs and
-limits give byte-identical outputs.
+3 resource limit; a closed standard output ends the command quietly.
+Every limit is a count set by one flag, and each command takes only the
+limit flags it reads.  Identical inputs and limits give byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -310,14 +312,25 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    code = EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of standard output has gone (agt kb ... | head): stop
+        # quietly, with the command's code if it got that far, and send
+        # what is left to devnull so that the flush at shutdown does not
+        # fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
     except (AgtError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

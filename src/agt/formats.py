@@ -103,14 +103,22 @@ def presentation_to_json(p: Presentation) -> dict:
     return out
 
 
+def _all_str(items: list) -> bool:
+    return all(isinstance(x, str) for x in items)
+
+
 def presentation_from_json(data: dict) -> Presentation:
     if "generators" not in data:
         raise UsageError("presentation needs a 'generators' list")
     generators = data["generators"]
     inverses = data.get("inverses", {})
     involutions = data.get("involutions", [])
-    if not isinstance(generators, list) or not generators:
-        raise UsageError("'generators' must be a nonempty list")
+    if not isinstance(generators, list) or not generators or not _all_str(generators):
+        raise UsageError("'generators' must be a nonempty list of names")
+    if not isinstance(inverses, dict) or not _all_str([*inverses, *inverses.values()]):
+        raise UsageError("'inverses' must be an object mapping generator names to inverse names")
+    if not isinstance(involutions, list) or not _all_str(involutions):
+        raise UsageError("'involutions' must be a list of generator names")
     alphabet = inverse_closed_alphabet(generators, inverses, involutions)
     order = data.get("order")
     if order is not None:

@@ -15,6 +15,10 @@ match, so normal forms are deterministic.
 Completion processes critical pairs first-in first-out, orienting
 unresolved pairs into new rules, retiring rules whose left side becomes
 reducible (their equation is re-queued) and re-reducing right sides.
+The system keeps its left sides and its right sides as two word lists
+indexed by rule, so a new left side finds the rules it touches with
+one ``bytes.find`` search of each list joined by byte 255, which no
+word contains; the hits come in index order.
 The critical pairs of a new rule are read from an index of the proper
 prefixes and suffixes of the live left sides.  They are queued as one
 batch of references to the rules involved, and a pair's equation is
@@ -30,7 +34,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .errors import UsageError
 from .limits import Limits
-from .words import Alphabet, Word
+from .words import MAX_SYMBOLS, Alphabet, Word
 
 
 class Presentation:
@@ -98,6 +102,32 @@ class OverlapBatch(NamedTuple):
         return (r2 + l1[k:], l2[:-k] + r1) if way else (r1 + l2[k:], l1[:-k] + r2)
 
 
+# Byte 255 is no letter (words.MAX_SYMBOLS reserves it), so a word found
+# in sides joined by it lies within one side.
+_SEP = bytes((MAX_SYMBOLS,))
+
+
+def _sides_containing(sides: list[Word], w: Word) -> list[int]:
+    """The indices of the sides that contain the nonempty word w, in
+    increasing order, from one search of the joined sides.
+
+    A hit's index is the number of separators before it; the search
+    then goes on from the end of that side.
+    """
+    blob = _SEP.join(sides)
+    found = []
+    j = end = 0
+    p = blob.find(w)
+    while p >= 0:
+        j += blob.count(_SEP, end, p)
+        found.append(j)
+        end = blob.find(_SEP, p)
+        if end < 0:
+            break
+        p = blob.find(w, end)
+    return found
+
+
 class RewriteSystem:
     """Indexed shortlex rewrite system with factor-free left sides.
 
@@ -108,7 +138,10 @@ class RewriteSystem:
     failure links (``_fail``) are filled in on first use and dropped
     whenever the trie changes.  ``_prefixes`` and ``_suffixes`` map each
     proper prefix and each proper suffix of a live left side to the
-    indices of its rules, in increasing order.
+    indices of its rules, in increasing order.  ``_lhs`` and ``_rhs``
+    hold the sides of each rule (``b""`` once it is retired), which
+    ``add_rule`` searches joined, for the left sides to retire and then
+    for the right sides to reduce again.
 
     Mutable and single-owner while completion runs.
     """
@@ -117,6 +150,8 @@ class RewriteSystem:
         self.alphabet = alphabet
         self.confluent = False
         self._rules: list[RewriteRule | None] = []
+        self._lhs: list[Word] = []  # per rule: its sides, b"" once retired
+        self._rhs: list[Word] = []
         # per rule: (|lhs| - 1, rhs reversed), as reduce reads them; stale after retirement
         self._rewrite: list[tuple[int, Word]] = []
         self._n_syms = alphabet.size
@@ -160,17 +195,15 @@ class RewriteSystem:
             raise UsageError("rule must be oriented: rhs <_slex lhs")
         if self.reduce(lhs) != lhs:
             raise UsageError("left-hand side must be irreducible")
-        retired, stale = [], []
-        for j, rule in enumerate(self._rules):
-            if rule is None:
-                continue
-            if lhs in rule.lhs:
-                retired.append(rule)
-                self.remove_rule(j)
-            elif lhs in rule.rhs:
-                stale.append(j)
+        retired = []
+        for j in _sides_containing(self._lhs, lhs):
+            retired.append(self._rules[j])
+            self.remove_rule(j)
+        stale = _sides_containing(self._rhs, lhs)
         idx = len(self._rules)
         self._rules.append(RewriteRule(lhs, rhs))
+        self._lhs.append(lhs)
+        self._rhs.append(rhs)
         self._rewrite.append((len(lhs) - 1, rhs[::-1]))
         n = self._n_syms
         node = 0
@@ -186,7 +219,7 @@ class RewriteSystem:
         self.confluent = False
         for j in stale:
             u, v = self._rules[j]
-            v = self.reduce(v)
+            v = self._rhs[j] = self.reduce(v)
             self._rules[j] = RewriteRule(u, v)
             self._rewrite[j] = (len(u) - 1, v[::-1])
         return idx, retired
@@ -215,6 +248,7 @@ class RewriteSystem:
                 if not ids:
                     del table[key]
         self._rules[idx] = None
+        self._lhs[idx] = self._rhs[idx] = b""
         self._goto = None
         self.num_live -= 1
         self.confluent = False

@@ -21,7 +21,7 @@ Word = bytes
 
 EPSILON: Word = b""
 
-MAX_SYMBOLS = 255  # words are bytes; index 255 reserved
+MAX_SYMBOLS = 255  # words are bytes; index 255 reserved (rewrite joins words with it)
 
 
 class Alphabet:

@@ -11,8 +11,8 @@ use only its field arithmetic and form; the padding checks read a pair
 automaton's table, and the critical pairs and difference runs read a
 rewrite system's rules and a difference machine's table, and the
 rewriting references (leftmost, lowest-indexed reduction by rescanning
-and the critical pairs of two rules, containment included) read rule
-lists.  The subset
+and the critical pairs of two rules, containment included, and the
+rules a new left side touches) read rule lists.  The subset
 table reads a machine's moves, and the finite-language size and the
 counts by length read a table directly.  None of these shares code with the package.  The builders at the end make small
 package objects the tests need, from the package's public constructors,
@@ -432,6 +432,20 @@ def overlap_equations(r1, r2, same_rule: bool) -> list[tuple[bytes, bytes]]:
             out.append((q1, l1[:start] + q2 + l1[start + len(l2) :]))
             start = l1.find(l2, start + 1)
     return out
+
+
+def touched_rules(rules, lhs: bytes) -> tuple[list[int], list[int]]:
+    """What adding a rule with left side ``lhs`` touches among the rules
+    ``(j, (l, r))``, listed in index order, by a test of every rule: the
+    indices whose left side contains lhs (retired), then those of the
+    others whose right side contains it (reduced again)."""
+    retired, stale = [], []
+    for j, (l, r) in rules:
+        if lhs in l:
+            retired.append(j)
+        elif lhs in r:
+            stale.append(j)
+    return retired, stale
 
 
 def run_pair(machine, u: bytes, v: bytes) -> tuple[bool, int]:

@@ -332,6 +332,51 @@ def test_wrong_automaton_kind_rejected_under_optimisation(z2_bundle_master, tmp_
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+class ClosedStdout:
+    """Standard output whose reader has gone; its descriptor is a file."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys):
+    pres = tmp_path / "z2.json"
+    pres.write_text(json.dumps(Z2_ORDER))
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+        assert main(["kb", str(pres)]) == 0
+        # what is left goes to devnull, so the flush at shutdown succeeds
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_0(tmp_path):
+    pres = tmp_path / "z2.json"
+    pres.write_text(json.dumps(Z2_ORDER))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "agt.cli", "kb", str(pres)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 @pytest.fixture()
 def a3_file(tmp_path):
     p = tmp_path / "a3.json"
@@ -440,6 +485,22 @@ MALFORMED_FILES = {
     "relator_not_a_word": (
         ["kb"], {"generators": ["a"], "inverses": {"a": "A"}, "relators": ["aa", 5]},
         "relator 2 must be a string or a list of symbol names",
+    ),
+    "inverses_as_pairs": (
+        ["kb"], {"generators": ["a"], "inverses": [["a", "A"]]},
+        "'inverses' must be an object mapping generator names to inverse names",
+    ),
+    "inverses_as_a_string": (
+        ["kb"], {"generators": ["a"], "inverses": "aA"},
+        "'inverses' must be an object mapping generator names to inverse names",
+    ),
+    "generator_not_a_name": (
+        ["kb"], {"generators": [["a"]], "involutions": []},
+        "'generators' must be a nonempty list of names",
+    ),
+    "involutions_not_a_list": (
+        ["autstructure"], {"generators": ["a"], "involutions": "a"},
+        "'involutions' must be a list of generator names",
     ),
     "relators_not_a_list": (
         ["kb"], {"generators": ["a"], "inverses": {"a": "A"}, "relators": "aa"},

@@ -16,7 +16,14 @@ from agt.rewrite import (
 )
 from agt.words import inverse_closed_alphabet
 
-from oracles import ZSquaredModel, critical_pairs, leftmost_reduce, overlap_equations, s3_model
+from oracles import (
+    ZSquaredModel,
+    critical_pairs,
+    leftmost_reduce,
+    overlap_equations,
+    s3_model,
+    touched_rules,
+)
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +325,48 @@ def test_reduce_matches_the_leftmost_reference(ops, probes):
             rs.remove_rule(live[len(w1) % len(live)][0])
         for w in probes:
             assert rs.reduce(w) == leftmost_reduce(rs.rules, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), words_ab, words_ab), max_size=25))
+def test_add_rule_touches_what_the_full_scan_finds(ops):
+    """After each random addition or retirement, add_rule retires the
+    rules, and reduces again the right sides, that a test of every live
+    rule finds, in index order."""
+    ab = inverse_closed_alphabet(["a", "b"], {"a": "A", "b": "B"})
+    rs = RewriteSystem(ab)
+    for add, w1, w2 in ops:
+        if add:
+            u, v = rs.reduce(w1), rs.reduce(w2)
+            if u == v:
+                continue
+            lhs, rhs = (u, v) if ab.shortlex_less(v, u) else (v, u)
+            before = dict(rs.live_items())
+            retire, stale = touched_rules(before.items(), lhs)
+            _, retired = rs.add_rule(lhs, rhs)
+            after = dict(rs.live_items())
+            assert retired == [before[j] for j in retire]
+            assert [j for j in after if j in before and after[j] is not before[j]] == stale
+        elif rs.num_live:
+            live = rs.live_items()
+            rs.remove_rule(live[len(w1) % len(live)][0])
+
+
+def test_add_rule_matches_no_word_across_two_sides(ab):
+    """ba is the end of one stored side followed by the start of the
+    next, for the left sides Ab, aB and the right sides b, a: it is in
+    no side, so nothing is retired or reduced again."""
+    rs = RewriteSystem(ab)
+    rs.add_rule(ab.parse_word("Ab"), ab.parse_word("b"))
+    rs.add_rule(ab.parse_word("aB"), ab.parse_word("a"))
+    before = rs.live_items()
+    lhs = ab.parse_word("ba")
+    for sides in zip(*(rule for _, rule in before)):
+        assert lhs in b"".join(sides)
+    assert touched_rules(before, lhs) == ([], [])
+    assert rs.add_rule(lhs, ab.parse_word("ab")) == (2, [])
+    assert rs.live_items()[:2] == before
+    assert rs.dump().splitlines() == ["Ab -> b", "aB -> a", "ba -> ab"]
 
 
 def presentation_over(involutions, relators):
