@@ -9,7 +9,8 @@ files, or the rules and result of one Knuth-Bendix completion, or the
 outcome of one abandoned derivation, or the composite multipliers that
 one check builds, or the small-root action table of one Coxeter matrix,
 or the normal forms of seeded random words and the cone-type count of
-one structure.
+one structure, or the boolean combinations of two acceptors, or the
+transcript of one derivation that retries.
 A failing pin means an output changed: if the change is meant, say so
 and re-pin; if not, it is a regression.
 """
@@ -20,7 +21,7 @@ import random
 
 import pytest
 
-from agt import autostruct, formats, groupcalc, pairfsa
+from agt import autostruct, formats, fsa, groupcalc, pairfsa
 from agt.autostruct import AxiomReport, CheckFailure, ElementaryReport, derive_shortlex_structure
 from agt.coxeter import (
     CoxeterMatrix,
@@ -30,6 +31,7 @@ from agt.coxeter import (
 )
 from agt.limits import Limits
 from agt.rewrite import Completion, Presentation, system_from_presentation
+from agt.words import inverse_closed_alphabet
 
 from oracles import validate_padding
 
@@ -371,3 +373,85 @@ def _normal_form_texts(s, seed):
 def test_normal_forms_are_pinned(fixture, request):
     s = request.getfixturevalue(fixture)
     assert _digest(_normal_form_texts(s, fixture)) == NORMAL_FORMS[fixture]
+
+
+# -- boolean combinations -------------------------------------------------------
+#
+# Each digest covers one boolean operation on one pair of acceptors, taken
+# both ways: op(m1, m2) then op(m2, m1), or not m1 then not m2.  The pairs
+# are word acceptors of derived structures over a A b B and over the
+# involutions a b, and the shortlex and geodesic acceptors of two Coxeter
+# groups.
+
+
+BOOLEAN_PAIRS = {
+    "F2-Z2": (("fixture", "free_structure"), ("fixture", "z2_structure")),
+    "Z2-B3": (("fixture", "z2_structure"), ("fixture", "b3_structure")),
+    "F2-B3": (("fixture", "free_structure"), ("fixture", "b3_structure")),
+    "S3-Dinf": (("fixture", "s3_structure"), ("fixture", "dinf_structure")),
+    "H3": ((build_shortlex_word_acceptor, "H3"), (build_geodesic_acceptor, "H3")),
+    "A2aff": ((build_shortlex_word_acceptor, "A2aff"), (build_geodesic_acceptor, "A2aff")),
+}
+BOOLEAN = {
+    ("F2-Z2", "and"): "96529887e12340acc48fd9742486ad0bb0779d9fae5ef9345f07c5ed42dffa8d",
+    ("F2-Z2", "or"): "3336e15823ea42a4811e1a61d4dce32f12e3391273da10e745325d80543e95e7",
+    ("F2-Z2", "minus"): "5601994c14085fecc322de6f44a87d9db734bd1e6d3a4e4c448ae1bd9a5f6c46",
+    ("F2-Z2", "not"): "e4b33006771d69d6bb04cbe7a4a53f79109d692004050b650decc2853e15a2ac",
+    ("Z2-B3", "and"): "96529887e12340acc48fd9742486ad0bb0779d9fae5ef9345f07c5ed42dffa8d",
+    ("Z2-B3", "or"): "6804678f60bade76515f73212aa0fa8b8fe951af3578144baed94102d2588361",
+    ("Z2-B3", "minus"): "130c2a680013eaf8d85f11ad8c7feba78e1dd5178eb713e7ee230ef7980ba56b",
+    ("Z2-B3", "not"): "96b1c573c7eb737ced39595fad7b64108747413e309611b1e761c30a30f49035",
+    ("F2-B3", "and"): "6804678f60bade76515f73212aa0fa8b8fe951af3578144baed94102d2588361",
+    ("F2-B3", "or"): "3336e15823ea42a4811e1a61d4dce32f12e3391273da10e745325d80543e95e7",
+    ("F2-B3", "minus"): "14412eb5731b740037b89ce970c9a56ed829e83208a9b67f3945d41add9a2fd3",
+    ("F2-B3", "not"): "eb30324f0e0ebe8ba2f0f4779049ae7a034ebcbd9033021599e9447ba9cdb619",
+    ("S3-Dinf", "and"): "6cc59313bdde3ce00b008ef20c7567b9590bacad63836994e4d0652d8390d6ee",
+    ("S3-Dinf", "or"): "f70220121d67e976ceaf869768cf022a33ce182a1d5adfb5a58f7c6004928ebf",
+    ("S3-Dinf", "minus"): "460d895a50c4fffdde73926e192f8b182e0d29eef652a7cc7ff39bec599aeb79",
+    ("S3-Dinf", "not"): "6288518b1566650377563d9126b5950bb859688aa3e3aab19136deafeeea9dd0",
+    ("H3", "and"): "fea10083fa3812eb2a38ef4bfde1a1cdc865950cac0892d584312eb67e9b8382",
+    ("H3", "or"): "6e1aeab35d524946d76933b2c248a0e6b437e4d191f6a29da1bc0a1845893ad7",
+    ("H3", "minus"): "94a6c18cab798c8d20a09f60f352f536110f2aae4afb66c0bdf817a13de3ac9a",
+    ("H3", "not"): "bca01bdf2dcf46263fe2b76122695d24b5f1a3c3294724a4939a4e67db4deeda",
+    ("A2aff", "and"): "94fd5791dc09bc311e8a10bbd3c93aa2e1f34493d193087749cb76716158b9c8",
+    ("A2aff", "or"): "a6fc6240407c35157eb40c4a9def3e23668a8a9fdea8c60cc4579461ceb181a7",
+    ("A2aff", "minus"): "3df55f403c51af27c57651f326802b2cd7332852a1b0291167ab53d202163f12",
+    ("A2aff", "not"): "6b9aadd40681fe04f726ba09b8bc66a49e68fd4f8d09fee8ea9917fb7f0d0317",
+}
+
+
+def _acceptor(source, request):
+    how, name = source
+    if how == "fixture":
+        return request.getfixturevalue(name).word_acceptor
+    return how(ROOT_MATRICES[name])
+
+
+@pytest.mark.parametrize("pair,kind", sorted(BOOLEAN))
+def test_boolean_operations_are_pinned(pair, kind, request):
+    m1, m2 = (_acceptor(source, request) for source in BOOLEAN_PAIRS[pair])
+    if kind == "not":
+        results = [fsa.boolean_op("not", m1), fsa.boolean_op("not", m2)]
+    else:
+        results = [fsa.boolean_op(kind, m1, m2), fsa.boolean_op(kind, m2, m1)]
+    texts = [formats.dumps(formats.dfa_to_json(m)) for m in results]
+    assert _digest(texts) == BOOLEAN[pair, kind]
+
+
+# -- the retry path --------------------------------------------------------------
+#
+# Genus 2, derived with an early pause, fails the inverse test, builds
+# witness products for its failures and then verifies.  The digest covers
+# its transcript.
+
+
+GENUS2_TRANSCRIPT = "83f12859e318bee7dd1bd8664b57e736b6ca26a9a090900224361b64f4df803d"
+
+
+def test_genus2_retry_transcript_is_pinned():
+    A = inverse_closed_alphabet(["a", "b", "c", "d"], {"a": "A", "b": "B", "c": "C", "d": "D"})
+    pres = Presentation(A, [A.parse_word("abABcdCD")])
+    out = derive_shortlex_structure(pres, Limits(stability_window=5, max_passes=20))
+    assert out.verified
+    assert "inverse(" in out.transcript
+    assert _digest([out.transcript]) == GENUS2_TRANSCRIPT
