@@ -220,7 +220,7 @@ def elementary_checks(
         for project in (pairfsa.project_first, pairfsa.project_second):
             proj = project(s.multipliers[y], state_cap)
             if proj != wa:
-                witness = fsa.shortest_accepted(fsa.boolean_op("minus", wa, proj))
+                witness = fsa.shortest_accepted(fsa.boolean_op("minus", wa, proj, state_cap))
                 failures.append(CheckFailure("projection", y, witness))
                 break
     if failures:
@@ -234,12 +234,12 @@ def elementary_checks(
             kind, rel = "inverse", pairfsa.compose(s.multipliers[key], back, state_cap)
         if rel == diag:
             continue
-        extra = fsa.shortest_accepted(fsa.boolean_op("minus", rel.dfa, diag.dfa))
+        extra = fsa.shortest_accepted(fsa.boolean_op("minus", rel.dfa, diag.dfa, state_cap))
         if extra is not None:
             u, w = pairfsa.decode_pair(rel.pairs, extra)
             failures.append(CheckFailure(kind, key, u, (u, w)))
         else:
-            missing = fsa.shortest_accepted(fsa.boolean_op("minus", diag.dfa, rel.dfa))
+            missing = fsa.shortest_accepted(fsa.boolean_op("minus", diag.dfa, rel.dfa, state_cap))
             failures.append(CheckFailure(kind, key, pairfsa.decode_pair(rel.pairs, missing)[0]))
     return ElementaryReport(not failures, failures)
 

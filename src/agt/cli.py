@@ -208,21 +208,16 @@ def cmd_cox(args) -> int:
 
 
 def cmd_fsa(args) -> int:
+    single = args.op in ("min", "not")
+    if single != (args.input2 is None):
+        raise UsageError(f"fsa {args.op} takes {'one automaton' if single else 'two automata'}")
     m1 = _load_dfa(args.input1)
-    if args.op == "min":
-        _emit(args, formats.dumps(formats.dfa_to_json(fsa.minimize(m1))))
-        return EXIT_OK
-    if args.op == "not":
-        _emit(args, formats.dumps(formats.dfa_to_json(fsa.boolean_op("not", m1))))
-        return EXIT_OK
-    if args.input2 is None:
-        raise UsageError(f"fsa {args.op} needs two automata")
-    m2 = _load_dfa(args.input2)
+    m2 = None if single else _load_dfa(args.input2)
     if args.op == "eq":
-        same = fsa.equivalent(m1, m2)
-        sys.stdout.write(("equal" if same else "different") + "\n")
+        sys.stdout.write(("equal" if fsa.equivalent(m1, m2) else "different") + "\n")
         return EXIT_OK
-    _emit(args, formats.dumps(formats.dfa_to_json(fsa.boolean_op(args.op, m1, m2))))
+    result = fsa.minimize(m1) if args.op == "min" else fsa.boolean_op(args.op, m1, m2)
+    _emit(args, formats.dumps(formats.dfa_to_json(result)))
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ trailing newline, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 from .autostruct import AutomaticStructure
@@ -59,10 +60,18 @@ def dfa_to_json(m: Dfa, pair: bool = False, base: Alphabet | None = None) -> dic
     return data
 
 
+def _refuse_bools(fields: str, numbers) -> None:
+    """True == 1, so only its type tells a bool among ``numbers`` apart."""
+    if bool in set(map(type, numbers)):
+        raise UsageError(f"{fields} must hold numbers, not true or false")
+
+
 def dfa_from_json(data: dict, pairs: PairAlphabet | None = None) -> Dfa | PairDfa:
     """The automaton of an automaton file.  A pair automaton over the
     base of ``pairs`` reuses that pair alphabet instead of building one."""
     base = _alphabet_from_json(data)
+    numbers = chain((data["states"], data["initial"]), data["accepting"], *data["transitions"])
+    _refuse_bools("'states', 'initial', 'accepting' and 'transitions'", numbers)
     if not data.get("pairAlphabet"):
         return Dfa(base, data["states"], data["initial"], data["accepting"], data["transitions"])
     if pairs is None or pairs.base != base:
@@ -182,6 +191,7 @@ def diff_from_json(data: dict) -> WordDifferenceMachine:
     words = tuple(base.parse_word(w) for w in data["states"])
     if not words or words[0] != b"" or len(set(words)) != len(words):
         raise UsageError("states must be distinct words, the empty word first")
+    _refuse_bools("'transitions'", chain(*data["transitions"]))
     table = Dfa(pa.alphabet, len(words), 0, (), data["transitions"]).transitions
     return WordDifferenceMachine(base, pa, words, table, None)
 

@@ -80,11 +80,6 @@ class Dfa:
             return self.num_states + 1
         return self.num_states
 
-    def step(self, state: int, symbol: int) -> int:
-        if state == FAIL:
-            return FAIL
-        return self.transitions[state][symbol]
-
     def run(self, w: Word) -> int:
         state = self.initial
         for c in w:
@@ -407,30 +402,6 @@ def canonical(
 # -- boolean algebra ---------------------------------------------------
 
 
-def _product(
-    m1: Dfa, m2: Dfa, keep: Callable[[bool, bool], bool], state_cap: int = DEFAULT_STATE_CAP
-) -> Dfa:
-    if m1.alphabet != m2.alphabet:
-        raise UsageError("boolean operations need a common alphabet")
-    k = m1.alphabet.size
-
-    def expand(pair: tuple[int, int], index: dict) -> list[int]:
-        s1, s2 = pair
-        row = []
-        for c in range(k):
-            t = (m1.step(s1, c), m2.step(s2, c))
-            row.append(FAIL if t == (FAIL, FAIL) else index[t])
-        return row
-
-    order, rows = explore((m1.initial, m2.initial), expand, state_cap, "product states")
-    accepting = [
-        i
-        for i, (s1, s2) in enumerate(order)
-        if keep(s1 in m1.accepting, s2 in m2.accepting)
-    ]
-    return Dfa(m1.alphabet, len(order), 0, accepting, rows)
-
-
 _KEEP: dict[str, Callable[[bool, bool], bool]] = {
     "and": lambda a, b: a and b,
     "or": lambda a, b: a or b,
@@ -438,8 +409,16 @@ _KEEP: dict[str, Callable[[bool, bool], bool]] = {
 }
 
 
-def boolean_op(kind: str, m1: Dfa, m2: Dfa | None = None) -> Dfa:
-    """Minimized boolean combination: kind in {"and","or","not","minus"}."""
+def boolean_op(
+    kind: str, m1: Dfa, m2: Dfa | None = None, state_cap: int = DEFAULT_STATE_CAP
+) -> Dfa:
+    """Minimal boolean combination: kind in {"and","or","not","minus"}.
+
+    One :func:`determinize` over the product machine: its states are the
+    pairs ``(s1, s2)``, FAIL standing for either side's sink, moving on
+    the symbols where a side is defined and accepting as ``_KEEP[kind]``
+    says.  The cap counts product states.
+    """
     if kind == "not":
         if m2 is not None:
             raise UsageError("'not' takes a single automaton")
@@ -448,7 +427,21 @@ def boolean_op(kind: str, m1: Dfa, m2: Dfa | None = None) -> Dfa:
         raise UsageError(f"'{kind}' needs two automata")
     if kind not in _KEEP:
         raise UsageError(f"unknown boolean op {kind!r}")
-    return minimize(_product(m1, m2, _KEEP[kind]))
+    if m1.alphabet != m2.alphabet:
+        raise UsageError("boolean operations need a common alphabet")
+    keep = _KEEP[kind]
+    sink = ((FAIL,) * m1.alphabet.size,)  # appended last, where FAIL = -1 indexes it
+    rows1, rows2 = m1.transitions + sink, m2.transitions + sink
+
+    def moves(pair: tuple[int, int]) -> list:
+        pairs = enumerate(zip(rows1[pair[0]], rows2[pair[1]]))
+        return [(c, t) for c, t in pairs if t != (FAIL, FAIL)]
+
+    def accepting(pair: tuple[int, int]) -> bool:
+        return keep(pair[0] in m1.accepting, pair[1] in m2.accepting)
+
+    start = (m1.initial, m2.initial)
+    return determinize(m1.alphabet, start, moves, accepting, state_cap, "product states")
 
 
 def equivalent(m1: Dfa, m2: Dfa) -> bool:

@@ -191,6 +191,20 @@ def test_fsa_algebra(a2_file, tmp_path, capsys):
     assert main(["fsa", "min", str(wa_path), "-o", str(tmp_path / "m.json")]) == 0
 
 
+@pytest.mark.parametrize("op", ["min", "not", "and", "or", "minus", "eq"])
+def test_fsa_takes_as_many_automata_as_its_operation(op, a2_file, tmp_path, capsys):
+    wa_path = tmp_path / "wa.json"
+    main(["cox", "wa", a2_file, "-o", str(wa_path)])
+    capsys.readouterr()
+    single = op in ("min", "not")
+    # min and not refuse a second file before looking for it
+    argv = ["fsa", op, str(wa_path)] + ([str(tmp_path / "missing.json")] if single else [])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    wanted = "one automaton" if single else "two automata"
+    assert out == "" and err == f"error: fsa {op} takes {wanted}\n"
+
+
 def test_exit_code_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["autstructure", missing]) == 2
@@ -471,6 +485,13 @@ MALFORMED_FILES = {
         "non-integer number 2.0",
     ),
     "bundle_float_target": (["order"], _set_target("m_a.json", 1.5), "non-integer number 1.5"),
+    "automaton_boolean_states": (
+        ["fsa", "min"],
+        {**FLOAT_TARGET, "states": True, "initial": False, "accepting": [False],
+         "transitions": [[False]]},
+        "'states', 'initial', 'accepting' and 'transitions' must hold numbers, not true or false",
+    ),
+    "bundle_boolean_target": (["order"], _set_target("m_a.json", True), "not true or false"),
     "automaton_target_out_of_range": (
         ["fsa", "min"], {**FLOAT_TARGET, "transitions": [[2], [0]]}, "transition target out of range"
     ),
@@ -547,6 +568,10 @@ MALFORMED_FILES = {
     ),
     "diff_target_out_of_range": (
         ["order"], _set_target("diff.json", 99), "transition target out of range"
+    ),
+    "diff_boolean_target": (
+        ["order"], _set_target("diff.json", True),
+        "'transitions' must hold numbers, not true or false",
     ),
     "diff_first_state_not_empty": (
         ["order"], _replace("diff.json", states=["a", "A", "B", "b", "", "aB", "ab", "AB", "Ab"]),

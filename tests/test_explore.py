@@ -3,7 +3,7 @@
 import pytest
 
 from agt import fsa, pairfsa
-from agt.autostruct import build_candidate_word_acceptor, build_multipliers
+from agt.autostruct import build_candidate_word_acceptor, build_multipliers, elementary_checks
 from agt.coxeter import CoxeterMatrix, build_shortlex_word_acceptor
 from agt.errors import ResourceLimitError
 
@@ -32,9 +32,9 @@ CONSTRUCTIONS = {
     ),
     "product": (
         "product states",
-        ["z2_structure", "free_structure"],
-        lambda z2, f2, cap: fsa._product(
-            z2.word_acceptor, f2.word_acceptor, lambda a, b: a and not b, cap
+        ["free_structure", "z2_structure"],
+        lambda f2, z2, cap: fsa.boolean_op(
+            "minus", f2.word_acceptor, z2.word_acceptor, state_cap=cap
         ),
     ),
     "word_acceptor": (
@@ -88,3 +88,12 @@ def test_state_cap_is_the_number_of_explored_states(name, request, monkeypatch):
     with pytest.raises(ResourceLimitError) as exc:
         build(*args, n - 1)
     assert (exc.value.which, exc.value.cap) == (what, n - 1)
+
+
+def test_elementary_checks_cap_the_witness_products(starved_b3_structure):
+    # starved B3's multipliers fail uniqueness, and the witness product
+    # for that failure numbers more than 12 states: the cap stops it
+    # there, before the first inverse composition is built
+    with pytest.raises(ResourceLimitError) as exc:
+        elementary_checks(starved_b3_structure, 12)
+    assert (exc.value.which, exc.value.cap) == ("product states", 12)

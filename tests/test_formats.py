@@ -111,6 +111,20 @@ def test_dfa_from_json_checks_the_table(transitions, message):
         formats.dfa_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("states", True), ("initial", False), ("accepting", [False]), ("transitions", [[False]])],
+)
+def test_dfa_from_json_refuses_booleans(field, value):
+    """True == 1 and False == 0, so each of these would pass as a number."""
+    data = {
+        "alphabet": ["a"], "inverses": {"a": "a"}, "states": 1, "initial": 0,
+        "accepting": [0], "transitions": [[0]], field: value,
+    }
+    with pytest.raises(UsageError, match="not true or false"):
+        formats.dfa_from_json(data)
+
+
 def test_pairdfa_roundtrip(z2_structure):
     m = z2_structure.multipliers[0]
     data = json.loads(formats.dumps(formats.pairdfa_to_json(m)))

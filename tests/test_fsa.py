@@ -150,7 +150,7 @@ def same_words(m: Dfa, num_states, initial, accepting, rows, max_len=8) -> bool:
         if length == max_len:
             return True
         layer = {
-            (m.step(s, c), FAIL if t == FAIL else rows[t][c])
+            (FAIL if s == FAIL else m.transitions[s][c], FAIL if t == FAIL else rows[t][c])
             for s, t in layer
             for c in range(m.alphabet.size)
         } - {(FAIL, FAIL)}
