@@ -434,8 +434,8 @@ def boolean_op(
     rows1, rows2 = m1.transitions + sink, m2.transitions + sink
 
     def moves(pair: tuple[int, int]) -> list:
-        pairs = enumerate(zip(rows1[pair[0]], rows2[pair[1]]))
-        return [(c, t) for c, t in pairs if t != (FAIL, FAIL)]
+        targets = enumerate(zip(rows1[pair[0]], rows2[pair[1]]))
+        return [(c, t) for c, t in targets if t != (FAIL, FAIL)]
 
     def accepting(pair: tuple[int, int]) -> bool:
         return keep(pair[0] in m1.accepting, pair[1] in m2.accepting)
