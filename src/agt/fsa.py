@@ -167,58 +167,40 @@ def determinize(
     subset with such a member has no move on that symbol, and ``FAIL``
     is never expanded.
 
-    One walk from ``start`` visits each reachable machine state once,
-    asking for its moves and its acceptance once; for a composition
-    that is at most (|p| + 1)(|q| + 1) product states.  A state is live
-    when it can reach an accepting state or a move to ``FAIL``, and only
-    the moves into live states and the moves to ``FAIL`` are kept.  A
-    dead member never accepts and never kills a symbol, so removing it
-    changes no subset's language; subsets that differ only in dead
-    members become one, and a symbol whose targets are all dead has no
-    move.  When ``start`` is not live the result is the one-state empty
-    automaton.
+    One walk from ``start`` numbers each reachable machine state once
+    through :func:`explore`, asking for its moves and its acceptance
+    once; for a composition that is at most (|p| + 1)(|q| + 1) product
+    states.  A state is live when it can reach an accepting state or a
+    move to ``FAIL`` (:func:`_trim`), and only the moves into live
+    states and the moves to ``FAIL`` are kept.  A dead member never
+    accepts and never kills a symbol, so removing it changes no subset's
+    language; subsets that differ only in dead members become one, and a
+    symbol whose targets are all dead has no move.  When ``start`` is
+    not live the result is the one-state empty automaton.
 
-    The subsets reachable from ``start``, each closed under epsilon
-    moves, are numbered by :func:`explore` under ``state_cap``/``what``:
-    the cap counts subsets, not machine states.  Their rows go to
-    :func:`minimal` as sorted ``(symbol, target)`` lists, with no
-    intermediate :class:`Dfa`.
+    The subsets of walk numbers reachable from ``start``, each closed
+    under epsilon moves, are numbered by a second :func:`explore`.  Both
+    run under ``state_cap``/``what``: the cap bounds the machine states
+    walked and the subsets.  Their rows go to :func:`minimal` as sorted
+    ``(symbol, target)`` lists, with no intermediate :class:`Dfa`.
     """
-    walk = [start]  # grows while it is walked, so it is the queue
-    state_moves = {start: moves(start)}
-    into: dict = {}  # state -> the states with a move into it
-    final = set()
-    live = set()  # grows from the accepting states and those with a move to FAIL
-    for s in walk:
-        if accepting(s):
-            final.add(s)
-            live.add(s)
-        for _c, t in state_moves[s]:
-            if t == FAIL:
-                live.add(s)
-            elif t in into:
-                into[t].append(s)
-            else:
-                into[t] = [s]
-                if t not in state_moves:
-                    state_moves[t] = moves(t)
-                    walk.append(t)
-    stack = list(live)
-    while stack:
-        for s in into.get(stack.pop(), ()):
-            if s not in live:
-                live.add(s)
-                stack.append(s)
-    if start not in live:
+
+    def number(state, index: dict) -> list:
+        return [(c, t if t == FAIL else index[t]) for c, t in moves(state)]
+
+    order, walked = explore(start, number, state_cap, what)
+    final = {i for i, s in enumerate(order) if accepting(s)}
+    del order
+    live = _trim(0, final, walked)[1]
+    if 0 not in live:
         return minimal(alphabet, 0, (), [()])
-    del walk, into
     epsilon: dict = {}  # live state -> its epsilon moves into live states
     step: dict = {}  # live state -> its other kept moves
     for s in live:
-        m = state_moves[s]
+        m = walked[s]
         epsilon[s] = [t for c, t in m if c is None and t in live]
         step[s] = [(c, t) for c, t in m if c is not None and (t == FAIL or t in live)]
-    del state_moves
+    del walked
 
     def closure(states: set) -> frozenset:
         stack = [s for s in states if epsilon[s]]
@@ -239,7 +221,7 @@ def determinize(
                     targets[c] = {t}
         return [(c, index[closure(targets[c])]) for c in sorted(targets) if FAIL not in targets[c]]
 
-    order, rows = explore(closure({start}), expand, state_cap, what)
+    order, rows = explore(closure({0}), expand, state_cap, what)
     accept = [i for i, subset in enumerate(order) if not final.isdisjoint(subset)]
     del order
     return minimal(alphabet, 0, accept, rows)
@@ -287,10 +269,11 @@ def _trim(
 
     Returns ``(reach, live, into)``: the states reachable from the
     initial state in breadth-first order, those among them that can
-    also reach acceptance, and for each reachable state ``t`` the
-    ``(symbol, state)`` moves that enter it.
+    also reach acceptance or a move to ``FAIL``, and for each reachable
+    state ``t`` the ``(symbol, state)`` moves that enter it.  ``FAIL``
+    is never walked.
     """
-    into: dict[int, list[tuple[int, int]]] = {initial: []}
+    into: dict[int, list[tuple[int, int]]] = {initial: [], FAIL: []}
     reach = [initial]
     for s in reach:  # reach grows while it is walked, so it is the queue
         for c, t in rows[s]:
@@ -299,7 +282,7 @@ def _trim(
             else:
                 into[t] = [(c, s)]
                 reach.append(t)
-    stack = [s for s in reach if s in accepting]
+    stack = [s for _c, s in into.pop(FAIL)] + [s for s in reach if s in accepting]
     live = set(stack)
     while stack:
         for _c, s in into[stack.pop()]:

@@ -31,40 +31,30 @@ class PairAlphabet:
     """Derived alphabet of pairs (a, b), a, b in base + {$}, minus ($, $).
 
     Symbols are ordered row-major by component indices with $ last in
-    each component, matching the serialized column order.  The pad
-    component index is ``base.size``.
+    each component, matching the serialized column order: with the pad
+    component index ``pad = base.size``, the pair (i, j) is symbol
+    ``i * (pad + 1) + j``, and ($, $), which would be last, is omitted.
     """
 
-    __slots__ = ("base", "pad", "alphabet", "_index")
+    __slots__ = ("base", "pad", "alphabet")
 
     def __init__(self, base: Alphabet):
         self.base = base
-        n = base.size
-        self.pad = n
-        names = []
-        pairs = []
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if i == n and j == n:
-                    continue
-                left = base.names[i] if i < n else PAD_NAME
-                right = base.names[j] if j < n else PAD_NAME
-                names.append(f"({left},{right})")
-                pairs.append((i, j))
-        inv = []
-        index = {p: k for k, p in enumerate(pairs)}
-        for i, j in pairs:
-            ii = base.inverse[i] if i < n else n
-            jj = base.inverse[j] if j < n else n
-            inv.append(index[(ii, jj)])
-        self.alphabet = Alphabet(names, inv)
-        self._index = index
+        self.pad = n = base.size
+        names = (*base.names, PAD_NAME)
+        inverse = (*base.inverse, n)
+        width = n + 1
+        pairs = [divmod(k, width) for k in range(width * width - 1)]
+        self.alphabet = Alphabet(
+            [f"({names[i]},{names[j]})" for i, j in pairs],
+            [inverse[i] * width + inverse[j] for i, j in pairs],
+        )
 
     def index(self, i: int, j: int) -> int:
-        try:
-            return self._index[(i, j)]
-        except KeyError:
-            raise UsageError(f"invalid pair symbol ({i},{j})") from None
+        pad = self.pad
+        if not (0 <= i <= pad and 0 <= j <= pad) or i == j == pad:
+            raise UsageError(f"invalid pair symbol ({i},{j})")
+        return i * (pad + 1) + j
 
     def parts(self, k: int) -> tuple[int, int]:
         if not 0 <= k < self.alphabet.size:
@@ -225,7 +215,7 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
     tape together keep the middle word's.  :func:`fsa.determinize` walks
     the at most (|p| + 1)(|q| + 1) reachable product states once, drops
     those that cannot reach (done, done), and returns the minimal
-    composite; the cap counts the subsets it builds.
+    composite; the cap bounds the product states walked and the subsets.
     """
     if p.base != q.base:
         raise UsageError("compose needs a common base alphabet")

@@ -41,28 +41,16 @@ class Presentation:
     """A group presentation: alphabet with inverses plus relator words.
 
     Relators are freely reduced on input; relators that reduce to the
-    empty word are dropped (recorded in ``warnings``).  Note that for a
-    self-inverse generator the square x*x is an inverse pair, so
-    Coxeter-style square relators are implicit.
+    empty word are dropped.  Note that for a self-inverse generator the
+    square x*x is an inverse pair, so Coxeter-style square relators are
+    implicit.
     """
 
-    __slots__ = ("alphabet", "relators", "warnings")
+    __slots__ = ("alphabet", "relators")
 
     def __init__(self, alphabet: Alphabet, relators: Iterator[Word] | tuple = ()):
         self.alphabet = alphabet
-        reduced = []
-        warnings = []
-        for r in relators:
-            alphabet.check_word(r)
-            rr = alphabet.free_reduce(r)
-            if rr == b"":
-                warnings.append(
-                    f"relator {alphabet.format_word(r)!r} reduces to the empty word; ignored"
-                )
-            else:
-                reduced.append(rr)
-        self.relators = tuple(reduced)
-        self.warnings = tuple(warnings)
+        self.relators = tuple(filter(None, map(alphabet.free_reduce, relators)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Presentation):

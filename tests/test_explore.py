@@ -4,10 +4,11 @@ import pytest
 
 from agt import fsa, pairfsa
 from agt.autostruct import build_candidate_word_acceptor, build_multipliers, elementary_checks
-from agt.coxeter import CoxeterMatrix, build_shortlex_word_acceptor
+from agt.coxeter import CoxeterMatrix, build_geodesic_acceptor, build_shortlex_word_acceptor
 from agt.errors import ResourceLimitError
 
 A2 = CoxeterMatrix([[1, 3], [3, 1]])
+H3 = CoxeterMatrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
 
 
 def test_explore_numbers_states_in_discovery_order():
@@ -92,8 +93,28 @@ def test_state_cap_is_the_number_of_explored_states(name, request, monkeypatch):
 
 def test_elementary_checks_cap_the_witness_products(starved_b3_structure):
     # starved B3's multipliers fail uniqueness, and the witness product
-    # for that failure numbers more than 12 states: the cap stops it
-    # there, before the first inverse composition is built
+    # for that failure numbers more than 13 states: the cap stops it
+    # there, before the first inverse composition is built (at 12 the
+    # walk of the 13-state projection it starts from stops first)
     with pytest.raises(ResourceLimitError) as exc:
-        elementary_checks(starved_b3_structure, 12)
-    assert (exc.value.which, exc.value.cap) == ("product states", 12)
+        elementary_checks(starved_b3_structure, 13)
+    assert (exc.value.which, exc.value.cap) == ("product states", 13)
+
+
+def test_state_cap_bounds_the_walk_of_an_empty_product():
+    # H3's shortlex words are geodesics, so wa minus geo is empty and
+    # numbers no subset; the walk over its 221 product pairs is capped
+    wa, geo = build_shortlex_word_acceptor(H3), build_geodesic_acceptor(H3)
+    with pytest.raises(ResourceLimitError) as exc:
+        fsa.boolean_op("minus", wa, geo, state_cap=220)
+    assert (exc.value.which, exc.value.cap) == ("product states", 220)
+    empty = fsa.boolean_op("minus", wa, geo, state_cap=221)
+    assert (empty.num_states, empty.accepting) == (1, frozenset())
+
+
+def test_state_cap_bounds_the_walk_of_a_composition(starved_b3_structure):
+    # at cap 29 the witness products fit, but a composition walks more
+    # product states than that although it builds fewer subsets
+    with pytest.raises(ResourceLimitError) as exc:
+        elementary_checks(starved_b3_structure, 29)
+    assert (exc.value.which, exc.value.cap) == ("composition product states", 29)

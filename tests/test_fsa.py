@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,15 +157,21 @@ def same_words(m: Dfa, num_states, initial, accepting, rows, max_len=8) -> bool:
         } - {(FAIL, FAIL)}
 
 
-def smallest_cap(build) -> int:
-    """The least state cap under which ``build(cap)`` does not overflow."""
-    cap = 1
-    while True:
-        try:
-            build(cap)
-            return cap
-        except ResourceLimitError:
-            cap += 1
+def explorations(build) -> tuple[Dfa, list[tuple[bool, int]]]:
+    """``build()`` and, for each :func:`fsa.explore` call that
+    :func:`fsa.determinize` made under its cap, whether that call
+    numbered subsets and how many states it numbered."""
+    made = []
+    real = fsa.explore
+
+    def recording(start, expand, state_cap, what):
+        order, rows = real(start, expand, state_cap, what)
+        if what == "subset construction states":
+            made.append((isinstance(start, frozenset), len(order)))
+        return order, rows
+
+    with mock.patch.object(fsa, "explore", recording):
+        return build(), made
 
 
 @settings(max_examples=150, deadline=None)
@@ -178,8 +185,9 @@ def test_determinize_matches_the_plain_subset_construction(machine):
     assert same_words(det, *plain)
     assert fsa.minimize(det) == det
 
-    # a dead branch from the start adds no subset: the same cap suffices
-    def build(with_branch, cap):
+    # a dead branch from the start adds no subset, though the walk
+    # numbers its state
+    def build(with_branch, cap=fsa.DEFAULT_STATE_CAP):
         moves = table
         if with_branch:  # state d moves to itself and to the dead loop
             d = len(table)
@@ -187,7 +195,13 @@ def test_determinize_matches_the_plain_subset_construction(machine):
             moves = [[*table[0], (None, d), (width - 1, d)], *table[1:], loop]
         return fsa.determinize(alphabet, 0, moves.__getitem__, accepting.__contains__, cap)
 
-    cap = smallest_cap(lambda cap: build(False, cap))
+    plain, plain_made = explorations(lambda: build(False))
+    branched, branched_made = explorations(lambda: build(True))
+    assert plain == branched == det
+    subsets = [count for is_subsets, count in plain_made if is_subsets]
+    assert [count for is_subsets, count in branched_made if is_subsets] == subsets
+    # the branched build's own smallest cap is its largest exploration
+    cap = max(count for _, count in branched_made)
     assert build(True, cap) == det
     if cap > 1:
         with pytest.raises(ResourceLimitError):

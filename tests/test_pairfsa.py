@@ -49,8 +49,9 @@ def words_up_to(n_syms, max_len):
 def test_pair_alphabet_shape(ab, pa):
     assert pa.alphabet.size == (ab.size + 1) ** 2 - 1
     assert pa.parts(pa.index(0, pa.pad)) == (0, pa.pad)
-    with pytest.raises(UsageError):
-        pa.index(pa.pad, pa.pad)
+    for refused in [(pa.pad, pa.pad), (pa.pad + 1, 0), (-1, 0)]:
+        with pytest.raises(UsageError):
+            pa.index(*refused)
 
 
 def test_encode_pair_examples(ab, pa):

@@ -46,7 +46,6 @@ def z2_presentation(ab):
 def test_presentation_drops_empty_relators(ab):
     p = Presentation(ab, [ab.parse_word("abBA"), ab.parse_word("abAB")])
     assert p.relators == (ab.parse_word("abAB"),)
-    assert len(p.warnings) == 1
 
 
 def test_system_from_presentation_z2(ab):
