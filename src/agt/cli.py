@@ -175,7 +175,8 @@ def cmd_conj(args) -> int:
     u = s.alphabet.parse_word(args.word1)
     v = s.alphabet.parse_word(args.word2)
     ans = groupcalc.conjugacy_search(s, u, v, args.max_len)
-    bound = groupcalc.conjugacy_bound(s, u, v)
+    # |X^+-|^(k(|u|+|v|)) as a power: its decimal digits can be too many to print
+    bound = f"{s.alphabet.size}^{s.k * (len(u) + len(v))}"
     if ans.status == "conjugate":
         sys.stdout.write(f"conjugate by {s.alphabet.format_word(ans.witness)!r}\n")
     elif ans.status == "notConjugateWithin":

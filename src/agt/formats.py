@@ -204,6 +204,7 @@ DIFF_FILE = "diff.json"
 TRANSCRIPT_FILE = "transcript.txt"
 META_FILE = "meta.json"
 RULES_FILE = "rules.txt"
+STRUCTURE_FORMAT = "agt-structure-v1"  # the "format" of meta.json
 
 
 def _multiplier_filenames(a: Alphabet) -> dict[int | None, str]:
@@ -245,7 +246,7 @@ def save_structure(s: AutomaticStructure, outdir: str | Path) -> list[str]:
     write(DIFF_FILE, dumps(diff_to_json(s.diff_machine)))
     write(
         META_FILE,
-        dumps({"k": s.k, "verified": s.verified, "format": "agt-structure-v1"}),
+        dumps({"k": s.k, "verified": s.verified, "format": STRUCTURE_FORMAT}),
     )
     write(TRANSCRIPT_FILE, s.transcript + "\n")
     if s.reducer is not None:
@@ -294,12 +295,19 @@ def parse_json_file(path: str | Path, parse, missing: str = "missing from the bu
 def load_structure(bundle: str | Path) -> AutomaticStructure:
     """Read a bundle written by :func:`save_structure`.
 
-    Any missing file, invalid JSON, missing or ill-typed field, wrong
-    kind of automaton or alphabet mismatch raises UsageError.
+    Any missing file, invalid JSON, ``format`` in meta.json other than
+    ``STRUCTURE_FORMAT``, missing or ill-typed field, wrong kind of
+    automaton or alphabet mismatch raises UsageError.
     """
     path = Path(bundle)
     if not path.is_dir():
         raise UsageError(f"{bundle} is not a structure bundle directory")
+    meta_path = path / META_FILE
+    meta = read_json_object(meta_path)
+    if meta.get("format") != STRUCTURE_FORMAT:
+        raise UsageError(
+            f"{meta_path}: 'format' must be {STRUCTURE_FORMAT!r}, not {meta.get('format')!r}"
+        )
     pres = parse_json_file(path / PRESENTATION_FILE, presentation_from_json)
     alphabet = pres.alphabet
     wa = parse_json_file(path / WA_FILE, dfa_from_json)
@@ -310,8 +318,6 @@ def load_structure(bundle: str | Path) -> AutomaticStructure:
     diff = parse_json_file(path / DIFF_FILE, diff_from_json)
     if diff.alphabet != alphabet:
         raise UsageError(f"{path / DIFF_FILE}: alphabet differs from the presentation's")
-    meta_path = path / META_FILE
-    meta = read_json_object(meta_path)
     k = meta.get("k")
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise UsageError(f"{meta_path}: 'k' must be a non-negative integer")

@@ -135,25 +135,20 @@ def cone_types(s: AutomaticStructure, radius: int) -> ConeTypeResult:
     dist = element_ball(s, radius)
     classify_limit = radius - depth
 
-    ids: dict = {}
-    memo: dict[tuple[Word, int], int] = {}
-
-    def signature(g: Word, d: int) -> int:
-        return _cone_signature(s, dist, ids, memo, g, d)
-
     classified = [g for g, dg in dist.items() if dg <= classify_limit]
     classified.sort(key=lambda w: (len(w), w))
+    signature = _cone_signatures(s, dist, classified, depth)
     classes: dict[int, int] = {}
     rep_of: dict[int, Word] = {}
     for g in classified:
-        sig = signature(g, depth)
+        sig = signature[g]
         if sig not in classes:
             classes[sig] = len(classes)
             rep_of[classes[sig]] = g
     count = len(classes)
 
     def class_of(g: Word) -> int:
-        return classes[signature(g, depth)]
+        return classes[signature[g]]
 
     rows = []
     for c in range(count):
@@ -170,33 +165,37 @@ def cone_types(s: AutomaticStructure, radius: int) -> ConeTypeResult:
     return ConeTypeResult(dfa, count, radius, depth)
 
 
-def _cone_signature(
-    s: AutomaticStructure,
-    dist: dict[Word, int],
-    ids: dict,
-    memo: dict[tuple[Word, int], int],
-    g: Word,
-    d: int,
-) -> int:
-    """Id in ``ids`` of g's geodesic continuation tree cut at depth d.
+def _cone_signatures(
+    s: AutomaticStructure, dist: dict[Word, int], roots: list[Word], depth: int
+) -> dict[Word, int]:
+    """Ids of the roots' geodesic continuation trees cut at depth, equal
+    exactly when the trees are.
 
-    A module function rather than a self-recursive closure: such a
-    closure is a reference cycle, which would keep ``dist`` and the
-    memos alive after the call until the next cyclic collection.
+    Level by level rather than by recursion, since depth may pass the
+    recursion limit: first the elements whose trees each level needs,
+    then the trees from the leaves up.
     """
-    if d == 0:
-        return ids.setdefault("leaf", len(ids))
-    key = (g, d)
-    got = memo.get(key)
-    if got is None:
-        items = []
-        for y in range(s.alphabet.size):
-            h = multiply(s, g, y)
-            if dist.get(h, -1) == dist[g] + 1:
-                items.append((y, _cone_signature(s, dist, ids, memo, h, d - 1)))
-        got = ids.setdefault(frozenset(items), len(ids))
-        memo[key] = got
-    return got
+    steps: dict[Word, list[tuple[int, Word]]] = {}  # geodesic edges out of g
+    levels = [roots]
+    for _ in range(depth):
+        below: dict[Word, None] = {}
+        for g in levels[-1]:
+            if g not in steps:
+                out = steps[g] = []
+                for y in range(s.alphabet.size):
+                    h = multiply(s, g, y)
+                    if dist.get(h, -1) == dist[g] + 1:
+                        out.append((y, h))
+            below.update(dict.fromkeys(h for _, h in steps[g]))
+        levels.append(list(below))
+    ids: dict[frozenset, int] = {}
+    sig = dict.fromkeys(levels.pop(), -1)  # every tree cut at depth 0 is one leaf
+    while levels:
+        sig = {
+            g: ids.setdefault(frozenset((y, sig[h]) for y, h in steps[g]), len(ids))
+            for g in levels.pop()
+        }
+    return sig
 
 
 @dataclass

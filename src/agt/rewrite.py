@@ -10,7 +10,9 @@ first: a match starting earlier and ending later would contain it as a
 factor.  Reduction reads a word once through the index automaton of
 the left sides (Sims, *Computation with Finitely Presented Groups*,
 1994, ch. 3) and rewrites the first match to end, which is the leftmost
-match, so normal forms are deterministic.
+match, so normal forms are deterministic.  The automaton's state is the
+trie node of the longest suffix read that is a prefix of a left side; a
+move the trie lacks is found by looking up the suffixes by word.
 
 Completion processes critical pairs first-in first-out, orienting
 unresolved pairs into new rules, retiring rules whose left side becomes
@@ -121,9 +123,11 @@ class RewriteSystem:
 
     The left sides form a trie: node 0 is the root, ``_next[node * n + c]``
     is the child on letter c or -1, and every left side ends at a leaf,
-    whose ``_node_rule`` is its rule's index (-1 elsewhere).  Reduction
-    runs the index automaton of the trie; its moves (``_goto``) and
-    failure links (``_fail``) are filled in on first use and dropped
+    whose ``_node_rule`` is its rule's index (-1 elsewhere).  Each node's
+    word is ``_word[node]``, and ``_node_of`` maps each prefix of a live
+    left side (``b""`` included) to its node.  Reduction runs the index
+    automaton of the trie; its moves (``_goto``) start as the trie's own,
+    the missing ones are filled in on first use, and all are dropped
     whenever the trie changes.  ``_prefixes`` and ``_suffixes`` map each
     proper prefix and each proper suffix of a live left side to the
     indices of its rules, in increasing order.  ``_lhs`` and ``_rhs``
@@ -145,11 +149,10 @@ class RewriteSystem:
         self._n_syms = alphabet.size
         self._next = [-1] * self._n_syms
         self._node_rule = [-1]
-        self._parent = [0]
-        self._sym = [-1]
+        self._word: list[Word] = [b""]  # per node; stale once pruned
+        self._node_of: dict[Word, int] = {b"": 0}
         self._free: list[int] = []  # pruned nodes, reused first
         self._goto: list[int] | None = None
-        self._fail: list[int] = []
         self._prefixes: dict[Word, list[int]] = {}
         self._suffixes: dict[Word, list[int]] = {}
         self.num_live = 0
@@ -157,16 +160,16 @@ class RewriteSystem:
     # -- rule bookkeeping ---------------------------------------------
 
     def _new_node(self, parent: int, c: int) -> int:
+        word = self._word[parent] + bytes((c,))
         if self._free:
             node = self._free.pop()
-            self._parent[node] = parent
-            self._sym[node] = c
+            self._word[node] = word
         else:
             node = len(self._node_rule)
             self._next.extend([-1] * self._n_syms)
             self._node_rule.append(-1)
-            self._parent.append(parent)
-            self._sym.append(c)
+            self._word.append(word)
+        self._node_of[word] = node
         self._next[parent * self._n_syms + c] = node
         return node
 
@@ -219,14 +222,13 @@ class RewriteSystem:
             return
         lhs = rule.lhs
         n = self._n_syms
-        node = 0
-        for c in lhs:
-            node = self._next[node * n + c]
-        assert self._node_rule[node] == idx
+        node = self._node_of[lhs]
         self._node_rule[node] = -1
         while node and max(self._next[node * n : node * n + n]) < 0:  # ancestors end no rule
-            parent = self._parent[node]
-            self._next[parent * n + self._sym[node]] = -1
+            word = self._word[node]
+            del self._node_of[word]
+            parent = self._node_of[word[:-1]]
+            self._next[parent * n + word[-1]] = -1
             self._free.append(node)
             node = parent
         for k in range(1, len(lhs)):
@@ -275,51 +277,17 @@ class RewriteSystem:
     # -- reduction ------------------------------------------------------
 
     def _move(self, s: int, c: int) -> int:
-        """The index automaton's move from state s on letter c: the node
-        of the longest suffix of s's word followed by c that is in the
-        trie.
-
-        A missing move of s is the move of its failure link, the node of
-        the longest proper suffix of s's word, whose own link comes from
-        its parent's.  Each lookup needs only shallower nodes, so they
-        are resolved from an explicit stack of pending moves (s, c) and
-        links (s, -1): left sides may be longer than the recursion limit.
+        """The index automaton's move from state s on letter c, which the
+        trie lacks: the node of the longest proper suffix of s's word
+        followed by c that is in the trie (the root at worst).
         """
-        goto, fail, n = self._goto, self._fail, self._n_syms
-        parent, sym = self._parent, self._sym
-        want = [(s, c)]
-        while want:
-            u, a = want[-1]
-            if a >= 0:  # the move of u on a
-                if u == 0:
-                    if goto[a] < 0:
-                        goto[a] = 0
-                elif goto[u * n + a] < 0:
-                    f = fail[u]
-                    if f < 0:
-                        want.append((u, -1))
-                        continue
-                    t = goto[f * n + a]
-                    if t < 0:
-                        want.append((f, a))
-                        continue
-                    goto[u * n + a] = t
-            elif fail[u] < 0:  # the failure link of u != 0
-                p = parent[u]
-                if p == 0:
-                    fail[u] = 0
-                else:
-                    f = fail[p]
-                    if f < 0:
-                        want.append((p, -1))
-                        continue
-                    t = goto[f * n + sym[u]]
-                    if t < 0:
-                        want.append((f, sym[u]))
-                        continue
-                    fail[u] = t
-            want.pop()
-        return goto[s * n + c]
+        node_of = self._node_of
+        w = self._word[s] + bytes((c,))
+        k = 1
+        while (t := node_of.get(w[k:])) is None:
+            k += 1
+        self._goto[s * self._n_syms + c] = t
+        return t
 
     def reduce(self, w: Word) -> Word:
         """Normal form of w: rewrite the leftmost match until none is left.
@@ -331,7 +299,6 @@ class RewriteSystem:
         goto = self._goto
         if goto is None:
             goto = self._goto = self._next.copy()
-            self._fail = [-1] * len(self._node_rule)
         n = self._n_syms
         node_rule = self._node_rule
         rewrite = self._rewrite

@@ -117,6 +117,13 @@ def test_conj(z2_bundle, capsys):
     assert "conjugate by ''" in capsys.readouterr().out
 
 
+def test_conj_prints_the_bound_as_a_power(z2_bundle, capsys):
+    # 4^8002 has 4,818 decimal digits, more than int-to-str converts
+    assert main(["conj", z2_bundle, "a" * 4000, "b", "--max-len", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "unknown within length 0 (bound 4^8002)\n" and err == ""
+
+
 def test_cox_subcommands(a2_file, tmp_path, capsys):
     assert main(["cox", "roots", a2_file]) == 0
     out = capsys.readouterr().out
@@ -578,6 +585,14 @@ MALFORMED_FILES = {
         "the empty word first",
     ),
     "meta_k_differs_from_diff": (["order"], _replace("meta.json", k=3), "'k' differs"),
+    "meta_format_v2": (
+        ["order"], _replace("meta.json", format="agt-structure-v2"),
+        "'format' must be 'agt-structure-v1', not 'agt-structure-v2'",
+    ),
+    "meta_without_format": (
+        ["order"], _write_raw("meta.json", json.dumps({"k": 2, "verified": True})),
+        "'format' must be 'agt-structure-v1', not None",
+    ),
     "meta_nested_too_deeply": (["order"], _write_raw("meta.json", "[" * 100_000), "nested too deeply"),
     "generator_without_inverse": (
         ["kb"], {"generators": ["a", "b"], "inverses": {"a": "A"}, "relators": []},

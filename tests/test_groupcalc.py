@@ -1,5 +1,6 @@
 import gc as pygc
 import random
+import sys
 
 import pytest
 
@@ -100,6 +101,20 @@ def test_cone_types_f2(free_structure):
 
 def test_cone_types_trivial(trivial_structure):
     assert gc.cone_types(trivial_structure, 4).count == 1
+
+
+def test_cone_types_deeper_than_the_recursion_limit():
+    A = inverse_closed_alphabet(["a"], {"a": "A"})
+    out = derive_shortlex_structure(Presentation(A, []))
+    assert out.verified
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        result = gc.cone_types(out.structure, 500)
+    finally:
+        sys.setrecursionlimit(limit)
+    # Z's cone types: the identity's and those of the two directions
+    assert (result.count, result.depth) == (3, 250)
 
 
 def test_cone_types_rejects_small_radius(z2_structure):

@@ -322,8 +322,26 @@ def test_reduce_matches_the_leftmost_reference(ops, probes):
         elif rs.num_live:
             live = rs.live_items()
             rs.remove_rule(live[len(w1) % len(live)][0])
+        # the trie's nodes are found by their words, which are the prefixes
+        # of the live left sides, b"" included
+        node_of = rs._node_of
+        assert node_of.keys() == {b"", *rs._prefixes, *(lhs for lhs, _ in rs.rules)}
+        assert all(rs._word[node] == w for w, node in node_of.items())
         for w in probes:
             assert rs.reduce(w) == leftmost_reduce(rs.rules, w)
+
+
+def test_missing_move_lands_on_a_longer_suffix(ab):
+    """Reading abb, the trie has no move from ab on b: the automaton goes
+    to bb, a prefix of bbaa, and not to b or the root, so the match bbaa
+    of abbaa is found."""
+    rs = RewriteSystem(ab)
+    rs.add_rule(ab.parse_word("abaa"), b"")
+    rs.add_rule(ab.parse_word("bbaa"), b"")
+    w = ab.parse_word("abbaa")
+    assert rs.reduce(w) == leftmost_reduce(rs.rules, w) == ab.parse_word("a")
+    from_ab_on_b = rs._node_of[ab.parse_word("ab")] * ab.size + ab.parse_word("b")[0]
+    assert rs._goto[from_ab_on_b] == rs._node_of[ab.parse_word("bb")]
 
 
 @settings(max_examples=150, deadline=None)
