@@ -10,7 +10,8 @@ outcome of one abandoned derivation, or the composite multipliers that
 one check builds, or the small-root action table of one Coxeter matrix,
 or the normal forms of seeded random words and the cone-type count of
 one structure, or the boolean combinations of two acceptors, or the
-transcript of one derivation that retries.
+transcript of one derivation that retries, or the growth series of one
+acceptor.
 A failing pin means an output changed: if the change is meant, say so
 and re-pin; if not, it is a regression.
 """
@@ -96,13 +97,20 @@ ACCEPTORS = {
     ("C3aff", "geodesic"): "c9263bd5007efbeb5ddccb06c3b927797aeb7f7321f20294e1d8c80c7f915850",
     ("T237", "shortlex"): "4cc231551e877ee9b9f3b3d57c778d388ed79e1fc61efa9b10d5b7a9829c7d3e",
     ("T237", "geodesic"): "f64f47eeee78e718ddd2df7ba2203d2b675cb64c866ff1d4fdfc6ace15d3eff6",
+    # E6's 36 small roots end in a partial byte of a state; F4's 24 do not
+    ("E6", "shortlex"): "4056db0f9ca301d59bf0fbf09d3f1e4ecac974952f5a77c321e561b552c92c20",
+    ("E6", "geodesic"): "e03bfa2d973216a7f4ad1ec6168354d447e4c86cdd36a4b3d710ff2bc98ab0ab",
+    ("H4", "shortlex"): "4c366b7f22fdd8756d0f3acb898ee10b0a1c6ab755937e2eae0731a8b2e2098c",
+    ("H4", "geodesic"): "f9f649008371a6002d07db239430baaf7fcc0631d1a9107a538f640f50b15f75",
+    ("T2311", "shortlex"): "d90bde7490aed34c8ba19dc3a9ab36342edbe6560aa31ccda046a057354619bf",
+    ("T2311", "geodesic"): "c5491dc8da7aa9a7dad7a12df42096ea155f6330aac56f534651c1fcc7dcec2e",
 }
 
 
 @pytest.mark.parametrize("group,kind", sorted(ACCEPTORS))
 def test_coxeter_acceptors_are_pinned(group, kind):
     build = build_shortlex_word_acceptor if kind == "shortlex" else build_geodesic_acceptor
-    wa = build(COXETER[group])
+    wa = build(MATRICES[group])
     assert _digest([formats.dumps(formats.dfa_to_json(wa))]) == ACCEPTORS[group, kind]
 
 
@@ -147,6 +155,7 @@ ROOT_MATRICES = {
     "I2_31": _path(31),
     "I2_97": _path(97),
 }
+MATRICES = {**ROOT_MATRICES, **COXETER}
 ROOT_ACTIONS = {
     "A2": "1f43703d92640f0b95e3d73d949449dfac76afb12ac43f62f982d5e06b7a63ee",
     "A4": "8278316fe8e42e596bae254de7345382537227bf64e773511e31a1088d48b0a9",
@@ -455,3 +464,78 @@ def test_genus2_retry_transcript_is_pinned():
     assert out.verified
     assert "inverse(" in out.transcript
     assert _digest([out.transcript]) == GENUS2_TRANSCRIPT
+
+
+# -- growth series ---------------------------------------------------------------
+#
+# Each digest covers (numerator, denominator, coefficients) of
+# ``growth_series(m, 16)`` for one acceptor: the shortlex acceptor of each
+# ROOT_MATRICES group, the geodesic acceptor of each COXETER group, or the
+# word acceptor of each STRUCTURES fixture.
+
+
+def _series_digest(m):
+    g = fsa.growth_series(m, 16)
+    return _digest([json.dumps([g.numerator, g.denominator, g.coefficients])])
+
+
+SHORTLEX_GROWTH = {
+    "A2": "fe62c3fa8f2aa1176ad26bd98227a5ff8b7e7af751abcf8ce39367542b4482b4",
+    "A2aff": "2c6fa2cbc4dd5bf8a8a9b2639467aef45a8d6eec9cfb56c3e611391731cec800",
+    "A3aff": "2e45841b71e7f4413074e50bf58d07af71a74ba01d05651955a51f89b74a6cd5",
+    "A4": "233947006f5cb2f921422da6590c465516e06af8df346e8a9b552ac5a23c5376",
+    "B5": "9af95e996c9bcab2539ecd03e1ceafbbaf7ac36d121103078284043258f57445",
+    "C3aff": "61283c28d48547a44333cc52177ff913ed9b915045d97f62b5632566e2e44ddd",
+    "D4": "de5a33fc69946f54ca8898795f3ec28fe0ced419f19cbb14417b040f7f59ef4e",
+    "Dinf": "2accc0972f8f269f14cb2b4a59944927a8158dbe8e2cf2aeee0ec6733e505b6d",
+    "E6": "eab48596cd031c0853386ac9f7f0a0caf972b7be7eaf37655bb8767f6743524d",
+    "F4": "9e9301a5f3ab4212529c1505ce4efa3d648b8ecf9abac4a536ce8bf5ad4b316c",
+    "H3": "472efed7f814abafb40b071c9b53f16d54753ec5ad242b6e89f5c8cb559a7117",
+    "H4": "712fec73a65c96f8044871ef0aeba1f12d9799e0d3c379aeebcc6cb03486b687",
+    "I2_31": "9213860488afa3fd4a5aae7b8ec6fdda951c7a962d95498ab674e9208c4c4050",
+    "I2_5": "11db89ded9fc5dc58e0bbc100249685558c8c8a01b2ec72746ea0835fa5a6866",
+    "I2_97": "a9df81d596e636798377de5109f7397ac20716202b0d22d03ff05a3f66fa45a4",
+    "RA4": "808340a8adb9254d34b4015d9d8d605570bd3a0b922dbcde10aec84742c55264",
+    "T2311": "8508f5397b4745a58a3368586798f1155f7c30bc9c6051c80f3c78f66fcbaa4d",
+    "T237": "2dc79227f64d207d5ada045b0d01fbbee83b1785256ce928c57bb25d54969521",
+    "T245": "40247bd6e22e5273106421fe01b98cac3217b018fab85ae7945efea85fd3adbb",
+    "T246": "5c232c977aac7bab488b2d5b6ae82b311fa0193009d7e9039e613e8604dbc7e0",
+    "X": "c8f3d58f106c359604dbd9299e38c8c552e7695a4fe38848c27ec6a2b2f35b11",
+}
+
+
+@pytest.mark.parametrize("group", sorted(SHORTLEX_GROWTH))
+def test_shortlex_growth_is_pinned(group):
+    wa = build_shortlex_word_acceptor(ROOT_MATRICES[group])
+    assert _series_digest(wa) == SHORTLEX_GROWTH[group]
+
+
+GEODESIC_GROWTH = {
+    "A3": "030b790c2fff05ae384e1a1568e529d63cdc5f40d5505179f48e35a60dd7e2f4",
+    "B3": "ae28e5cddf00b48af53d091c499b26f6b8839e921c4c2ada91d193a0b6889203",
+    "C3aff": "912e99eabdb91d4a59f71262d3b3f1afdef1cec3082786b598134f2fae643522",
+    "F4": "8162c0abe427f230b60306a0376d2271030e3d29f91ac2658105e2505b530d61",
+    "H3": "68ffb9fe264f469f31f1249a6b482df4030faa498280625764c4b8caa1d8473d",
+    "T237": "64b794ab7afce6ca61c5a831411554920a42557e6eebfb9b2e901c80de08c2bf",
+}
+
+
+@pytest.mark.parametrize("group", sorted(GEODESIC_GROWTH))
+def test_geodesic_growth_is_pinned(group):
+    assert _series_digest(build_geodesic_acceptor(COXETER[group])) == GEODESIC_GROWTH[group]
+
+
+STRUCTURE_GROWTH = {
+    "b3_structure": "8d2341b1b49a68bf9664d09c98b7f2be0efaa2691826a664a8e6d25b5d41ca07",
+    "dinf_structure": "2accc0972f8f269f14cb2b4a59944927a8158dbe8e2cf2aeee0ec6733e505b6d",
+    "free_structure": "e2428d2a20b249a290ec50d3a2b35c702b81ca113d521ceb1d11c197e8b2e4e3",
+    "s3_structure": "fe62c3fa8f2aa1176ad26bd98227a5ff8b7e7af751abcf8ce39367542b4482b4",
+    "starved_b3_structure": "e2428d2a20b249a290ec50d3a2b35c702b81ca113d521ceb1d11c197e8b2e4e3",
+    "z2_structure": "a28a0e7656eb5fd05e3293545b0e288cafefcf6931287d4e16e6ca371264add9",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(STRUCTURE_GROWTH))
+def test_structure_growth_is_pinned(fixture, request):
+    wa = request.getfixturevalue(fixture).word_acceptor
+    assert _series_digest(wa) == STRUCTURE_GROWTH[fixture]
