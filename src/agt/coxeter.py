@@ -12,8 +12,10 @@ generator, with no dominance test; the same products give the action
 of each s_i on the small roots, so the acceptors do no field
 arithmetic.  The action also decides whether the group is finite
 (``is_finite``), with no automaton.  An acceptor state is a subset of
-the small roots held as an int bitmask, and its image under a
-generator is read from per-byte tables of that action.  The geodesic
+the small roots held as an int bitmask.  Per-byte tables of that action
+pack the images under every generator into one int, generator i's in
+bits i * roots up to (i + 1) * roots, so a state's images under all
+generators are one sum of table entries.  The geodesic
 acceptor omits the shortlex-precedence term; for a finite group it is
 minimal as explored and skips the refinement.
 """
@@ -212,13 +214,28 @@ def _subset_acceptor(
     action = small_roots(matrix)[2]
     n_roots = len(action[0])
     n_bytes = (n_roots + 7) // 8
+    mask = (1 << n_roots) - 1
+    # Per byte of a state, one table from the byte's value to the images
+    # of its roots under every generator at once, generator i's in bits
+    # i * n_roots up to (i + 1) * n_roots.  Distinct roots have distinct
+    # images under one generator, so the bytes' images are disjoint and
+    # add, and one sum of table entries gives a state's images under all
+    # generators.  The tables hold at most 256 * ceil(roots / 8) entries
+    # of rank * roots bits, since a last byte of fewer than 8 roots has a
+    # shorter table: 1,040 of 216 bits for E6's 36 roots and rank 6.
+    tables = []
+    for low in range(0, n_roots, 8):
+        table = [0]
+        for r in range(low, min(low + 8, n_roots)):
+            bits = 0
+            for i, images in enumerate(action):
+                if images[r] is not None:
+                    bits |= 1 << (images[r] + i * n_roots)
+            table += [image | bits for image in table]
+        tables.append(table)
     # Per generator i: the bit of e_i; the mask every successor holds,
     # e_i and for shortlex the images of e_k for k < i (simple root k is
-    # root k); and per byte of a state, a table from the byte's value to
-    # the images of its roots.  Distinct roots have distinct images, so
-    # the bytes' images are disjoint and add.  The tables hold at most
-    # 256 * ceil(roots / 8) * rank entries, 7,680 for E6's 36 roots and
-    # rank 6; a last byte of fewer than 8 roots has a shorter table.
+    # root k); and where its images start in a table entry.
     generators = []
     for i, images in enumerate(action):
         fixed = 1 << i
@@ -226,21 +243,17 @@ def _subset_acceptor(
             for k in images[:i]:
                 if k is not None:
                     fixed |= 1 << k
-        byte_tables = []
-        for low in range(0, n_roots, 8):
-            table = [0]
-            for k in images[low : low + 8]:
-                bit = 0 if k is None else 1 << k
-                table += [image | bit for image in table]
-            byte_tables.append(table)
-        generators.append((1 << i, fixed, byte_tables))
+        generators.append((1 << i, fixed, i * n_roots))
 
-    def expand(S: int, index: dict) -> list[int]:
-        data = S.to_bytes(n_bytes, "little")
-        return [
-            FAIL if S & bit else index[fixed | sum(map(list.__getitem__, byte_tables, data))]
-            for bit, fixed, byte_tables in generators
-        ]
+    # a row built as a tuple is kept by Dfa without a copy
+    def expand(S: int, index: dict) -> tuple[int, ...]:
+        images = sum(map(list.__getitem__, tables, S.to_bytes(n_bytes, "little")))
+        return tuple(
+            [
+                FAIL if S & bit else index[fixed | images >> shift & mask]
+                for bit, fixed, shift in generators
+            ]
+        )
 
     order, rows = fsa.explore(0, expand, state_cap, "acceptor subset states")
     dfa = Dfa(alphabet, len(order), 0, range(len(order)), rows)

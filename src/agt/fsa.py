@@ -14,15 +14,15 @@ construction hands its rows to that core directly and returns the
 minimal automaton; ``minimize`` is the adapter from a dense table.
 
 Language analytics (finiteness, counting, growth series) are exact over
-arbitrary-precision integers; growth series are returned as integer
-polynomial fractions.
+arbitrary-precision integers, with no rational arithmetic; growth series
+are returned as integer polynomial fractions.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError, UsageError
@@ -487,10 +487,15 @@ def language_is_finite(dfa: Dfa) -> int | None:
 
 def _count_words(dfa: Dfa, live: list[int], max_len: int) -> list[int]:
     """Exact accepted-word counts per length 0..max_len over the live
-    states ``live``."""
-    if dfa.initial not in live:
-        return [0] * (max_len + 1)
+    states ``live``.
+
+    The counts stop once no live state is reached: every live state
+    reaches acceptance, so that happens exactly when the language is
+    finite, after its longest word, which is shorter than ``len(live)``.
+    The empty language has no counts."""
     live_ix = {s: i for i, s in enumerate(live)}
+    if dfa.initial not in live_ix:
+        return []
     succ: list[list[int]] = [[] for _ in live]
     for s in live:
         for t in dfa.transitions[s]:
@@ -501,6 +506,8 @@ def _count_words(dfa: Dfa, live: list[int], max_len: int) -> list[int]:
     vec[live_ix[dfa.initial]] = 1
     counts = []
     for _ in range(max_len + 1):
+        if not any(vec):
+            break
         counts.append(sum(v for v, a in zip(vec, acc) if a))
         nxt = [0] * len(live)
         for i, v in enumerate(vec):
@@ -558,39 +565,45 @@ def _expand(num: Sequence[int], den: Sequence[int], n_terms: int) -> list[int]:
     # coefficients of num/den as a power series; den[0] != 0
     out: list[int] = []
     for n in range(n_terms):
-        acc = Fraction(num[n]) if n < len(num) else Fraction(0)
+        acc = num[n] if n < len(num) else 0
         for i in range(1, min(n, len(den) - 1) + 1):
             acc -= den[i] * out[n - i]
-        q = acc / den[0]
-        if q.denominator != 1:
+        q, r = divmod(acc, den[0])
+        if r:
             raise AssertionError("series expansion produced a non-integer")
-        out.append(int(q))
+        out.append(q)
     return out
 
 
-def _berlekamp_massey(seq: Sequence[int]) -> list[Fraction]:
-    """Minimal LFSR (connection polynomial, constant term 1) over the rationals."""
-    c = [Fraction(1)]
-    b = [Fraction(1)]
+def _berlekamp_massey(seq: Sequence[int]) -> list[int]:
+    """A minimal LFSR's connection polynomial, over the integers and up
+    to a nonzero scale, with a nonzero constant term.
+
+    Fraction-free: where the rational update is c <- c - (d / bd) x^m b,
+    with bd the discrepancy stored with b, this one takes
+    c <- bd c - d x^m b and divides c by its content.  Each update is a
+    nonzero multiple of the rational one, so the result is the rational
+    connection polynomial up to scale."""
+    c = [1]
+    b = [1]
     L, m = 0, 1
-    bf = Fraction(1)
+    bd = 1
     for n in range(len(seq)):
-        d = Fraction(seq[n])
-        for i in range(1, L + 1):
-            d += c[i] * seq[n - i]
+        d = sum(c[i] * seq[n - i] for i in range(L + 1))
         if d == 0:
             m += 1
             continue
-        t = list(c)
-        coef = d / bf
-        while len(c) < len(b) + m:
-            c.append(Fraction(0))
+        t = c
+        c = [bd * v for v in c] + [0] * (len(b) + m - len(c))
         for i, bv in enumerate(b):
-            c[i + m] -= coef * bv
+            c[i + m] -= d * bv
+        content = gcd(*c)
+        if content > 1:
+            c = [v // content for v in c]
         if 2 * L <= n:
             L = n + 1 - L
             b = t
-            bf = d
+            bd = d
             m = 1
         else:
             m += 1
@@ -604,42 +617,34 @@ def growth_series(dfa: Dfa, n_terms: int) -> GrowthSeries:
     """Exact rational growth series of the accepted language.
 
     Term counts are computed by the transfer recurrence over live
-    states; the minimal linear recurrence those terms satisfy (order at
-    most the live state count, so 2m+1 terms pin it down) gives the
-    denominator, and the numerator is the matching truncated product.
-    The result is verified against the counted terms before returning.
+    states.  A finite language's counts stop after its longest word, and
+    its series is their polynomial over 1.  Otherwise the minimal linear
+    recurrence the terms satisfy (order at most the live state count,
+    so 2m+1 terms pin it down) gives the denominator, by Berlekamp-Massey
+    over the integers, and the numerator is the matching truncated
+    product.  The pair is divided by its content and signed so that
+    denominator(0) > 0, which makes it unique, and it is verified
+    against the counted terms before returning.
     """
     if n_terms < 1:
         raise UsageError("n_terms must be >= 1")
     live = live_states(dfa)
     counts = _count_words(dfa, live, max(2 * len(live) + 1, n_terms) - 1)
-    if all(c == 0 for c in counts):
-        return GrowthSeries((0,), (1,), tuple(counts[:n_terms]))
-    conn = _berlekamp_massey(counts)
+    if len(counts) <= len(live):  # the counts stopped: a finite language
+        padded = counts + [0] * (n_terms - len(counts))
+        return GrowthSeries(tuple(counts) or (0,), (1,), tuple(padded[:n_terms]))
+    den = _berlekamp_massey(counts)
     # numerator = series * denominator, truncated; trailing terms must vanish
-    prod = [Fraction(0)] * len(counts)
-    for n in range(len(counts)):
-        for i, cv in enumerate(conn):
-            if i <= n:
-                prod[n] += cv * counts[n - i]
+    prod = [
+        sum(cv * counts[n - i] for i, cv in enumerate(den[: n + 1])) for n in range(len(counts))
+    ]
     deg = max((i for i, v in enumerate(prod) if v != 0), default=-1)
-    num_frac = prod[: deg + 1] if deg >= 0 else [Fraction(0)]
-    # clear denominators jointly, normalize sign and content
-    from math import gcd, lcm
-
-    denoms = [f.denominator for f in num_frac + conn]
-    scale = lcm(*denoms) if denoms else 1
-    num = [int(f * scale) for f in num_frac]
-    den = [int(f * scale) for f in conn]
-    content = 0
-    for v in num + den:
-        content = gcd(content, abs(v))
-    if content > 1:
-        num = [v // content for v in num]
-        den = [v // content for v in den]
-    if den[0] < 0:
-        num = [-v for v in num]
-        den = [-v for v in den]
+    num = prod[: deg + 1] if deg >= 0 else [0]
+    content = gcd(*num, *den)
+    sign = -1 if den[0] < 0 else 1
+    if content * sign != 1:
+        num = [v // (content * sign) for v in num]
+        den = [v // (content * sign) for v in den]
     series = GrowthSeries(tuple(num), tuple(den), tuple(counts[:n_terms]))
     if series.expand(len(counts)) != counts:
         raise AssertionError("growth series expansion mismatch")

@@ -14,7 +14,9 @@ rewriting references (leftmost, lowest-indexed reduction by rescanning
 and the critical pairs of two rules, containment included, and the
 rules a new left side touches) read rule lists.  The subset
 table reads a machine's moves, and the finite-language size and the
-counts by length read a table directly.  None of these shares code with the package.  The builders at the end make small
+counts by length read a table directly.  The power series and the
+coprimality of two integer polynomials are long division and Euclid's
+algorithm over ``Fraction``.  None of these shares code with the package.  The builders at the end make small
 package objects the tests need, from the package's public constructors,
 and the slice route answers a partner lookup through ``slice_first``
 and the automaton counts, not the forward pass of ``partners``.  The
@@ -26,6 +28,7 @@ inverse pairs on their own rather than the one inverse test.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 from agt import fsa, pairfsa
 from agt.fsa import Dfa
@@ -656,6 +659,43 @@ def _length_counts(initial, accepting, rows, n: int) -> list[int]:
                     nxt[t] = nxt.get(t, 0) + k
         layer = nxt
     return counts
+
+
+def power_series(num, den, n: int) -> list[Fraction]:
+    """The first n coefficients of num/den (ascending coefficients,
+    den[0] != 0), by long division: each step takes the quotient's next
+    term from the remainder's constant term and shifts the rest down."""
+    rem = [Fraction(c) for c in num]
+    out = []
+    for _ in range(n):
+        rem += [Fraction(0)] * (len(den) - len(rem))
+        q = rem[0] / den[0]
+        out.append(q)
+        rem = [r - q * d for r, d in zip(rem, list(den) + [0] * len(rem))][1:]
+    return out
+
+
+def _without_zero_top(p) -> list[Fraction]:
+    """The coefficients of p up to its last nonzero one; [] is zero."""
+    p = [Fraction(c) for c in p]
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def polynomials_coprime(p, q) -> bool:
+    """Whether p and q have no common factor of positive degree: their
+    greatest common divisor, by Euclid's algorithm over the rationals,
+    is a nonzero constant."""
+    a, b = _without_zero_top(p), _without_zero_top(q)
+    while b:
+        while len(a) >= len(b):  # a <- a mod b
+            k, top = len(a) - len(b), a[-1] / b[-1]
+            for i, bv in enumerate(b):
+                a[k + i] -= top * bv
+            a = _without_zero_top(a)
+        a, b = b, a
+    return len(a) == 1
 
 
 # -- small package objects built from public constructors ----------------------

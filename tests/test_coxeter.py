@@ -267,6 +267,36 @@ def test_h4_small_roots_and_acceptor():
     assert time.perf_counter() - start < 60.0
 
 
+# degrees of the basic invariants of a finite group: its Poincare
+# polynomial, the shortlex growth, is the product of 1 + x + ... + x^(d-1)
+DEGREES = {"H4": (linear(5, 3, 3), (2, 12, 20, 30)), "E6": (CORPUS["E6"], (2, 5, 6, 8, 9, 12))}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREES))
+def test_finite_shortlex_growth_is_the_poincare_polynomial(name):
+    matrix, degrees = DEGREES[name]
+    poly = [1]
+    for d in degrees:
+        padded = [0] * (d - 1) + poly + [0] * (d - 1)
+        poly = [sum(padded[k : k + d]) for k in range(len(poly) + d - 1)]
+    g = fsa.growth_series(build_shortlex_word_acceptor(matrix), len(poly) + 2)
+    assert g.numerator == tuple(poly)
+    assert g.denominator == (1,)
+    assert g.coefficients == (*poly, 0, 0)
+
+
+def test_h4_geodesic_growth_counts_its_geodesics():
+    """H4's geodesic language is finite, its longest words those of the
+    longest element, of length 60: its series is a polynomial of degree
+    60 whose coefficients count the geodesics."""
+    geo = build_geodesic_acceptor(linear(5, 3, 3))
+    g = fsa.growth_series(geo, 61)
+    assert g.denominator == (1,)
+    assert len(g.numerator) == 61
+    assert g.coefficients == g.numerator
+    assert sum(g.numerator) == fsa.language_is_finite(geo)
+
+
 @pytest.mark.parametrize(
     "matrix", [A2, B2, linear(3, 3), linear(4, 3), linear(5, 3), linear(3, 4, 3)],
     ids=["A2", "B2", "A3", "B3", "H3", "F4"],

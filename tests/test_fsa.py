@@ -10,7 +10,15 @@ from agt.errors import ResourceLimitError, UsageError
 from agt.fsa import FAIL, Dfa
 from agt.words import Alphabet, inverse_closed_alphabet
 
-from oracles import empty_language_dfa, finite_language_size, minimal_state_count, subset_table
+from oracles import (
+    count_words_by_length,
+    empty_language_dfa,
+    finite_language_size,
+    minimal_state_count,
+    polynomials_coprime,
+    power_series,
+    subset_table,
+)
 
 
 def words_up_to(n_syms, max_len):
@@ -401,6 +409,29 @@ def dfas(draw):
 def test_language_is_finite_matches_counting_by_length(m):
     expected = finite_language_size(m.num_states, m.initial, m.accepting, m.transitions)
     assert fsa.language_is_finite(m) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfas())
+def test_growth_series_is_the_reduced_fraction_of_the_counts(m):
+    """num/den expands to the counts by length, den(0) = 1, and num and
+    den are coprime: together these fix the reduced fraction."""
+    g = fsa.growth_series(m, 1)
+    n = 3 * m.num_states + 3
+    assert g.denominator[0] == 1
+    assert power_series(g.numerator, g.denominator, n) == count_words_by_length(m, n - 1)
+    assert polynomials_coprime(g.numerator, g.denominator)
+
+
+def test_growth_oracles_examples():
+    assert power_series((1,), (1, -2), 4) == [1, 2, 4, 8]
+    assert power_series((1, 1), (1, -3), 4) == [1, 4, 12, 36]
+    assert power_series((0,), (1,), 2) == [0, 0]
+    assert polynomials_coprime((1, 1), (1, -3))
+    assert polynomials_coprime((0,), (1,))
+    # (1 - x)(1 + x) and (1 - x)(1 + 2x) share 1 - x
+    assert not polynomials_coprime((1, 0, -1), (1, 1, -2))
+    assert not polynomials_coprime((2, 4), (3, 6))
 
 
 def test_growth_series_f2(f2_acceptor):
