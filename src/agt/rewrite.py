@@ -199,11 +199,12 @@ class RewriteSystem:
         n = self._n_syms
         node = 0
         for c in lhs:
+            if node:  # a proper prefix, keyed by its node's own word
+                self._prefixes.setdefault(self._word[node], []).append(idx)
             nxt = self._next[node * n + c]
             node = nxt if nxt >= 0 else self._new_node(node, c)
         self._node_rule[node] = idx
         for k in range(1, len(lhs)):
-            self._prefixes.setdefault(lhs[:k], []).append(idx)
             self._suffixes.setdefault(lhs[-k:], []).append(idx)
         self._goto = None
         self.num_live += 1

@@ -331,6 +331,16 @@ def test_reduce_matches_the_leftmost_reference(ops, probes):
             assert rs.reduce(w) == leftmost_reduce(rs.rules, w)
 
 
+def test_prefix_index_shares_the_node_words(ab):
+    """Each proper prefix of a live left side is held once: the prefix
+    index is keyed by the word object of the prefix's trie node."""
+    rs = system_from_presentation(Presentation(ab, [ab.parse_word("abaBAB")]))
+    Completion(rs, Limits(max_rules=450)).run()
+    assert rs.num_live == 450
+    assert rs._prefixes
+    assert all(key is rs._word[rs._node_of[key]] for key in rs._prefixes)
+
+
 def test_missing_move_lands_on_a_longer_suffix(ab):
     """Reading abb, the trie has no move from ab on b: the automaton goes
     to bb, a prefix of bbaa, and not to b or the root, so the match bbaa
