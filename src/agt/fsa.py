@@ -635,16 +635,14 @@ def growth_series(dfa: Dfa, n_terms: int) -> GrowthSeries:
         return GrowthSeries(tuple(counts) or (0,), (1,), tuple(padded[:n_terms]))
     den = _berlekamp_massey(counts)
     # numerator = series * denominator, truncated; trailing terms must vanish
-    prod = [
+    num = [
         sum(cv * counts[n - i] for i, cv in enumerate(den[: n + 1])) for n in range(len(counts))
     ]
-    deg = max((i for i, v in enumerate(prod) if v != 0), default=-1)
-    num = prod[: deg + 1] if deg >= 0 else [0]
-    content = gcd(*num, *den)
-    sign = -1 if den[0] < 0 else 1
-    if content * sign != 1:
-        num = [v // (content * sign) for v in num]
-        den = [v // (content * sign) for v in den]
+    while not num[-1]:  # not all zero, since den[0] and some count are not
+        num.pop()
+    unit = gcd(*num, *den) if den[0] > 0 else -gcd(*num, *den)
+    num = [v // unit for v in num]
+    den = [v // unit for v in den]
     series = GrowthSeries(tuple(num), tuple(den), tuple(counts[:n_terms]))
     if series.expand(len(counts)) != counts:
         raise AssertionError("growth series expansion mismatch")
