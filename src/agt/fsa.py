@@ -631,8 +631,8 @@ def growth_series(dfa: Dfa, n_terms: int) -> GrowthSeries:
     live = live_states(dfa)
     counts = _count_words(dfa, live, max(2 * len(live) + 1, n_terms) - 1)
     if len(counts) <= len(live):  # the counts stopped: a finite language
-        padded = counts + [0] * (n_terms - len(counts))
-        return GrowthSeries(tuple(counts) or (0,), (1,), tuple(padded[:n_terms]))
+        terms = tuple(counts[:n_terms]) + (0,) * (n_terms - len(counts))
+        return GrowthSeries(tuple(counts) or (0,), (1,), terms)
     den = _berlekamp_massey(counts)
     # numerator = series * denominator, truncated; trailing terms must vanish
     num = [
