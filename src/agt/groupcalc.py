@@ -4,11 +4,12 @@ Normal forms are computed by folding the multiplier automata (one
 functional partner lookup per letter), which makes the word problem,
 order, growth and enumeration immediate.  A lookup is one forward pass
 of :func:`agt.pairfsa.partners` that returns the unique partner and
-builds no automaton.  Each step of the pass is one move of M_y's first
-tape, determinised as lookups reach it and cached with M_y, so a
-lookup is linear in |u| for a fixed structure and a normal form of w
-costs O(|w|^2) cached moves in the worst case.  Whole lookups are also
-memoised per structure, keyed (y, u).
+builds no automaton.  Each letter of u is one move of M_y's first
+tape, determinised as lookups reach it and cached with M_y; a partner
+that ends before u is carried to u's end, where end counts are read.
+So a lookup is linear in |u| for a fixed structure and a normal form
+of w costs O(|w|^2) cached moves in the worst case.  Whole lookups are
+also memoised per structure, keyed (y, u).
 
 Conjugacy search follows the bounded-conjugator bound a^(|u|+|v|) with
 a = |X^+-|^k: the answer is tri-state, since reaching the full bound is

@@ -16,9 +16,6 @@ inputs, and the automata it returns have it too.
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import itemgetter
-
 from . import fsa
 from .errors import UsageError
 from .fsa import FAIL, DEFAULT_STATE_CAP, Dfa
@@ -297,21 +294,22 @@ def partners(p: PairDfa, u: Word) -> Word | None:
     """The unique v with (u, v) accepted; None when there is none or
     more than one.
 
-    One forward pass over layers, building no automaton.  Layer i maps
-    each state reached by a v of length i, read against u_0..u_{i-1}
-    and, once i passes |u|, against $, to the number of such paths,
-    capped at 2.  Before the end of u, v may end at (i, s) when s is in
-    pad set i, the states from which (u_i,$)...(u_{|u|-1},$) ends
-    accepting; from the end of u on, when s accepts.  The pass stops at
-    an empty layer, at the second ended path, or after 2|Q| positions
-    past the end of u, |Q| being p's state count.  One ended path is
-    read back along back pointers.
+    One forward pass over layers, building no automaton.  Layer i holds
+    the correctly padded pair strings of length i whose first side is
+    u_0..u_{i-1}, padded with $ once i passes |u|: each element is a
+    state with a mark for whether v has ended (read $), and counts its
+    paths, capped at 2.  A v that ends before u goes on reading (u_i, $)
+    as an element of its own, so every partner is seen from the end of u
+    on, in an accepting state.  The pass stops at an empty layer, at the
+    second accepted path, or after 2|Q| positions past the end of u, |Q|
+    being p's state count.  One accepted path is read back along back
+    pointers.
 
     Every step is read from p's lookup index (:class:`_LookupIndex`),
-    which computes a layer move, a pad set or an end count the first
-    time a lookup on p needs it and keeps it with p.  A step seen before
-    is a few dict reads, so a lookup costs O(|u| + |Q|) of them plus
-    the steps seen for the first time.
+    which computes a layer move or an end count the first time a lookup
+    on p needs it and keeps it with p.  A step seen before is a dict
+    read, so a lookup costs O(|u| + |Q|) of them plus the steps seen for
+    the first time.
 
     Why 2|Q| positions suffice.  Call v's part past the end of u its
     overhang.  An overhang path that repeats a state has a loop, which
@@ -335,20 +333,19 @@ def partners(p: PairDfa, u: Word) -> Word | None:
 class _LookupIndex:
     """A pair automaton's first tape, determinised as lookups reach it.
 
-    A layer is the tuple of (state, path count capped at 2), states
-    ascending; a pad set is a frozenset of states.  Each is numbered
-    when first seen; layer 0 is the initial state alone and pad set 0
-    the accepting states.  Three caches, keyed by those numbers and a
-    first letter a (the pad index for $), grow as lookups need them:
+    A layer element is ``2 * s + ended`` for a state s, where ``ended``
+    is 1 after a move that read $ on the second side; an ended element
+    reads only (a, $).  A layer is the tuple of (element, path count
+    capped at 2), elements ascending, numbered when first seen; layer 0
+    is the initial state alone.  Two caches grow as lookups need them:
 
-    - ``moves[layer * width + a]``: the next layer on (a, b) moves,
-      b not $, with each state reached by one path mapped to its back
-      pointer (previous state, letter b); ``()`` for an empty layer;
-    - ``pad_moves[pad set * width + a]``: the states whose (a, $) move
-      enters the pad set;
-    - ``ends[layer, pad set]``: the layer's paths that end in the pad
-      set, capped at 2, and the last such state, which is the only one
-      when there is one path.
+    - ``moves[layer * width + a]``, a the first letter (the pad index
+      for $): the next layer, with each element reached by one path
+      mapped to its back pointer (previous element, letter b, the pad
+      index for $); ``()`` for an empty layer;
+    - ``ends[layer]``: the layer's paths in accepting states, capped at
+      2, and the last such element, which is the only one when there is
+      one path.
 
     An entry is a function of its key and the automaton alone, so no
     answer depends on the lookups made before it: a back pointer is read
@@ -357,112 +354,96 @@ class _LookupIndex:
     no reference cycle.
     """
 
-    __slots__ = ("rows", "pad", "width", "overhang", "layers", "layer_ids", "moves",
-                 "pad_sets", "pad_ids", "pad_moves", "ends")
+    __slots__ = ("rows", "pad", "width", "accepting", "overhang", "layers", "layer_ids",
+                 "moves", "ends")
 
     def __init__(self, p: PairDfa):
         self.rows = p.dfa.transitions
         self.pad = p.pairs.pad
         self.width = self.pad + 1
+        self.accepting = p.dfa.accepting
         self.overhang = 2 * p.dfa.num_states
-        start = ((p.dfa.initial, 1),)
+        start = ((2 * p.dfa.initial, 1),)
         self.layers = [start]
         self.layer_ids = {start: 0}
         self.moves: dict[int, tuple] = {}
-        self.pad_sets = [p.dfa.accepting]
-        self.pad_ids = {p.dfa.accepting: 0}
-        self.pad_moves: dict[int, int] = {}
-        self.ends: dict[tuple[int, int], tuple[int, int]] = {}
+        self.ends: dict[int, tuple[int, int]] = {}
 
     def partner(self, u: Word) -> Word | None:
         width = self.width
         pad = self.pad
         moves = self.moves
-        pad_moves = self.pad_moves
         ends = self.ends
         nu = len(u)
-        sets = [0] * nu  # sets[i]: the pad set of u[i:]
-        sid = 0
-        for i in range(nu - 1, -1, -1):
-            key = sid * width + u[i]
-            got = pad_moves.get(key)
-            sid = self._pad_move(key) if got is None else got
-            sets[i] = sid
         backs = []
         found = 0
         end = (0, FAIL)
         lid = 0
         for i in range(nu + self.overhang):
             if i < nu:
-                sid = sets[i]
                 a = u[i]
             else:
-                sid = 0
                 a = pad
-            got = ends.get((lid, sid))
-            n, s = self._end(lid, sid) if got is None else got
-            if n:
-                found += n
-                if found > 1:
-                    return None
-                end = (i, s)
+                got = ends.get(lid)
+                n, e = self._end(lid) if got is None else got
+                if n:
+                    found += n
+                    if found > 1:
+                        return None
+                    end = (i, e)
             key = lid * width + a
             move = moves.get(key)
             if move is None:
                 move = self._move(key)
             if not move:
-                break
+                break  # before the end of u, found is 0: no partner
             lid, back = move
             backs.append(back)
         if not found:
             return None
-        i, s = end
-        v = bytearray(i)
+        i, e = end
+        v = bytearray()
         while i:
             i -= 1
-            s, v[i] = backs[i][s]
+            e, b = backs[i][e]
+            if b != pad:
+                v.append(b)
+        v.reverse()
         return bytes(v)
 
     def _move(self, key: int) -> tuple[int, dict[int, tuple[int, int]]] | tuple[()]:
         lid, a = divmod(key, self.width)
         rows = self.rows
-        lo = a * self.width  # the pair symbols (a, b), b not $, are lo .. lo + pad - 1
-        hi = lo + self.pad
+        pad = self.pad
+        lo = a * self.width  # the pair symbol (a, b) is lo + b
+        stop = pad + (a != pad)  # b may be $ only while u lasts: ($, $) is no symbol
         paths: dict[int, int] = {}
         back: dict[int, tuple[int, int]] = {}
-        for s, n in self.layers[lid]:
-            for b, t in enumerate(rows[s][lo:hi]):
+        for e, n in self.layers[lid]:
+            s, ended = divmod(e, 2)
+            start = pad if ended else 0
+            for b, t in enumerate(rows[s][lo + start:lo + stop], start):
                 if t != FAIL:
+                    t = 2 * t + (b == pad)
                     paths[t] = 2 if t in paths else n
-                    back[t] = (s, b)
+                    back[t] = (e, b)
         move: tuple = ()
         if paths:
             layer = tuple(sorted(paths.items()))
             nid = self.layer_ids.setdefault(layer, len(self.layers))
             if nid == len(self.layers):
                 self.layers.append(layer)
-            move = (nid, {t: sb for t, sb in back.items() if paths[t] == 1})
+            move = (nid, {t: eb for t, eb in back.items() if paths[t] == 1})
         self.moves[key] = move
         return move
 
-    def _pad_move(self, key: int) -> int:
-        sid, a = divmod(key, self.width)
-        # the states whose (a, $) move enters the pad set
-        column = map(itemgetter(a * self.width + self.pad), self.rows)
-        states = frozenset(compress(count(), map(self.pad_sets[sid].__contains__, column)))
-        got = self.pad_ids.setdefault(states, len(self.pad_sets))
-        if got == len(self.pad_sets):
-            self.pad_sets.append(states)
-        self.pad_moves[key] = got
-        return got
-
-    def _end(self, lid: int, sid: int) -> tuple[int, int]:
-        target = self.pad_sets[sid]
+    def _end(self, lid: int) -> tuple[int, int]:
+        accepting = self.accepting
         n = 0
         last = FAIL
-        for s, c in self.layers[lid]:
-            if s in target:
+        for e, c in self.layers[lid]:
+            if e // 2 in accepting:
                 n += c
-                last = s
-        got = self.ends[lid, sid] = (min(n, 2), last)
+                last = e
+        got = self.ends[lid] = (min(n, 2), last)
         return got

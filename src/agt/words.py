@@ -113,11 +113,12 @@ class Alphabet:
             return self.word(text)
         return self.word(parts)
 
-    def format_word(self, w: Word, sep: str | None = None) -> str:
-        """Render a word using symbol names; empty word prints as an empty string."""
+    def format_word(self, w: Word) -> str:
+        """Render a word using symbol names, with no separator when every
+        name is one character and a space otherwise; the empty word
+        prints as an empty string."""
         self.check_word(w)
-        if sep is None:
-            sep = "" if all(len(n) == 1 for n in self.names) else " "
+        sep = "" if all(len(n) == 1 for n in self.names) else " "
         return sep.join(self.names[c] for c in w)
 
     def check_word(self, w: Word) -> None:

@@ -412,6 +412,41 @@ def test_partners_infinitely_many(ab):
     assert partners(swap(p), ab.parse_word("aa")) == ab.parse_word("aab")
 
 
+def hand_built(ab, n_states, accepting, moves) -> PairDfa:
+    """Pair automaton from (source, a, b, target) moves, names or $."""
+    pa = PairAlphabet(ab)
+    rows = [[FAIL] * pa.alphabet.size for _ in range(n_states)]
+    letter = {"$": pa.pad, **{n: i for i, n in enumerate(ab.names)}}
+    for s, a, b, t in moves:
+        rows[s][pa.index(letter[a], letter[b])] = t
+    return PairDfa(ab, Dfa(pa.alphabet, n_states, 0, accepting, rows), pa)
+
+
+def test_partners_when_v_ends_before_u(ab):
+    # {(a^n bb, a^n)}: v ends two letters before u
+    p = hand_built(ab, 3, (2,), [(0, "a", "a", 0), (0, "b", "$", 1), (1, "b", "$", 2)])
+    for u, v in (("aabb", "aa"), ("bb", ""), ("aab", None), ("aabbb", None)):
+        u = ab.parse_word(u)
+        want = None if v is None else ab.parse_word(v)
+        assert partners(p, u) == want == slice_route_unique(p, u), u
+    assert slice_route_partners(p, ab.parse_word("aabb")) == [ab.parse_word("aa")]
+
+
+def test_partners_that_end_apart_and_meet_in_one_state(ab):
+    # (ab, a) and (ab, eps): v ends after one letter or none, and both
+    # paths reach accepting state 2 after (b, $)
+    p = hand_built(ab, 4, (2,), [(0, "a", "a", 1), (1, "b", "$", 2),
+                                 (0, "a", "$", 3), (3, "b", "$", 2)])
+    u = ab.parse_word("ab")
+    assert slice_route_partners(p, u) == [b"", ab.parse_word("a")]
+    assert partners(p, u) is None
+    # either path alone is a unique partner
+    for moves, v in (([(0, "a", "a", 1), (1, "b", "$", 2)], "a"),
+                     ([(0, "a", "$", 3), (3, "b", "$", 2)], "")):
+        one = hand_built(ab, 4, (2,), moves)
+        assert partners(one, u) == ab.parse_word(v) == slice_route_unique(one, u)
+
+
 def test_normal_form_builds_no_automaton(ab_alphabet, b3_structure, monkeypatch):
     from agt import groupcalc
     from agt.autostruct import AutomaticStructure
