@@ -321,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     except ResourceLimitError as exc:
-        sys.stderr.write(f"resource limit: {exc}\n")
+        sys.stderr.write(f"resource limit: {exc.which} (cap {exc.cap})\n")
         return EXIT_RESOURCE
     except (AgtError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

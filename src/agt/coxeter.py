@@ -15,9 +15,9 @@ arithmetic.  The action also decides whether the group is finite
 the small roots held as an int bitmask.  Per-byte tables of that action
 pack the images under every generator into one int, generator i's in
 bits i * roots up to (i + 1) * roots, so a state's images under all
-generators are one sum of table entries.  The geodesic
-acceptor omits the shortlex-precedence term; for a finite group it is
-minimal as explored and skips the refinement.
+generators are one sum of table entries.  The geodesic acceptor omits
+the shortlex-precedence term; for a finite group it is minimal as
+explored, and every other table is refined from sparse rows.
 """
 
 from __future__ import annotations
@@ -206,9 +206,10 @@ def _subset_acceptor(
     there are at least |W| Nerode classes; every state accepts, and the
     table is minimal.  ``fsa.explore`` numbers states breadth-first with
     symbols in ascending order, which is the numbering ``fsa.canonical``
-    gives.  Infinite groups need the refinement: the C~3 geodesic table
-    has 343 states and its minimal automaton 317, the (2,3,7) triangle
-    group's 40 and 35.  The shortlex table is always refined.
+    gives.  The other tables are refined (the C~3 geodesic table has 343
+    states and its minimal automaton 317, the (2,3,7) triangle group's
+    40 and 35) from sparse rows, symbols ascending, as ``fsa.minimal``
+    reads them, with no dense ``Dfa`` in between.
     """
     alphabet = _coxeter_alphabet(matrix, names)
     action = small_roots(matrix)[2]
@@ -233,33 +234,33 @@ def _subset_acceptor(
                     bits |= 1 << (images[r] + i * n_roots)
             table += [image | bits for image in table]
         tables.append(table)
-    # Per generator i: the bit of e_i; the mask every successor holds,
-    # e_i and for shortlex the images of e_k for k < i (simple root k is
-    # root k); and where its images start in a table entry.
-    generators = []
+    # Every successor under x_i holds e_i and, for shortlex, the images
+    # of e_k for k < i (simple root k is root k), which are distinct.
+    # Those bits go in generator i's block of ``fixed``, so one OR per
+    # state adds them for every generator.  Per generator: its symbol,
+    # the bit of e_i and where its images start in a table entry.
+    fixed = 0
     for i, images in enumerate(action):
-        fixed = 1 << i
-        if shortlex:
-            for k in images[:i]:
-                if k is not None:
-                    fixed |= 1 << k
-        generators.append((1 << i, fixed, i * n_roots))
+        kept = [k for k in images[:i] if k is not None] if shortlex else []
+        fixed |= sum(1 << k for k in [i, *kept]) << i * n_roots
+    generators = [(i, 1 << i, i * n_roots) for i in range(len(action))]
+    refine = shortlex or not is_finite(action)
 
-    # a row built as a tuple is kept by Dfa without a copy
-    def expand(S: int, index: dict) -> tuple[int, ...]:
-        images = sum(map(list.__getitem__, tables, S.to_bytes(n_bytes, "little")))
-        return tuple(
-            [
-                FAIL if S & bit else index[fixed | images >> shift & mask]
-                for bit, fixed, shift in generators
+    # a dense row built as a tuple is kept by Dfa without a copy
+    def expand(S: int, index: dict) -> list[tuple[int, int]] | tuple[int, ...]:
+        images = sum(map(list.__getitem__, tables, S.to_bytes(n_bytes, "little"))) | fixed
+        if refine:
+            return [
+                (i, index[images >> shift & mask]) for i, bit, shift in generators if not S & bit
             ]
+        return tuple(
+            [FAIL if S & bit else index[images >> shift & mask] for _i, bit, shift in generators]
         )
 
     order, rows = fsa.explore(0, expand, state_cap, "acceptor subset states")
-    dfa = Dfa(alphabet, len(order), 0, range(len(order)), rows)
-    if not shortlex and is_finite(action):
-        return dfa
-    return fsa.minimize(dfa)
+    if refine:
+        return fsa.minimal(alphabet, 0, range(len(order)), rows)
+    return Dfa(alphabet, len(order), 0, range(len(order)), rows)
 
 
 def build_shortlex_word_acceptor(

@@ -20,8 +20,9 @@ are returned as integer polynomial fractions.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from typing import AbstractSet, Callable, Iterable, Sequence
 
@@ -113,41 +114,35 @@ class Dfa:
         )
 
 
-class _StateIndex(dict):
-    """Explored state -> its number; looking up an unseen state numbers it."""
-
-    __slots__ = ("order", "state_cap", "what")
-
-    def __init__(self, state_cap: int, what: str):
-        super().__init__()
-        self.order: list = []
-        self.state_cap = state_cap
-        self.what = what
-
-    def __missing__(self, state):
-        if len(self.order) >= self.state_cap:
-            raise ResourceLimitError(self.what, self.state_cap)
-        self[state] = number = len(self.order)
-        self.order.append(state)
-        return number
-
-
 def explore(start, expand, state_cap: int, what: str) -> tuple[list, list]:
     """Breadth-first exploration of a subset or product construction.
 
     ``expand(state, index)`` says how one state expands, typically by
-    returning its transition row; it numbers each successor by looking
-    it up as ``index[successor]``.  A state seen for the first time gets
-    the next number, so states are numbered in discovery order with
-    ``start`` as 0, and numbering more than ``state_cap`` states raises
-    ``ResourceLimitError(what, state_cap)``.  Returns ``(order, rows)``:
-    ``order[i]`` is state ``i`` and ``rows[i]`` what ``expand`` gave
-    for it.
+    returning its transition row, and numbers each successor by looking
+    it up as ``index[successor]``.  ``index`` is a ``defaultdict`` whose
+    factory ``iter(range(state_cap)).__next__`` numbers a new state in C:
+    states are numbered in discovery order, ``start`` as 0, and at the
+    (state_cap + 1)-th its ``StopIteration`` becomes
+    ``ResourceLimitError(what, state_cap)``.  So ``expand`` must look
+    successors up in a loop or a list comprehension, never in ``map()``
+    or a generator expression, which that ``StopIteration`` would end
+    silently or turn into a ``RuntimeError``.  Each round expands the
+    states the last one found, the newest keys of ``index``.  Returns
+    ``(order, rows)``: ``order[i]`` is state ``i`` and ``rows[i]`` what
+    ``expand`` gave for it.
     """
-    index = _StateIndex(state_cap, what)
-    index[start]  # numbered 0
-    # order grows while it is walked, which makes it the queue as well
-    return index.order, [expand(state, index) for state in index.order]
+    index = defaultdict(iter(range(state_cap)).__next__)
+    order, rows, frontier = [], [], [start]
+    try:
+        index[start]  # numbered 0
+        while frontier:
+            order += frontier
+            rows += [expand(state, index) for state in frontier]
+            frontier = [*islice(reversed(index), len(index) - len(order))]
+            frontier.reverse()
+    except StopIteration:
+        raise ResourceLimitError(what, state_cap) from None
+    return order, rows
 
 
 def determinize(
@@ -171,12 +166,13 @@ def determinize(
     through :func:`explore`, asking for its moves and its acceptance
     once; for a composition that is at most (|p| + 1)(|q| + 1) product
     states.  A state is live when it can reach an accepting state or a
-    move to ``FAIL`` (:func:`_trim`), and only the moves into live
-    states and the moves to ``FAIL`` are kept.  A dead member never
-    accepts and never kills a symbol, so removing it changes no subset's
-    language; subsets that differ only in dead members become one, and a
-    symbol whose targets are all dead has no move.  When ``start`` is
-    not live the result is the one-state empty automaton.
+    move to ``FAIL``, found by one backward search over the walked
+    moves, and only the moves into live states and the moves to ``FAIL``
+    are kept.  A dead member never accepts and never kills a symbol, so
+    removing it changes no subset's language; subsets that differ only
+    in dead members become one, and a symbol whose targets are all dead
+    has no move.  When ``start`` is not live the result is the one-state
+    empty automaton.
 
     The subsets of walk numbers reachable from ``start``, each closed
     under epsilon moves, are numbered by a second :func:`explore`.  Both
@@ -191,7 +187,18 @@ def determinize(
     order, walked = explore(start, number, state_cap, what)
     final = {i for i, s in enumerate(order) if accepting(s)}
     del order
-    live = _trim(0, final, walked)[1]
+    # backward from acceptance and FAIL; into[FAIL] is the last list
+    into: list[list[int]] = [[] for _ in range(len(walked) + 1)]
+    for s, m in enumerate(walked):
+        for _c, t in m:
+            into[t].append(s)
+    stack = into.pop() + list(final)
+    live = set(stack)
+    while stack:
+        for s in into[stack.pop()]:
+            if s not in live:
+                live.add(s)
+                stack.append(s)
     if 0 not in live:
         return minimal(alphabet, 0, (), [()])
     epsilon: dict = {}  # live state -> its epsilon moves into live states
@@ -496,11 +503,7 @@ def _count_words(dfa: Dfa, live: list[int], max_len: int) -> list[int]:
     live_ix = {s: i for i, s in enumerate(live)}
     if dfa.initial not in live_ix:
         return []
-    succ: list[list[int]] = [[] for _ in live]
-    for s in live:
-        for t in dfa.transitions[s]:
-            if t in live_ix:
-                succ[live_ix[s]].append(live_ix[t])
+    succ = [[live_ix[t] for t in dfa.transitions[s] if t in live_ix] for s in live]
     acc = [s in dfa.accepting for s in live]
     vec = [0] * len(live)
     vec[live_ix[dfa.initial]] = 1
@@ -663,9 +666,7 @@ def enumerate_words(dfa: Dfa, max_len: int) -> list[Word]:
     for _ in range(max_len):
         nxt: list[tuple[bytes, int]] = []
         for w, s in layer:
-            row = dfa.transitions[s]
-            for c in range(dfa.alphabet.size):
-                t = row[c]
+            for c, t in enumerate(dfa.transitions[s]):
                 if t in live:
                     wt = w + bytes((c,))
                     nxt.append((wt, t))
@@ -686,9 +687,7 @@ def shortest_accepted(dfa: Dfa) -> Word | None:
     while layer:
         nxt = []
         for w, s in layer:
-            row = dfa.transitions[s]
-            for c in range(dfa.alphabet.size):
-                t = row[c]
+            for c, t in enumerate(dfa.transitions[s]):
                 if t != FAIL and t not in seen:
                     wt = w + bytes((c,))
                     if t in dfa.accepting:

@@ -24,6 +24,46 @@ def test_explore_numbers_states_in_discovery_order():
     assert (exc.value.which, exc.value.cap) == ("units", 5)
 
 
+def test_a_zero_cap_numbers_no_state_and_expands_none():
+    def expand(x, index):
+        raise AssertionError("expand called")
+
+    with pytest.raises(ResourceLimitError) as exc:
+        fsa.explore(1, expand, 0, "units")
+    assert (exc.value.which, exc.value.cap) == ("units", 0)
+
+
+def reference_bfs(start, successors):
+    """A plain queue numbering states as they are first seen."""
+    number = {start: 0}
+    order, rows = [start], []
+    for state in order:  # order grows while it is walked
+        row = []
+        for t in successors(state):
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+            row.append(number[t])
+        rows.append(row)
+    return order, rows
+
+
+def test_a_long_chain_explores_like_a_plain_queue():
+    # one new state per round, each also looking back at a seen state
+    def successors(x):
+        return [x + 1, x // 2] if x < 1999 else [x // 2]
+
+    def expand(x, index):
+        return [index[t] for t in successors(x)]
+
+    expected = reference_bfs(0, successors)
+    assert len(expected[0]) == 2000
+    assert fsa.explore(0, expand, 2000, "chain states") == expected
+    with pytest.raises(ResourceLimitError) as exc:
+        fsa.explore(0, expand, 1999, "chain states")
+    assert (exc.value.which, exc.value.cap) == ("chain states", 1999)
+
+
 # construction -> (its cap message, fixtures, build(*fixtures, state_cap))
 CONSTRUCTIONS = {
     "determinize": (
