@@ -52,23 +52,23 @@ def build_candidate_word_acceptor(
     step = diff.step
     equal = eps * 4 + _EQ
 
-    def moves(item: int) -> list[tuple[int, int]]:
+    def expand(item: int, index: dict) -> list[tuple[int, int]]:
         d, flag = divmod(item, 4)
         out = []
         for x in range(n):
             if flag == _EQ:
-                out.append((x, item))
+                out.append((x, index[item]))
                 runs = [(y, _LT if y < x else _GT) for y in range(n) if y != x]
             else:
                 runs = [] if flag == _PAD else [(y, flag) for y in range(n)]
             for y, f in runs + [(pad, _PAD)]:
                 d2 = step(d, x, y)
                 if d2 >= 0:
-                    out.append((x, FAIL if d2 == eps and f != _GT else d2 * 4 + f))
+                    out.append((x, FAIL if d2 == eps and f != _GT else index[d2 * 4 + f]))
         return out
 
     return fsa.determinize(
-        alphabet, equal, moves, lambda item: item == equal, state_cap, "word acceptor states"
+        alphabet, equal, expand, lambda item: item == equal, state_cap, "word acceptor states"
     )
 
 
@@ -254,31 +254,49 @@ def axiom_check(s: AutomaticStructure, state_cap: int = fsa.DEFAULT_STATE_CAP) -
     """Axiom checking: M(u) = M(v^-1) for every relator r = uv with
     |u| = ceil(|r|/2).
 
-    M(w) is the composite multiplier of the word w, built left to right
-    as compose(M(w[:-1]), M_{w[-1]}) and memoised per call, so prefixes
-    shared by relator halves are composed once; when M(w^-1) is already
-    built, M(w) is its swap.  Equality is structural equality of the
+    M(w) is the composite multiplier of the word w, memoised per call.
+    A word is known when M(w) or M(w^-1) is in the memo; M(w) is then
+    the memo entry or the swap of M(w^-1).  A new M(w) is built as
+    compose(M_{w[0]}, M(w[1:])) when w[1:] is known and w[:-1] is not,
+    and otherwise from its longest known prefix, composing one letter
+    at a time and memoising each prefix, so prefixes shared by relator
+    halves are composed once.  B3's halves aba and bab take three
+    compositions, M(ab), M(aba) and M(bab) = compose(M_b, M(ab)); so do
+    S3's, where a and b are involutions and M(bab) is composed from
+    M(ba), the swap of M(ab).  Equality is structural equality of the
     canonical automata that build_multiplier, compose and swap return.
 
-    Checking halves is enough once the elementary checks have passed.
-    By uniqueness and the inverse test, each M_y is a bijection f_y of
-    L(WA) with inverse f_{y^-1}, so f_{v^-1} = (f_v)^-1 for every word
-    v: M(v^-1) is the swap of M(v).  Hence f_u = f_{v^-1} holds iff
-    f_v o f_u = id, that is iff M(uv) = M_eps.  A pass proves the
-    structure; a failure abandons the derivation.
+    Every plan gives the same M(w) once the elementary checks have
+    passed.  By uniqueness and the inverse test, each M_y is a bijection
+    f_y of L(WA) with inverse f_{y^-1}, so f_{w^-1} = (f_w)^-1 for every
+    word w, not only for a whole half: M(w^-1) is the swap of M(w) at
+    every prefix.  Relation composition is associative, so M(w) is the
+    same however w is split.  Checking halves is then enough: f_u =
+    f_{v^-1} holds iff f_v o f_u = id, that is iff M(uv) = M_eps.  A
+    pass proves the structure; a failure abandons the derivation.
     """
     A = s.alphabet
     memo: dict[Word, PairDfa] = {b"": s.multipliers[EPSILON_KEY]}
     for y in range(A.size):
         memo[bytes((y,))] = s.multipliers[y]
 
-    def mult(w: Word) -> PairDfa:
-        if w not in memo and A.invert(w) in memo:
+    def known(w: Word) -> bool:
+        return w in memo or A.invert(w) in memo
+
+    def lookup(w: Word) -> PairDfa:
+        # a known word's multiplier, the swap of its inverse's if need be
+        if w not in memo:
             memo[w] = pairfsa.swap(memo[A.invert(w)])
+        return memo[w]
+
+    def mult(w: Word) -> PairDfa:
         i = len(w)
-        while w[:i] not in memo:
+        while not known(w[:i]):
             i -= 1
-        acc = memo[w[:i]]
+        if i < len(w) - 1 and known(w[1:]):
+            memo[w] = pairfsa.compose(s.multipliers[w[0]], lookup(w[1:]), state_cap)
+            return memo[w]
+        acc = lookup(w[:i])
         for j in range(i, len(w)):
             acc = memo[w[: j + 1]] = pairfsa.compose(acc, s.multipliers[w[j]], state_cap)
         return acc

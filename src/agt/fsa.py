@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from math import gcd
 from typing import AbstractSet, Callable, Iterable, Sequence
 
@@ -148,7 +148,7 @@ def explore(start, expand, state_cap: int, what: str) -> tuple[list, list]:
 def determinize(
     alphabet: Alphabet,
     start,
-    moves: Callable,
+    expand: Callable,
     accepting: Callable,
     state_cap: int = DEFAULT_STATE_CAP,
     what: str = "subset construction states",
@@ -156,11 +156,14 @@ def determinize(
     """The minimal automaton of a nondeterministic machine given by
     moves, by the subset construction over its live states.
 
-    ``moves(state)`` lists a state's ``(symbol, target)`` moves, with
-    ``None`` as the symbol of an epsilon move; ``accepting(state)`` says
-    whether a state accepts.  A move on a symbol may target ``FAIL``: a
-    subset with such a member has no move on that symbol, and ``FAIL``
-    is never expanded.
+    ``expand(state, index)`` lists a state's ``(symbol, target)`` moves,
+    with ``None`` as the symbol of an epsilon move, under the contract
+    of :func:`explore`: each target is numbered as ``index[target]``,
+    in a loop or a list comprehension, so the caller builds each row
+    once, already numbered.  ``accepting(state)`` says whether a state
+    accepts.  A move on a symbol may target ``FAIL``, given as ``FAIL``
+    and never looked up: a subset with such a member has no move on
+    that symbol, and ``FAIL`` is never expanded.
 
     One walk from ``start`` numbers each reachable machine state once
     through :func:`explore`, asking for its moves and its acceptance
@@ -180,11 +183,7 @@ def determinize(
     walked and the subsets.  Their rows go to :func:`minimal` as sorted
     ``(symbol, target)`` lists, with no intermediate :class:`Dfa`.
     """
-
-    def number(state, index: dict) -> list:
-        return [(c, t if t == FAIL else index[t]) for c, t in moves(state)]
-
-    order, walked = explore(start, number, state_cap, what)
+    order, walked = explore(start, expand, state_cap, what)
     final = {i for i, s in enumerate(order) if accepting(s)}
     del order
     # backward from acceptance and FAIL; into[FAIL] is the last list
@@ -218,7 +217,7 @@ def determinize(
                     stack.append(t)
         return frozenset(states)
 
-    def expand(subset: frozenset, index: dict) -> list[tuple[int, int]]:
+    def expand_subset(subset: frozenset, index: dict) -> list[tuple[int, int]]:
         targets: dict[int, set] = {}
         for s in subset:
             for c, t in step[s]:
@@ -228,7 +227,7 @@ def determinize(
                     targets[c] = {t}
         return [(c, index[closure(targets[c])]) for c in sorted(targets) if FAIL not in targets[c]]
 
-    order, rows = explore(closure({0}), expand, state_cap, what)
+    order, rows = explore(closure({0}), expand_subset, state_cap, what)
     accept = [i for i, subset in enumerate(order) if not final.isdisjoint(subset)]
     del order
     return minimal(alphabet, 0, accept, rows)
@@ -423,15 +422,15 @@ def boolean_op(
     sink = ((FAIL,) * m1.alphabet.size,)  # appended last, where FAIL = -1 indexes it
     rows1, rows2 = m1.transitions + sink, m2.transitions + sink
 
-    def moves(pair: tuple[int, int]) -> list:
+    def expand(pair: tuple[int, int], index: dict) -> list:
         targets = enumerate(zip(rows1[pair[0]], rows2[pair[1]]))
-        return [(c, t) for c, t in targets if t != (FAIL, FAIL)]
+        return [(c, index[t]) for c, t in targets if t != (FAIL, FAIL)]
 
     def accepting(pair: tuple[int, int]) -> bool:
         return keep(pair[0] in m1.accepting, pair[1] in m2.accepting)
 
     start = (m1.initial, m2.initial)
-    return determinize(m1.alphabet, start, moves, accepting, state_cap, "product states")
+    return determinize(m1.alphabet, start, expand, accepting, state_cap, "product states")
 
 
 def equivalent(m1: Dfa, m2: Dfa) -> bool:
@@ -511,7 +510,7 @@ def _count_words(dfa: Dfa, live: list[int], max_len: int) -> list[int]:
     for _ in range(max_len + 1):
         if not any(vec):
             break
-        counts.append(sum(v for v, a in zip(vec, acc) if a))
+        counts.append(sum(compress(vec, acc)))
         nxt = [0] * len(live)
         for i, v in enumerate(vec):
             if v:

@@ -181,10 +181,10 @@ def project_first(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     pad = p.pairs.pad
     view = p.by_first
 
-    def moves(s: int) -> list[tuple[int | None, int]]:
-        return [(None if a == pad else a, t) for a, bt in view[s].items() for _b, t in bt]
+    def expand(s: int, index: dict) -> list[tuple[int | None, int]]:
+        return [(None if a == pad else a, index[t]) for a, bt in view[s].items() for _b, t in bt]
 
-    return fsa.determinize(p.base, p.dfa.initial, moves, p.dfa.accepting.__contains__, state_cap)
+    return fsa.determinize(p.base, p.dfa.initial, expand, p.dfa.accepting.__contains__, state_cap)
 
 
 def project_second(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -231,11 +231,11 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
     p_view, q_view = closed(p), closed(q)  # read by first letter a, resp. b
     both_done = (p.dfa.num_states, q.dfa.num_states)
 
-    def moves(state: tuple[int, int]) -> list:
+    def expand(state: tuple[int, int], index: dict) -> list:
         sp, sq = state
         qd = q_view[sq]
         return [
-            (None if a == c == pad else a * width + c, (tp, tq))
+            (None if a == c == pad else a * width + c, index[tp, tq])
             for a, pb in p_view[sp].items()
             for b, tp in pb
             for c, tq in qd.get(b, ())
@@ -244,7 +244,7 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
     composite = fsa.determinize(
         pa.alphabet,
         (p.dfa.initial, q.dfa.initial),
-        moves,
+        expand,
         both_done.__eq__,
         state_cap,
         "composition product states",

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import time
 
@@ -95,9 +96,9 @@ def test_word_acceptor_is_one_subset_construction(z2_structure, monkeypatch):
     calls = []
     real = fsa.determinize
 
-    def recording(alphabet, start, moves, accepting, state_cap, what):
+    def recording(alphabet, start, expand, accepting, state_cap, what):
         calls.append(what)
-        return real(alphabet, start, moves, accepting, state_cap, what)
+        return real(alphabet, start, expand, accepting, state_cap, what)
 
     monkeypatch.setattr(fsa, "determinize", recording)
     s = z2_structure
@@ -369,6 +370,49 @@ def test_halves_axiom_check_agrees_with_full_composition(request, fixture_name, 
         assert verdict == _left_to_right_axioms_hold(other) == reference_verdict(other), w
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "relator,composed,ok",
+    [("ababab", 3, True), ("ab" * 9, 9, True), ("ab" * 5, 5, False), ("ab" * 6, 5, True)],
+)
+def test_axiom_check_builds_composites_from_memoised_neighbours(
+    s3_structure, monkeypatch, relator, composed, ok
+):
+    """With a and b involutions, the second half of (ab)^n starts with
+    the inverse of a prefix of the first: it takes one composition from
+    that prefix's swap, not one per letter.  An even n needs no
+    composition for it, since the whole half is the first's inverse."""
+    s = s3_structure
+    pres = Presentation(s.alphabet, [s.alphabet.parse_word(relator)])
+    other = AutomaticStructure(pres, s.word_acceptor, s.multipliers, s.diff_machine, s.k)
+    built = []
+    real = pairfsa.compose
+
+    def compose(p, q, state_cap):
+        built.append(real(p, q, state_cap))
+        return built[-1]
+
+    monkeypatch.setattr(pairfsa, "compose", compose)
+    verdict = axiom_check(other).ok
+    monkeypatch.undo()
+    assert len(built) == composed
+    assert verdict == ok == _left_to_right_axioms_hold(other) == reference_verdict(other)
+
+
+def test_derivation_and_axiom_check_leave_no_cyclic_garbage(ab_alphabet, b3_structure):
+    """Reference counting frees every memo of composites when its call
+    returns, so derive's peak memory does not wait for a collection."""
+    A = ab_alphabet
+    gc.collect()
+    gc.disable()
+    try:
+        assert axiom_check(b3_structure).ok
+        assert gc.collect() == 0
+        assert derive_shortlex_structure(Presentation(A, [A.parse_word("abaBAB")])).verified
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- the driver ----------------------------------------------------------------

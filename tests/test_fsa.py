@@ -72,12 +72,23 @@ def test_accepts_freely_reduced_examples(ab, f2_acceptor):
 # -- determinize ----------------------------------------------------------
 
 
+def numbered(moves):
+    """``moves(state)``, a list of ``(symbol, target)`` moves, as the
+    ``expand(state, index)`` that :func:`fsa.determinize` takes: each
+    target numbered through ``index``, ``FAIL`` kept as it is."""
+
+    def expand(state, index):
+        return [(c, t if t == FAIL else index[t]) for c, t in moves(state)]
+
+    return expand
+
+
 def test_determinize_already_deterministic(ab, f2_acceptor):
     def moves(s):
         return [(c, t) for c, t in enumerate(f2_acceptor.transitions[s]) if t != FAIL]
 
     det = fsa.determinize(
-        ab, f2_acceptor.initial, moves, f2_acceptor.accepting.__contains__
+        ab, f2_acceptor.initial, numbered(moves), f2_acceptor.accepting.__contains__
     )
     assert det == f2_acceptor
     assert language_set(det, 5) == language_set(f2_acceptor, 5)
@@ -95,7 +106,7 @@ def test_determinize_contains_symbol(ab):
         loops = [(c, s) for c in range(ab.size)]
         return loops + [(0, 1)] if s == 0 else loops
 
-    det = fsa.determinize(ab, "s", moves, lambda s: s == 1)
+    det = fsa.determinize(ab, "s", numbered(moves), lambda s: s == 1)
     assert sorted(asked, key=str) == [0, 1, "s"]  # each state asked once
     # subsets {s, 0}, {0, 1} and {0}; {s, 0} and {0} are one state of
     # the minimal automaton that determinize returns
@@ -117,13 +128,13 @@ def test_determinize_fail_target_kills_the_symbol(ab):
             return [(c, t) for t in (1, 2) for c in range(ab.size)]
         return [(c, FAIL if s == 1 and c == 0 else s) for c in range(ab.size)]
 
-    det = fsa.determinize(ab, 0, moves, lambda s: s == 2)
+    det = fsa.determinize(ab, 0, numbered(moves), lambda s: s == 2)
     assert sorted(asked) == [0, 1, 2]
     assert det == Dfa(ab, 2, 0, [1], [[1, 1, 1, 1], [FAIL, 1, 1, 1]])
 
 
 def test_determinize_empty_language(ab):
-    det = fsa.determinize(ab, 0, lambda s: [], lambda s: False)
+    det = fsa.determinize(ab, 0, numbered(lambda s: []), lambda s: False)
     assert fsa.language_is_finite(det) == 0
 
 
@@ -187,7 +198,7 @@ def explorations(build) -> tuple[Dfa, list[tuple[bool, int]]]:
 def test_determinize_matches_the_plain_subset_construction(machine):
     width, table, accepting = machine
     alphabet = Alphabet([f"x{i}" for i in range(width)], list(range(width)))
-    det = fsa.determinize(alphabet, 0, table.__getitem__, accepting.__contains__)
+    det = fsa.determinize(alphabet, 0, numbered(table.__getitem__), accepting.__contains__)
     plain = subset_table(width, 0, table.__getitem__, accepting.__contains__)
     assert det.num_states == minimal_state_count(*plain)
     assert same_words(det, *plain)
@@ -201,7 +212,9 @@ def test_determinize_matches_the_plain_subset_construction(machine):
             d = len(table)
             loop = [(c, d) for c in range(width)] + [(0, d - 2)]
             moves = [[*table[0], (None, d), (width - 1, d)], *table[1:], loop]
-        return fsa.determinize(alphabet, 0, moves.__getitem__, accepting.__contains__, cap)
+        return fsa.determinize(
+            alphabet, 0, numbered(moves.__getitem__), accepting.__contains__, cap
+        )
 
     plain, plain_made = explorations(lambda: build(False))
     branched, branched_made = explorations(lambda: build(True))
