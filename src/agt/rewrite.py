@@ -11,8 +11,12 @@ factor.  Reduction reads a word once through the index automaton of
 the left sides (Sims, *Computation with Finitely Presented Groups*,
 1994, ch. 3) and rewrites the first match to end, which is the leftmost
 match, so normal forms are deterministic.  The automaton's state is the
-trie node of the longest suffix read that is a prefix of a left side; a
-move the trie lacks is found by looking up the suffixes by word.
+trie node of the longest suffix read that is a proper prefix of a left
+side, named by the offset of its row in the move table, so reading a
+letter is one table read.  The move on a left side's last letter holds
+that rule's code instead of a node, so the trie has no leaf nodes.  A
+move the trie lacks is found by looking up the suffixes by word; all
+such moves are dropped whenever the trie changes.
 
 Completion processes critical pairs first-in first-out, orienting
 unresolved pairs into new rules, retiring rules whose left side becomes
@@ -121,19 +125,25 @@ def _sides_containing(sides: list[Word], w: Word) -> list[int]:
 class RewriteSystem:
     """Indexed shortlex rewrite system with factor-free left sides.
 
-    The left sides form a trie: node 0 is the root, ``_next[node * n + c]``
-    is the child on letter c or -1, and every left side ends at a leaf,
-    whose ``_node_rule`` is its rule's index (-1 elsewhere).  Each node's
-    word is ``_word[node]``, and ``_node_of`` maps each prefix of a live
-    left side (``b""`` included) to its node.  Reduction runs the index
-    automaton of the trie; its moves (``_goto``) start as the trie's own,
-    the missing ones are filled in on first use, and all are dropped
-    whenever the trie changes.  ``_prefixes`` and ``_suffixes`` map each
-    proper prefix and each proper suffix of a live left side to the
-    indices of its rules, in increasing order.  ``_lhs`` and ``_rhs``
-    hold the sides of each rule (``b""`` once it is retired), which
-    ``add_rule`` searches joined, for the left sides to retire and then
-    for the right sides to reduce again.
+    The left sides form a trie whose states are named by row offsets:
+    state s is the row ``_next[s : s + n]``, the root is 0, and
+    ``_next[s + c]`` is the state of the child on letter c, -1 for no
+    child, or ``-2 - r`` when the child's word is the left side of rule
+    r.  A left side's last letter thus leads to its rule's code, and no
+    state ends a left side.  ``_word`` maps each state to its word, and
+    ``_node_of`` maps each proper prefix of a live left side (``b""``
+    included) to its state and each live left side to its rule's code.
+    Reduction runs the index automaton of the trie; its moves
+    (``_goto``) start as the trie's own, the missing ones are filled in
+    on first use, and all are dropped whenever the trie changes (patching
+    only the moves a change touches needs an index of the states by
+    suffix, which costs as much to keep up as the refills it saves).
+    ``_prefixes`` and ``_suffixes`` map each proper prefix and each
+    proper suffix of a live left side to the indices of its rules, in
+    increasing order.  ``_lhs`` and ``_rhs`` hold the sides of each rule
+    (``b""`` once it is retired), which ``add_rule`` searches joined, for
+    the left sides to retire and then for the right sides to reduce
+    again.
 
     Mutable and single-owner while completion runs.
     """
@@ -148,10 +158,9 @@ class RewriteSystem:
         self._rewrite: list[tuple[int, Word]] = []
         self._n_syms = alphabet.size
         self._next = [-1] * self._n_syms
-        self._node_rule = [-1]
-        self._word: list[Word] = [b""]  # per node; stale once pruned
+        self._word: dict[int, Word] = {0: b""}
         self._node_of: dict[Word, int] = {b"": 0}
-        self._free: list[int] = []  # pruned nodes, reused first
+        self._free: list[int] = []  # pruned states, reused first
         self._goto: list[int] | None = None
         self._prefixes: dict[Word, list[int]] = {}
         self._suffixes: dict[Word, list[int]] = {}
@@ -159,19 +168,17 @@ class RewriteSystem:
 
     # -- rule bookkeeping ---------------------------------------------
 
-    def _new_node(self, parent: int, c: int) -> int:
-        word = self._word[parent] + bytes((c,))
+    def _new_node(self, s: int, c: int) -> int:
+        word = self._word[s] + bytes((c,))
         if self._free:
-            node = self._free.pop()
-            self._word[node] = word
+            t = self._free.pop()
         else:
-            node = len(self._node_rule)
-            self._next.extend([-1] * self._n_syms)
-            self._node_rule.append(-1)
-            self._word.append(word)
-        self._node_of[word] = node
-        self._next[parent * self._n_syms + c] = node
-        return node
+            t = len(self._next)
+            self._next += [-1] * self._n_syms
+        self._word[t] = word
+        self._node_of[word] = t
+        self._next[s + c] = t
+        return t
 
     def add_rule(self, lhs: Word, rhs: Word) -> tuple[int, list[RewriteRule]]:
         """Insert lhs -> rhs, which must be shortlex-oriented with lhs
@@ -196,14 +203,13 @@ class RewriteSystem:
         self._lhs.append(lhs)
         self._rhs.append(rhs)
         self._rewrite.append((len(lhs) - 1, rhs[::-1]))
-        n = self._n_syms
-        node = 0
-        for c in lhs:
-            if node:  # a proper prefix, keyed by its node's own word
-                self._prefixes.setdefault(self._word[node], []).append(idx)
-            nxt = self._next[node * n + c]
-            node = nxt if nxt >= 0 else self._new_node(node, c)
-        self._node_rule[node] = idx
+        s = 0
+        for c in lhs[:-1]:
+            t = self._next[s + c]
+            s = t if t >= 0 else self._new_node(s, c)
+            # a proper prefix, keyed by its state's own word
+            self._prefixes.setdefault(self._word[s], []).append(idx)
+        self._next[s + lhs[-1]] = self._node_of[lhs] = -2 - idx
         for k in range(1, len(lhs)):
             self._suffixes.setdefault(lhs[-k:], []).append(idx)
         self._goto = None
@@ -217,21 +223,21 @@ class RewriteSystem:
         return idx, retired
 
     def remove_rule(self, idx: int) -> None:
-        """Retire rule idx; trie nodes that lead to no rule are pruned."""
+        """Retire rule idx; trie states that lead to no rule are pruned."""
         rule = self._rules[idx]
         if rule is None:
             return
-        lhs = rule.lhs
+        lhs = word = rule.lhs
         n = self._n_syms
-        node = self._node_of[lhs]
-        self._node_rule[node] = -1
-        while node and max(self._next[node * n : node * n + n]) < 0:  # ancestors end no rule
-            word = self._word[node]
+        del self._node_of[lhs]
+        while True:  # cut word's move, then prune its parent if that left a row of -1
+            s = self._node_of[word[:-1]]
+            self._next[s + word[-1]] = -1
+            if not s or self._next[s : s + n].count(-1) < n:
+                break
+            word = self._word.pop(s)
             del self._node_of[word]
-            parent = self._node_of[word[:-1]]
-            self._next[parent * n + word[-1]] = -1
-            self._free.append(node)
-            node = parent
+            self._free.append(s)
         for k in range(1, len(lhs)):
             for table, key in ((self._prefixes, lhs[:k]), (self._suffixes, lhs[-k:])):
                 ids = table[key]
@@ -279,49 +285,51 @@ class RewriteSystem:
 
     def _move(self, s: int, c: int) -> int:
         """The index automaton's move from state s on letter c, which the
-        trie lacks: the node of the longest proper suffix of s's word
-        followed by c that is in the trie (the root at worst).
+        trie lacks: the state of the longest proper suffix of s's word
+        followed by c that is in the trie (the root at worst), or its
+        rule's code if that suffix is a whole left side.
         """
         node_of = self._node_of
         w = self._word[s] + bytes((c,))
         k = 1
         while (t := node_of.get(w[k:])) is None:
             k += 1
-        self._goto[s * self._n_syms + c] = t
+        self._goto[s + c] = t
         return t
 
     def reduce(self, w: Word) -> Word:
         """Normal form of w: rewrite the leftmost match until none is left.
 
-        One pass: the letters read so far are kept with the automaton
-        state after each, and a rewrite drops the match's letters and
-        puts the right side back in front of the unread input.
+        One pass, one move-table read per letter: ``stack`` holds the
+        index ``s + c`` of each move read and kept, so its entries give
+        the letters (``k % n``) and the states (``goto[k]``) alike.  A
+        move to a rule's code drops the match's other letters and puts
+        the right side back in front of the unread input.
         """
+        self.alphabet.check_word(w)
         goto = self._goto
         if goto is None:
             goto = self._goto = self._next.copy()
         n = self._n_syms
-        node_rule = self._node_rule
         rewrite = self._rewrite
-        out = bytearray()
-        states = [0]
+        stack: list[int] = []
+        s = 0
         unread = bytearray(w[::-1])  # next letter last
         while unread:
-            c = unread.pop()
-            t = goto[states[-1] * n + c]
-            if t < 0:
-                t = self._move(states[-1], c)
-            r = node_rule[t]
-            if r < 0:
-                out.append(c)
-                states.append(t)
+            k = s + unread.pop()
+            t = goto[k]
+            if t == -1:
+                t = self._move(s, k - s)
+            if t >= 0:
+                stack.append(k)
+                s = t
             else:
-                drop, rhs = rewrite[r]
+                drop, rhs = rewrite[-2 - t]
                 if drop:
-                    del out[-drop:]
-                    del states[-drop:]
+                    del stack[-drop:]
+                s = goto[stack[-1]] if stack else 0
                 unread += rhs
-        return bytes(out)
+        return bytes([k % n for k in stack])
 
     def __repr__(self) -> str:
         return f"RewriteSystem(rules={self.num_live}, confluent={self.confluent})"

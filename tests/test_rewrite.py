@@ -3,7 +3,7 @@ import sys
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agt.errors import UsageError
 from agt.limits import Limits
@@ -309,6 +309,8 @@ words_ab = st.binary(max_size=7).map(lambda b: bytes(c % 4 for c in b))
     st.lists(st.tuples(st.booleans(), words_ab, words_ab), max_size=25),
     st.lists(words_ab.map(lambda w: w * 3), min_size=1, max_size=6),
 )
+# ab and aB end on the row of a; retiring ab leaves that row holding aB's code
+@example([(True, b"\0\2", b""), (True, b"\0\3", b""), (False, b"", b"")], [b"\0\3\1" * 3])
 def test_reduce_matches_the_leftmost_reference(ops, probes):
     """After each random addition or retirement, reduce gives what the
     leftmost, lowest-indexed rescan gives on the live rules."""
@@ -322,23 +324,34 @@ def test_reduce_matches_the_leftmost_reference(ops, probes):
         elif rs.num_live:
             live = rs.live_items()
             rs.remove_rule(live[len(w1) % len(live)][0])
-        # the trie's nodes are found by their words, which are the prefixes
-        # of the live left sides, b"" included
+        # the trie's states are found by their words, which are the proper
+        # prefixes of the live left sides, b"" included; each state is a row
+        # offset, and each live left side maps to its rule's code
         node_of = rs._node_of
-        assert node_of.keys() == {b"", *rs._prefixes, *(lhs for lhs, _ in rs.rules)}
-        assert all(rs._word[node] == w for w, node in node_of.items())
+        live = rs.live_items()
+        assert node_of.keys() == {b"", *rs._prefixes, *(lhs for _, (lhs, _) in live)}
+        states = {w: s for w, s in node_of.items() if s >= 0}
+        assert states.keys() == {b"", *rs._prefixes}
+        assert all(s % ab.size == 0 and rs._word[s] == w for w, s in states.items())
+        assert rs._word.keys() == set(states.values())
+        for i, (lhs, _) in live:
+            assert node_of[lhs] == rs._next[node_of[lhs[:-1]] + lhs[-1]] == -2 - i
+        # no move of the trie leads to a retired rule's code
+        assert {t for t in rs._next if t < -1} == {-2 - i for i, _ in live}
         for w in probes:
             assert rs.reduce(w) == leftmost_reduce(rs.rules, w)
 
 
 def test_prefix_index_shares_the_node_words(ab):
     """Each proper prefix of a live left side is held once: the prefix
-    index is keyed by the word object of the prefix's trie node."""
+    index is keyed by the word object of the prefix's trie state."""
     rs = system_from_presentation(Presentation(ab, [ab.parse_word("abaBAB")]))
     Completion(rs, Limits(max_rules=450)).run()
     assert rs.num_live == 450
     assert rs._prefixes
-    assert all(key is rs._word[rs._node_of[key]] for key in rs._prefixes)
+    for key in rs._prefixes:
+        s = rs._node_of[key]
+        assert s > 0 and s % ab.size == 0 and key is rs._word[s]
 
 
 def test_missing_move_lands_on_a_longer_suffix(ab):
@@ -350,8 +363,42 @@ def test_missing_move_lands_on_a_longer_suffix(ab):
     rs.add_rule(ab.parse_word("bbaa"), b"")
     w = ab.parse_word("abbaa")
     assert rs.reduce(w) == leftmost_reduce(rs.rules, w) == ab.parse_word("a")
-    from_ab_on_b = rs._node_of[ab.parse_word("ab")] * ab.size + ab.parse_word("b")[0]
-    assert rs._goto[from_ab_on_b] == rs._node_of[ab.parse_word("bb")]
+    from_ab_on_b = rs._node_of[ab.parse_word("ab")] + ab.parse_word("b")[0]
+    assert rs._next[from_ab_on_b] == -1
+    assert rs._goto[from_ab_on_b] == rs._node_of[ab.parse_word("bb")] > 0
+
+
+def test_single_letter_left_sides_put_rule_codes_on_the_root():
+    """<a,b,c | aB, c> completes to aA, Aa, b -> a, c, C and B -> A: each
+    one-letter left side is a move of the root holding its rule's code.
+    Retiring c -> e cuts that move, and reduction follows."""
+    abc = inverse_closed_alphabet(["a", "b", "c"], {"a": "A", "b": "B", "c": "C"})
+    rs = system_from_presentation(Presentation(abc, [abc.parse_word("aB"), abc.parse_word("c")]))
+    assert Completion(rs).run().status == "complete"
+    assert rs.dump().splitlines() == ["aA -> ", "Aa -> ", "b -> a", "c -> ", "C -> ", "B -> A"]
+    code = {abc.format_word(lhs): -2 - i for i, (lhs, _) in rs.live_items()}
+    for x in "bcCB":
+        assert rs._next[abc.parse_word(x)[0]] == rs._node_of[abc.parse_word(x)] == code[x]
+    probes = [abc.parse_word(w) for w in ("bcBCAcb", "cccb", "aCbBc", "CaAcB")]
+    for w in probes:
+        assert rs.reduce(w) == leftmost_reduce(rs.rules, w)
+    assert rs.reduce(probes[0]) == b""
+    c = abc.parse_word("c")
+    rs.remove_rule(next(i for i, (lhs, _) in rs.live_items() if lhs == c))
+    assert rs._next[c[0]] == -1 and c not in rs._node_of
+    for w in probes:
+        assert rs.reduce(w) == leftmost_reduce(rs.rules, w)
+    assert rs.reduce(probes[1]) == abc.parse_word("ccca")
+
+
+@pytest.mark.parametrize(
+    "word", [b"\x05", b"\x00\x07", b"\xc8", "ab"], ids=["letter", "later_letter", "byte", "str"]
+)
+def test_reduce_refuses_a_word_outside_the_alphabet(ab, word):
+    rs = system_from_presentation(z2_presentation(ab))
+    Completion(rs).run()
+    with pytest.raises(UsageError):
+        rs.reduce(word)
 
 
 @settings(max_examples=150, deadline=None)
