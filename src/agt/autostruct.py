@@ -8,7 +8,11 @@ axiom checking.  The elementary tests are exact whole-language tests:
 projection, uniqueness (M_eps is the diagonal) and the inverse test
 (compose(M_y, M_{y^-1}) is the diagonal), which together make every M_y
 a bijection of L(WA).  Axioms are then checked by relator halves over
-memoised composite multipliers.  Passing axiom checks proves the
+memoised composite multipliers.  Where a composite is only compared,
+never reused, the test is one inclusion walk
+(:func:`pairfsa.composite_within`), which the bijections make an
+equality test: a passing inverse test and the last composition of a
+relator half build no automaton.  Passing axiom checks proves the
 automata form a shortlex automatic structure; failing them abandons the
 attempt.
 """
@@ -186,12 +190,18 @@ def elementary_checks(
 
     (a) the word acceptor accepts the empty word;
     (b) each generator's M_y projects onto L = L(WA) on both coordinates.
-        (c) and (d) imply this; it is kept as a cheap first filter, since
-        broken multipliers compose into large automata;
+        (c) and (d) imply this, and (d) relies on it: it is what makes
+        (d)'s inclusion test exact;
     (c) uniqueness: M_eps is the diagonal of L, so no two accepted words
         represent the same element;
     (d) the inverse test: for each generator y, compose(M_y, M_{y^-1})
-        is the diagonal of L.
+        is the diagonal of L.  It is decided by one inclusion walk,
+        :func:`pairfsa.composite_within` of M_y, M_{y^-1} and the
+        diagonal, which builds no composite.  After (b) the inclusion is
+        the equality: for w in L, dom M_y = L gives a v with (w, v) in
+        M_y, and v in L = dom M_{y^-1} gives a z with (v, z) in
+        M_{y^-1}; (w, z) then lies in the composite, so inside the
+        diagonal, and z = w.  So the composite holds every (w, w).
 
     Why (c) and (d) make every M_y a bijection of L with inverse
     M_{y^-1}.  Let R = M_y and S = M_{y^-1}; both are subsets of L x L,
@@ -203,13 +213,13 @@ def elementary_checks(
     argument, and onto because (v, v) is in S;R.  This implies the
     projections of (b) and that every u has exactly one partner.
 
-    Minimized automata are canonical, so (c) and (d) are structural
-    equalities.  Every failure is collected.  Its relation is M_eps
-    (kind "uniqueness") or the composite (kind "inverse").  If the
-    relation has a pair (u, w) off the diagonal, the shortlex-least one
-    gives witness u and partners (u, w); otherwise the shortlex-least
-    missing (u, u) gives witness u.  Failures feed the retry loop as
-    equations.
+    Minimized automata are canonical, so (c) is a structural equality.
+    Every failure is collected.  Its relation is M_eps (kind
+    "uniqueness") or the composite, built only when the walk fails (kind
+    "inverse").  If the relation has a pair (u, w) off the diagonal, the
+    shortlex-least one gives witness u and partners (u, w); otherwise
+    the shortlex-least missing (u, u) gives witness u.  Failures feed
+    the retry loop as equations.
     """
     failures: list[CheckFailure] = []
     wa = s.word_acceptor
@@ -229,11 +239,13 @@ def elementary_checks(
     for key in (EPSILON_KEY, *range(A.size)):
         if key is EPSILON_KEY:
             kind, rel = "uniqueness", s.multipliers[key]
+            if rel == diag:
+                continue
         else:
-            back = s.multipliers[A.inverse[key]]
-            kind, rel = "inverse", pairfsa.compose(s.multipliers[key], back, state_cap)
-        if rel == diag:
-            continue
+            m, back = s.multipliers[key], s.multipliers[A.inverse[key]]
+            if pairfsa.composite_within(m, back, diag, state_cap):
+                continue
+            kind, rel = "inverse", pairfsa.compose(m, back, state_cap)
         extra = fsa.shortest_accepted(fsa.boolean_op("minus", rel.dfa, diag.dfa, state_cap))
         if extra is not None:
             u, w = pairfsa.decode_pair(rel.pairs, extra)
@@ -260,11 +272,20 @@ def axiom_check(s: AutomaticStructure, state_cap: int = fsa.DEFAULT_STATE_CAP) -
     compose(M_{w[0]}, M(w[1:])) when w[1:] is known and w[:-1] is not,
     and otherwise from its longest known prefix, composing one letter
     at a time and memoising each prefix, so prefixes shared by relator
-    halves are composed once.  B3's halves aba and bab take three
-    compositions, M(ab), M(aba) and M(bab) = compose(M_b, M(ab)); so do
-    S3's, where a and b are involutions and M(bab) is composed from
-    M(ba), the swap of M(ab).  Equality is structural equality of the
-    canonical automata that build_multiplier, compose and swap return.
+    halves are composed once.
+
+    A relator whose halves are both known, whose second half is the
+    first one's inverse, or with a half of at most one letter compares
+    the two halves' multipliers, by structural equality of the canonical
+    automata that build_multiplier, compose and swap return.  Any other
+    relator's last composition is decided without being built.  Its
+    half w is the first half, or the second if the first is known;
+    M(w[:-1]) is built, then the other half's M(x), and
+    ``pairfsa.composite_within(M(w[:-1]), M_{w[-1]}, M(x))`` decides the
+    relator.  B3's halves aba and bab take two compositions, M(ab) and
+    M(bab) = compose(M_b, M(ab)), and one walk of M(ab) and M_a within
+    M(bab); so do S3's, where a and b are involutions and M(bab) is
+    composed from M(ba), the swap of M(ab).
 
     Every plan gives the same M(w) once the elementary checks have
     passed.  By uniqueness and the inverse test, each M_y is a bijection
@@ -272,8 +293,11 @@ def axiom_check(s: AutomaticStructure, state_cap: int = fsa.DEFAULT_STATE_CAP) -
     word w, not only for a whole half: M(w^-1) is the swap of M(w) at
     every prefix.  Relation composition is associative, so M(w) is the
     same however w is split.  Checking halves is then enough: f_u =
-    f_{v^-1} holds iff f_v o f_u = id, that is iff M(uv) = M_eps.  A
-    pass proves the structure; a failure abandons the derivation.
+    f_{v^-1} holds iff f_v o f_u = id, that is iff M(uv) = M_eps.  The
+    walk is exact for the same reason: M(w) and M(x) are the graphs of
+    two functions defined on all of L, and when one graph lies inside
+    the other they agree at every word, so the graphs are equal.  A pass
+    proves the structure; a failure abandons the derivation.
     """
     A = s.alphabet
     memo: dict[Word, PairDfa] = {b"": s.multipliers[EPSILON_KEY]}
@@ -303,7 +327,15 @@ def axiom_check(s: AutomaticStructure, state_cap: int = fsa.DEFAULT_STATE_CAP) -
 
     for relator in s.presentation.relators:
         half = (len(relator) + 1) // 2
-        if mult(relator[:half]) != mult(A.invert(relator[half:])):
+        u, vi = relator[:half], A.invert(relator[half:])
+        if known(u) and known(vi) or A.invert(vi) == u or min(len(u), len(vi)) <= 1:
+            same = mult(u) == mult(vi)
+        else:
+            if known(u):
+                u, vi = vi, u
+            prefix = mult(u[:-1])
+            same = pairfsa.composite_within(prefix, s.multipliers[u[-1]], mult(vi), state_cap)
+        if not same:
             return AxiomReport(False, failed_relator=relator)
     return AxiomReport(True)
 

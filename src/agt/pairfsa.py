@@ -10,8 +10,9 @@ boundaries.
 Every pair automaton built here accepts only correctly padded strings:
 once a side reads $ it reads nothing else.  Being minimal, such an
 automaton has no move that leaves its language, so after a side's first
-$ every move reads $ on that side.  :func:`compose` needs this of its
-inputs, and the automata it returns have it too.
+$ every move reads $ on that side.  :func:`compose` and
+:func:`composite_within` need this of their first two inputs, and the
+automata :func:`compose` returns have it too.
 """
 
 from __future__ import annotations
@@ -191,19 +192,30 @@ def project_second(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     return project_first(swap(p), state_cap)
 
 
+def _closed(m: PairDfa) -> list[dict[int, list[tuple[int, int]]]]:
+    """``m.by_first`` with one more state ``done = m.dfa.num_states``,
+    entered on ($, $) from every accepting state and from itself, so a
+    pair string that has ended is a state, not a mode."""
+    pad = m.pairs.pad
+    done = m.dfa.num_states
+    view = [*m.by_first, {}]
+    for s in (*m.dfa.accepting, done):
+        view[s] = {**view[s], pad: [*view[s].get(pad, ()), (pad, done)]}
+    return view
+
+
 def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairDfa:
     """Relation composition {(u, w) : some v, (u,v) in p and (v,w) in q}.
 
     p and q must be minimal and accept only correctly padded strings, as
-    every pair automaton built here is.  Each is closed under ($, $): one
-    more state ``done``, entered on ($, $) from every accepting state and
-    from itself, so a pair string that has ended is a state, not a mode.
-    The product over (p state, q state) reads an output symbol (a, c)
-    while p reads (a, b) and q reads (b, c) for some middle letter b;
-    when a and c are both $ the middle word outlives u and w, and the
-    move is an epsilon move.  Its subsets are determinized.  A subset
-    accepts when it holds (done, done), which the ($, $) epsilon move
-    adds exactly to the subsets that hold a pair of accepting states.
+    every pair automaton built here is.  Each is closed under ($, $) by
+    :func:`_closed`.  The product over (p state, q state) reads an output
+    symbol (a, c) while p reads (a, b) and q reads (b, c) for some middle
+    letter b; when a and c are both $ the middle word outlives u and w,
+    and the move is an epsilon move.  Its subsets are determinized.  A
+    subset accepts when it holds (done, done), which the ($, $) epsilon
+    move adds exactly to the subsets that hold a pair of accepting
+    states.
 
     No pad phase is needed.  Every move of a minimal automaton leads to
     a live state, so a correctly padded p has only ($, b) moves once u
@@ -213,22 +225,15 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
     the at most (|p| + 1)(|q| + 1) reachable product states once, drops
     those that cannot reach (done, done), and returns the minimal
     composite; the cap bounds the product states walked and the subsets.
+    A caller that only compares the composite with a known relation can
+    ask :func:`composite_within` instead, which builds none of this.
     """
     if p.base != q.base:
         raise UsageError("compose needs a common base alphabet")
     pa = p.pairs
     pad = pa.pad
     width = pad + 1  # pair symbol (a, c) is a * width + c
-
-    def closed(m: PairDfa) -> list[dict[int, list[tuple[int, int]]]]:
-        # m.by_first with the state done = m.dfa.num_states added
-        done = m.dfa.num_states
-        view = [*m.by_first, {}]
-        for s in (*m.dfa.accepting, done):
-            view[s] = {**view[s], pad: [*view[s].get(pad, ()), (pad, done)]}
-        return view
-
-    p_view, q_view = closed(p), closed(q)  # read by first letter a, resp. b
+    p_view, q_view = _closed(p), _closed(q)  # read by first letter a, resp. b
     both_done = (p.dfa.num_states, q.dfa.num_states)
 
     def expand(state: tuple[int, int], index: dict) -> list:
@@ -250,6 +255,53 @@ def compose(p: PairDfa, q: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> PairD
         "composition product states",
     )
     return PairDfa(p.base, composite, pa)
+
+
+def composite_within(
+    p: PairDfa, q: PairDfa, t: PairDfa, state_cap: int = DEFAULT_STATE_CAP
+) -> bool:
+    """Whether every pair that ``compose(p, q)`` accepts is accepted by t.
+
+    One forward walk over triples (p state, q state, t state), with no
+    subset construction and no minimisation.  p and q are read as in
+    :func:`compose`, closed under ($, $) by :func:`_closed`; t reads each
+    output symbol (a, c) by its table, and stays where it is on the
+    epsilon move ($, $).  A t move to FAIL enters a sink: its row is one
+    more row of FAILs, which ``FAIL = -1`` indexes as the last.  A walked
+    triple whose first two parts are (done, done) carries a pair of the
+    composite, read by t up to the state in its third part, and every
+    pair of the composite reaches one; so the inclusion holds iff each
+    of them has an accepting t part.
+
+    t must be deterministic over the pair alphabet; it need not be
+    minimal.  :func:`fsa.explore` numbers the at most (|p| + 1)(|q| + 1)
+    (|t| + 1) triples under ``state_cap``, as composition product states.
+    """
+    if not p.base == q.base == t.base:
+        raise UsageError("composite_within needs a common base alphabet")
+    pad = p.pairs.pad
+    width = pad + 1  # pair symbol (a, c) is a * width + c; ($, $) is the last column
+    p_view, q_view = _closed(p), _closed(q)
+    # t's rows with a ($, $) column that stays put, then the FAIL sink's row
+    rows = [(*row, s) for s, row in enumerate(t.dfa.transitions)]
+    rows.append((FAIL,) * (width * width))
+
+    def expand(state: tuple[int, int, int], index: dict) -> list:
+        sp, sq, st = state
+        qd = q_view[sq]
+        row = rows[st]
+        return [
+            index[tp, tq, row[a * width + c]]
+            for a, pb in p_view[sp].items()
+            for b, tp in pb
+            for c, tq in qd.get(b, ())
+        ]
+
+    start = (p.dfa.initial, q.dfa.initial, t.dfa.initial)
+    order, _ = fsa.explore(start, expand, state_cap, "composition product states")
+    done_p, done_q = p.dfa.num_states, q.dfa.num_states
+    accepting = t.dfa.accepting
+    return all(st in accepting for sp, sq, st in order if sp == done_p and sq == done_q)
 
 
 def slice_first(p: PairDfa, u: Word, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:

@@ -198,6 +198,21 @@ def test_elementary_checks_pass_on_verified(z2_structure, free_structure):
         assert elementary_checks(s).ok
 
 
+def test_inverse_tests_that_pass_build_no_composite(b3_structure, monkeypatch):
+    """A passing inverse test is one inclusion walk: with the projections
+    passed, compose(M_y, M_{y^-1}) within the diagonal is equal to it."""
+    built = []
+    real = pairfsa.compose
+
+    def compose(p, q, state_cap):
+        built.append(1)
+        return real(p, q, state_cap)
+
+    monkeypatch.setattr(pairfsa, "compose", compose)
+    assert elementary_checks(b3_structure).ok
+    assert built == []
+
+
 def test_elementary_checks_fail_on_starved_completion(starved_b3_structure):
     """A premature pause leaves an inadequate difference set; the checks
     must fail and produce a witness."""
@@ -374,15 +389,18 @@ def test_halves_axiom_check_agrees_with_full_composition(request, fixture_name, 
 
 @pytest.mark.parametrize(
     "relator,composed,ok",
-    [("ababab", 3, True), ("ab" * 9, 9, True), ("ab" * 5, 5, False), ("ab" * 6, 5, True)],
+    [("ababab", 2, True), ("ab" * 9, 8, True), ("ab" * 5, 4, False), ("ab" * 6, 5, True)],
 )
 def test_axiom_check_builds_composites_from_memoised_neighbours(
     s3_structure, monkeypatch, relator, composed, ok
 ):
     """With a and b involutions, the second half of (ab)^n starts with
     the inverse of a prefix of the first: it takes one composition from
-    that prefix's swap, not one per letter.  An even n needs no
-    composition for it, since the whole half is the first's inverse."""
+    that prefix's swap, not one per letter.  For an odd n the first half
+    itself is not built: its last composition is an inclusion walk from
+    its prefix, so (ab)^n takes n - 1 compositions.  An even n needs no
+    composition for the second half, since the whole half is the first's
+    inverse, and compares the two structurally."""
     s = s3_structure
     pres = Presentation(s.alphabet, [s.alphabet.parse_word(relator)])
     other = AutomaticStructure(pres, s.word_acceptor, s.multipliers, s.diff_machine, s.k)

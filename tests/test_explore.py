@@ -93,6 +93,13 @@ CONSTRUCTIONS = {
         ["z2_structure"],
         lambda z2, cap: pairfsa.compose(z2.multipliers[0], z2.multipliers[2], cap),
     ),
+    "composite_within": (
+        "composition product states",
+        ["z2_structure"],
+        lambda z2, cap: pairfsa.composite_within(
+            z2.multipliers[0], z2.multipliers[1], pairfsa.diagonal(z2.word_acceptor), cap
+        ),
+    ),
     "slice": (
         "slice states",
         ["z2_structure"],

@@ -11,6 +11,7 @@ from agt.pairfsa import (
     PairAlphabet,
     PairDfa,
     compose,
+    composite_within,
     decode_pair,
     diagonal,
     encode_pair,
@@ -183,51 +184,102 @@ def test_compose_multipliers_z2(z2_structure):
     assert compose(m_a, m_inv_a) == m_eps
 
 
+def random_relation(seed: int) -> set[tuple[bytes, bytes]]:
+    """Six random pairs of words over {a, A}, each shorter than 4."""
+    r = random.Random(seed)
+    pairs = set()
+    for _ in range(6):
+        u = bytes(r.randrange(2) for _ in range(r.randrange(4)))
+        v = bytes(r.randrange(2) for _ in range(r.randrange(4)))
+        pairs.add((u, v))
+    return pairs
+
+
+def relation_dfa(ab, pairs) -> PairDfa:
+    """The trie acceptor of a finite relation: every move leads to an
+    accepting state, as :func:`compose` needs, but it is not minimal."""
+    pa = PairAlphabet(ab)
+    words = sorted(encode_pair(pa, u, v) for u, v in pairs)
+    index = {b"": 0}
+    rows = [[FAIL] * pa.alphabet.size]
+    accepting = set()
+    for w in words:
+        cur = b""
+        for c in w:
+            nxt = cur + bytes((c,))
+            if nxt not in index:
+                index[nxt] = len(rows)
+                rows.append([FAIL] * pa.alphabet.size)
+            rows[index[cur]][c] = index[nxt]
+            cur = nxt
+        accepting.add(index[w])
+    return PairDfa(ab, Dfa(pa.alphabet, len(rows), 0, accepting, rows), pa)
+
+
+def join(rel1, rel2):
+    return {(u, w) for u, v in rel1 for v2, w in rel2 if v == v2}
+
+
 def test_compose_agrees_with_relational_join(ab):
     """Brute-force join on small random relations, |u|,|v|,|w| <= 5."""
-    rng = random.Random(11)
-    pa = PairAlphabet(ab)
-
-    def random_relation(seed):
-        r = random.Random(seed)
-        pairs = set()
-        for _ in range(6):
-            u = bytes(r.randrange(2) for _ in range(r.randrange(4)))
-            v = bytes(r.randrange(2) for _ in range(r.randrange(4)))
-            pairs.add((u, v))
-        return pairs
-
-    def relation_dfa(pairs):
-        words = sorted(encode_pair(pa, u, v) for u, v in pairs)
-        # trie acceptor for the finite set
-        index = {b"": 0}
-        rows = [[FAIL] * pa.alphabet.size]
-        accepting = set()
-        for w in words:
-            cur = b""
-            for c in w:
-                nxt = cur + bytes((c,))
-                if nxt not in index:
-                    index[nxt] = len(rows)
-                    rows.append([FAIL] * pa.alphabet.size)
-                rows[index[cur]][c] = index[nxt]
-                cur = nxt
-            accepting.add(index[w])
-        return PairDfa(ab, Dfa(pa.alphabet, len(rows), 0, accepting, rows), pa)
-
     for trial in range(8):
         rel1 = random_relation(trial * 2)
         rel2 = random_relation(trial * 2 + 1)
-        expected = {
-            (u, w) for u, v in rel1 for v2, w in rel2 if v == v2
-        }
-        comp = compose(relation_dfa(rel1), relation_dfa(rel2))
+        comp = compose(relation_dfa(ab, rel1), relation_dfa(ab, rel2))
         got = set()
         for u in words_up_to(2, 5):
             for w in words_up_to(2, 5):
                 if accepts_pair(comp, u, w):
                     got.add((u, w))
-        assert got == expected
+        assert got == join(rel1, rel2)
+
+
+def assert_within_agrees(p, q, t, expected):
+    """composite_within against the difference of the built composite."""
+    minus = fsa.boolean_op("minus", compose(p, q).dfa, t.dfa)
+    assert composite_within(p, q, t) == expected == (fsa.shortest_accepted(minus) is None)
+
+
+def test_composite_within_agrees_with_difference_and_join(ab):
+    """On random finite relations R;S: within R;S itself, not within R;S
+    less one pair, within a superset, and within the empty relation only
+    when R;S is empty."""
+    empty = PairDfa(ab, empty_language_dfa(PairAlphabet(ab).alphabet))
+    nonempty = 0
+    for trial in range(12):
+        rel1 = random_relation(trial * 2)
+        rel2 = random_relation(trial * 2 + 1)
+        p, q = relation_dfa(ab, rel1), relation_dfa(ab, rel2)
+        joined = join(rel1, rel2)
+        assert_within_agrees(p, q, compose(p, q), True)
+        superset = joined | random_relation(100 + trial)
+        assert_within_agrees(p, q, relation_dfa(ab, superset), True)
+        assert_within_agrees(p, q, empty, not joined)
+        for pair in joined:
+            assert_within_agrees(p, q, relation_dfa(ab, joined - {pair}), False)
+        nonempty += bool(joined)
+    assert nonempty >= 6
+
+
+def test_composite_within_when_the_middle_word_outlives_both_ends(ab):
+    # {(a^n, a^n b)} then {(a^n b, a^n)}: the middle word's b meets $ on
+    # both ends, an output ($, $) on which t stands still
+    p, q = swap(anb_times_an(ab)), anb_times_an(ab)
+    a_powers = {(b"\x00" * n, b"\x00" * n) for n in range(4)}
+    assert_within_agrees(p, q, diagonal(fsa.all_words_dfa(ab)), True)
+    assert_within_agrees(p, q, relation_dfa(ab, a_powers), False)
+    # {(a^n b, a^n)} then {(eps, a^m)}: only n = 0 composes, giving {(b, a^m)}
+    p, q = anb_times_an(ab), a_powers_from_empty(ab)
+    b_by_a_powers = {(b"\x02", b"\x00" * m) for m in range(4)}
+    assert_within_agrees(p, q, compose(p, q), True)
+    assert_within_agrees(p, q, relation_dfa(ab, b_by_a_powers), False)
+
+
+def test_composite_within_needs_a_common_base(ab):
+    d = diagonal(fsa.all_words_dfa(ab))
+    other = diagonal(fsa.all_words_dfa(inverse_closed_alphabet(["x"], {"x": "X"})))
+    with pytest.raises(UsageError):
+        composite_within(d, d, other)
 
 
 def test_projection_shrinks_under_composition(ab):
