@@ -1,11 +1,12 @@
 """Stable JSON formats for every artifact the CLI reads and writes.
 
 Automaton schema: {"alphabet": [names], "inverses": {name: name},
-"pairAlphabet": bool, "states": n, "initial": i, "accepting": [...],
-"transitions": row-major dense table with -1 = FAIL}.  For pair
-automata the alphabet entry is the base alphabet and the columns follow
-the documented pair-symbol order.  All writers sort keys and emit a
-trailing newline, so identical inputs give byte-identical files.
+"pairAlphabet": bool (false when absent), "states": n, "initial": i,
+"accepting": [...], "transitions": row-major dense table with -1 =
+FAIL}.  For pair automata the alphabet entry is the base alphabet and
+the columns follow the documented pair-symbol order.  All writers sort
+keys and emit a trailing newline, so identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ def _alphabet_to_json(a: Alphabet) -> dict:
 
 def _alphabet_from_json(data: dict) -> Alphabet:
     names = data["alphabet"]
+    if not isinstance(names, list):  # a string would be read as its letters
+        raise UsageError("'alphabet' must be a list of names")
     inv_names = data["inverses"]
     index = {n: i for i, n in enumerate(names)}
     try:
@@ -72,7 +75,10 @@ def dfa_from_json(data: dict, pairs: PairAlphabet | None = None) -> Dfa | PairDf
     base = _alphabet_from_json(data)
     numbers = chain((data["states"], data["initial"]), data["accepting"], *data["transitions"])
     _refuse_bools("'states', 'initial', 'accepting' and 'transitions'", numbers)
-    if not data.get("pairAlphabet"):
+    pair = data.get("pairAlphabet", False)
+    if not isinstance(pair, bool):
+        raise UsageError("'pairAlphabet' must be true or false")
+    if not pair:
         return Dfa(base, data["states"], data["initial"], data["accepting"], data["transitions"])
     if pairs is None or pairs.base != base:
         pairs = PairAlphabet(base)

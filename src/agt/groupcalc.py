@@ -11,6 +11,9 @@ So a lookup is linear in |u| for a fixed structure and a normal form
 of w costs O(|w|^2) cached moves in the worst case.  Whole lookups are
 also memoised per structure, keyed (y, u).
 
+Cone types come from one BFS of the ball, which records the geodesic
+edges as it multiplies, so the ball is walked once.
+
 Conjugacy search follows the bounded-conjugator bound a^(|u|+|v|) with
 a = |X^+-|^k: the answer is tri-state, since reaching the full bound is
 astronomically expensive and anything short of it only proves "unknown".
@@ -95,19 +98,32 @@ def enumerate_elements(s: AutomaticStructure, max_len: int) -> list[Word]:
 
 def element_ball(s: AutomaticStructure, radius: int) -> dict[Word, int]:
     """BFS of the Cayley graph: normal form -> word-length distance."""
+    return _geodesic_ball(s, radius)[0]
+
+
+def _geodesic_ball(
+    s: AutomaticStructure, radius: int
+) -> tuple[dict[Word, int], dict[Word, list[tuple[int, Word]]]]:
+    """BFS of the Cayley graph to radius: each normal form's distance,
+    and for each g nearer than radius its geodesic edges (y, h), those
+    with dist[h] = dist[g] + 1, in ascending y."""
     _require_verified(s)
     dist = {b"": 0}
+    steps = {}
     layer = [b""]
     for d in range(1, radius + 1):
         nxt = []
         for g in layer:
+            out = steps[g] = []
             for y in range(s.alphabet.size):
                 h = multiply(s, g, y)
                 if h not in dist:
                     dist[h] = d
                     nxt.append(h)
+                if dist[h] == d:
+                    out.append((y, h))
         layer = nxt
-    return dist
+    return dist, steps
 
 
 @dataclass
@@ -125,78 +141,40 @@ def cone_types(s: AutomaticStructure, radius: int) -> ConeTypeResult:
     """Classify group elements by their outgoing geodesic trees.
 
     Elements within radius - depth of the identity (depth = radius // 2)
-    are classified by their geodesic continuation trees truncated at
-    that depth; the quotient automaton transitions along geodesic edges
-    of BFS representatives.
+    are classified by their geodesic continuation trees cut at that
+    depth, read from the ball's one BFS.  Level j gives every element
+    within radius - j the id of its tree cut at depth j, from the leaves
+    up and not by recursion, since depth may pass the recursion limit.
+    Ids count first occurrences in shortlex order, so the last level's
+    ids are the classes; each class's row is read from its first
+    element's geodesic edges.
     """
     _require_verified(s)
     if radius < 4:
         raise UsageError("cone-type radius must be at least 4")
     depth = radius // 2
-    dist = element_ball(s, radius)
-    classify_limit = radius - depth
-
-    classified = [g for g, dg in dist.items() if dg <= classify_limit]
-    classified.sort(key=lambda w: (len(w), w))
-    signature = _cone_signatures(s, dist, classified, depth)
-    classes: dict[int, int] = {}
-    rep_of: dict[int, Word] = {}
-    for g in classified:
-        sig = signature[g]
-        if sig not in classes:
-            classes[sig] = len(classes)
-            rep_of[classes[sig]] = g
-    count = len(classes)
-
-    def class_of(g: Word) -> int:
-        return classes[signature[g]]
-
-    rows = []
-    for c in range(count):
-        g = rep_of[c]
-        row = []
-        for y in range(s.alphabet.size):
-            h = multiply(s, g, y)
-            if dist.get(h, -1) == dist[g] + 1 and dist[h] <= classify_limit:
-                row.append(class_of(h))
-            else:
-                row.append(fsa.FAIL)
-        rows.append(row)
-    dfa = Dfa(s.alphabet, count, class_of(b""), range(count), rows)
-    return ConeTypeResult(dfa, count, radius, depth)
-
-
-def _cone_signatures(
-    s: AutomaticStructure, dist: dict[Word, int], roots: list[Word], depth: int
-) -> dict[Word, int]:
-    """Ids of the roots' geodesic continuation trees cut at depth, equal
-    exactly when the trees are.
-
-    Level by level rather than by recursion, since depth may pass the
-    recursion limit: first the elements whose trees each level needs,
-    then the trees from the leaves up.
-    """
-    steps: dict[Word, list[tuple[int, Word]]] = {}  # geodesic edges out of g
-    levels = [roots]
-    for _ in range(depth):
-        below: dict[Word, None] = {}
-        for g in levels[-1]:
-            if g not in steps:
-                out = steps[g] = []
-                for y in range(s.alphabet.size):
-                    h = multiply(s, g, y)
-                    if dist.get(h, -1) == dist[g] + 1:
-                        out.append((y, h))
-            below.update(dict.fromkeys(h for _, h in steps[g]))
-        levels.append(list(below))
-    ids: dict[frozenset, int] = {}
-    sig = dict.fromkeys(levels.pop(), -1)  # every tree cut at depth 0 is one leaf
-    while levels:
-        sig = {
-            g: ids.setdefault(frozenset((y, sig[h]) for y, h in steps[g]), len(ids))
-            for g in levels.pop()
+    dist, steps = _geodesic_ball(s, radius)
+    tree = dict.fromkeys(sorted(dist, key=lambda w: (len(w), w)), -1)  # depth 0: one leaf
+    for j in range(1, depth + 1):
+        ids: dict[tuple, int] = {}
+        tree = {
+            g: ids.setdefault(tuple((y, tree[h]) for y, h in steps[g]), len(ids))
+            for g in tree
+            if dist[g] <= radius - j
         }
-    return sig
+    rep: dict[int, Word] = {}
+    for g, c in tree.items():
+        rep.setdefault(c, g)
+    rows = []
+    for g in rep.values():
+        row = [fsa.FAIL] * s.alphabet.size
+        for y, h in steps[g]:
+            if h in tree:  # h is classified
+                row[y] = tree[h]
+        rows.append(row)
+    count = len(rows)
+    dfa = Dfa(s.alphabet, count, tree[b""], range(count), rows)
+    return ConeTypeResult(dfa, count, radius, depth)
 
 
 @dataclass

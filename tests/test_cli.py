@@ -496,6 +496,12 @@ MALFORMED_FILES = {
          "transitions": [[False]]},
         "'states', 'initial', 'accepting' and 'transitions' must hold numbers, not true or false",
     ),
+    "bundle_alphabet_as_a_string": (
+        ["order"], _replace("wa.json", alphabet="aAbB"), "'alphabet' must be a list of names"
+    ),
+    "bundle_pair_flag_as_text": (
+        ["order"], _replace("m_a.json", pairAlphabet="true"), "'pairAlphabet' must be true or false"
+    ),
     "bundle_boolean_target": (["order"], _set_target("m_a.json", True), "not true or false"),
     "automaton_target_out_of_range": (
         ["fsa", "min"], {**FLOAT_TARGET, "transitions": [[2], [0]]}, "transition target out of range"
@@ -503,6 +509,14 @@ MALFORMED_FILES = {
     "automaton_short_row": (
         ["fsa", "min"], {**FLOAT_TARGET, "transitions": [[], [0]]},
         "transition row width must match alphabet size",
+    ),
+    "automaton_alphabet_as_a_string": (
+        ["fsa", "min"], {**FLOAT_TARGET, "alphabet": "a", "transitions": [[1], [0]]},
+        "'alphabet' must be a list of names",
+    ),
+    "automaton_pair_flag_as_text": (
+        ["fsa", "min"], {**FLOAT_TARGET, "pairAlphabet": "false", "transitions": [[1], [0]]},
+        "'pairAlphabet' must be true or false",
     ),
     "automaton_without_states": (
         ["fsa", "min"], {"alphabet": ["a"], "inverses": {"a": "a"}}, "KeyError: 'states'"
@@ -577,6 +591,9 @@ MALFORMED_FILES = {
     "diff_boolean_target": (
         ["order"], _set_target("diff.json", True),
         "'transitions' must hold numbers, not true or false",
+    ),
+    "diff_alphabet_as_a_string": (
+        ["order"], _replace("diff.json", alphabet="aAbB"), "'alphabet' must be a list of names"
     ),
     "diff_first_state_not_empty": (
         ["order"], _replace("diff.json", states=["a", "A", "B", "b", "", "aB", "ab", "AB", "Ab"]),

@@ -125,6 +125,34 @@ def test_dfa_from_json_refuses_booleans(field, value):
         formats.dfa_from_json(data)
 
 
+def test_dfa_from_json_refuses_a_string_alphabet():
+    """A string would be read as its letters, the symbols a and b."""
+    data = {
+        "alphabet": "ab", "inverses": {"a": "b", "b": "a"}, "states": 1, "initial": 0,
+        "accepting": [0], "transitions": [[0, 0]],
+    }
+    with pytest.raises(UsageError, match="'alphabet' must be a list of names"):
+        formats.dfa_from_json(data)
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_dfa_from_json_refuses_a_pair_flag_that_is_not_a_boolean(flag):
+    """Read by truthiness, "false" would select the pair alphabet."""
+    data = {
+        "alphabet": ["a"], "inverses": {"a": "a"}, "pairAlphabet": flag, "states": 1,
+        "initial": 0, "accepting": [0], "transitions": [[0]],
+    }
+    with pytest.raises(UsageError, match="'pairAlphabet' must be true or false"):
+        formats.dfa_from_json(data)
+
+
+def test_diff_from_json_refuses_a_string_alphabet(z2_structure):
+    data = json.loads(formats.dumps(formats.diff_to_json(z2_structure.diff_machine)))
+    data["alphabet"] = "".join(data["alphabet"])
+    with pytest.raises(UsageError, match="'alphabet' must be a list of names"):
+        formats.diff_from_json(data)
+
+
 def test_pairdfa_roundtrip(z2_structure):
     m = z2_structure.multipliers[0]
     data = json.loads(formats.dumps(formats.pairdfa_to_json(m)))

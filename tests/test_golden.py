@@ -9,9 +9,9 @@ files, or the rules and result of one Knuth-Bendix completion, or the
 outcome of one abandoned derivation, or the composite multipliers that
 one check builds, or the small-root action table of one Coxeter matrix,
 or the normal forms of seeded random words and the cone-type count of
-one structure, or the boolean combinations of two acceptors, or the
-transcript of one derivation that retries, or the growth series of one
-acceptor.
+one structure, or the cone-type automaton of one structure at one
+radius, or the boolean combinations of two acceptors, or the transcript
+of one derivation that retries, or the growth series of one acceptor.
 A failing pin means an output changed: if the change is meant, say so
 and re-pin; if not, it is a regression.
 """
@@ -389,6 +389,40 @@ def _normal_form_texts(s, seed):
 def test_normal_forms_are_pinned(fixture, request):
     s = request.getfixturevalue(fixture)
     assert _digest(_normal_form_texts(s, fixture)) == NORMAL_FORMS[fixture]
+
+
+# -- cone types ----------------------------------------------------------------
+#
+# Each digest is the SHA-256 of the cone-type automaton of one structure
+# at one radius, in the JSON encoding that agt conetypes -o writes.
+
+
+CONE_TYPES = {
+    ("b3_structure", 4): "6734621a89d0d5c0c7d5b5a6a98c170f336aab64a8cd1f478e9db2298e6046b0",
+    ("b3_structure", 5): "a5bc0fa0a2c03babb9304b544bb88e032abd1dbe991809f210ef99a0ecd5530d",
+    ("b3_structure", 8): "68a1ec4caf03422e9cd9e301041a05f004d5035c48917312f7062757d1e71fe2",
+    ("b3_structure", 9): "a0132767617be217b0f86cd731c3d565612ce00f3192c75c428d732243c24d98",
+    ("dinf_structure", 4): "461d5d327b4a856d3b4a89179269fb7afffd8b3e49d322d59787ecef96ba07c8",
+    ("dinf_structure", 5): "461d5d327b4a856d3b4a89179269fb7afffd8b3e49d322d59787ecef96ba07c8",
+    ("dinf_structure", 8): "461d5d327b4a856d3b4a89179269fb7afffd8b3e49d322d59787ecef96ba07c8",
+    ("dinf_structure", 9): "461d5d327b4a856d3b4a89179269fb7afffd8b3e49d322d59787ecef96ba07c8",
+    ("s3_structure", 4): "2bbcb5bc98c6cd1e9e93823f1d0da4fe826aaddd19028cb95b84f97daafd3164",
+    ("s3_structure", 5): "b231dbf93038f20b3707b266f9b1df70b8b6de5230bee3b1c1899913c9f806f8",
+    ("s3_structure", 8): "b231dbf93038f20b3707b266f9b1df70b8b6de5230bee3b1c1899913c9f806f8",
+    ("s3_structure", 9): "b231dbf93038f20b3707b266f9b1df70b8b6de5230bee3b1c1899913c9f806f8",
+    ("z2_structure", 4): "1491e4f1c1f3eb12cc5c97beaa89d17b8ef9383c27807b0b51abdaf04ccfbadb",
+    ("z2_structure", 5): "757ca8dd540ba0cee199ce40599cdd3ae9077f293199eefe100bad9bbb2926c4",
+    ("z2_structure", 8): "757ca8dd540ba0cee199ce40599cdd3ae9077f293199eefe100bad9bbb2926c4",
+    ("z2_structure", 9): "757ca8dd540ba0cee199ce40599cdd3ae9077f293199eefe100bad9bbb2926c4",
+}
+
+
+@pytest.mark.parametrize("fixture,radius", sorted(CONE_TYPES))
+def test_cone_type_automata_are_pinned(fixture, radius, request):
+    s = request.getfixturevalue(fixture)
+    m = groupcalc.cone_types(s, radius).automaton
+    text = formats.dumps(formats.dfa_to_json(m))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONE_TYPES[fixture, radius]
 
 
 # -- boolean combinations -------------------------------------------------------

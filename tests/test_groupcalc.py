@@ -117,6 +117,25 @@ def test_cone_types_deeper_than_the_recursion_limit():
     assert (result.count, result.depth) == (3, 250)
 
 
+@pytest.mark.parametrize("fixture", ["b3_structure", "dinf_structure", "z2_structure"])
+def test_cone_types_multiplies_each_inner_element_once_per_letter(fixture, request, monkeypatch):
+    """The ball's BFS is the only walk: each g with dist(g) < radius is
+    multiplied once by each letter, and nothing else is."""
+    s = request.getfixturevalue(fixture)
+    inner = sum(d < 8 for d in gc.element_ball(s, 8).values())
+    calls = 0
+    real = gc.multiply
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(gc, "multiply", counting)
+    gc.cone_types(s, 8)
+    assert calls == s.alphabet.size * inner
+
+
 def test_cone_types_rejects_small_radius(z2_structure):
     with pytest.raises(UsageError):
         gc.cone_types(z2_structure, 3)
