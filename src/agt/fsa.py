@@ -7,11 +7,13 @@ canonical: states are live (reachable and co-reachable) and numbered
 breadth-first from the initial state with symbols taken in alphabet
 order, so two minimized automata accept the same language iff they are
 structurally equal.  Minimization reads defined transitions only, as
-sparse rows of ``(symbol, target)`` pairs: one trim pass finds the
-reachable and live states and the moves into each, and Hopcroft
-refinement runs on the live states with no sink state.  The subset
-construction hands its rows to that core directly and returns the
-minimal automaton; ``minimize`` is the adapter from a dense table.
+sparse rows of ``(symbol, target)`` pairs: one backward search finds
+the live states and the moves into each, Hopcroft refinement runs on
+the live states with no sink state, and the breadth-first renumbering
+keeps the classes reachable from the initial state.  The subset
+construction uses the same backward search and hands its rows to that
+core directly, returning the minimal automaton; ``minimize`` is the
+adapter from a dense table.
 
 Language analytics (finiteness, counting, growth series) are exact over
 arbitrary-precision integers, with no rational arithmetic; growth series
@@ -169,12 +171,13 @@ def determinize(
     through :func:`explore`, asking for its moves and its acceptance
     once; for a composition that is at most (|p| + 1)(|q| + 1) product
     states.  A state is live when it can reach an accepting state or a
-    move to ``FAIL``, found by one backward search over the walked
-    moves, and only the moves into live states and the moves to ``FAIL``
-    are kept.  A dead member never accepts and never kills a symbol, so
-    removing it changes no subset's language; subsets that differ only
-    in dead members become one, and a symbol whose targets are all dead
-    has no move.  When ``start`` is not live the result is the one-state
+    move to ``FAIL``, found by the backward search of :func:`_live`
+    over the walked moves, the one minimisation runs, and only the
+    moves into live states and the moves to ``FAIL`` are kept.  A dead
+    member never accepts and never kills a symbol, so removing it
+    changes no subset's language; subsets that differ only in dead
+    members become one, and a symbol whose targets are all dead has no
+    move.  When ``start`` is not live the result is the one-state
     empty automaton.
 
     The subsets of walk numbers reachable from ``start``, each closed
@@ -186,18 +189,7 @@ def determinize(
     order, walked = explore(start, expand, state_cap, what)
     final = {i for i, s in enumerate(order) if accepting(s)}
     del order
-    # backward from acceptance and FAIL; into[FAIL] is the last list
-    into: list[list[int]] = [[] for _ in range(len(walked) + 1)]
-    for s, m in enumerate(walked):
-        for _c, t in m:
-            into[t].append(s)
-    stack = into.pop() + list(final)
-    live = set(stack)
-    while stack:
-        for s in into[stack.pop()]:
-            if s not in live:
-                live.add(s)
-                stack.append(s)
+    live = _live(walked, final)[0]
     if 0 not in live:
         return minimal(alphabet, 0, (), [()])
     epsilon: dict = {}  # live state -> its epsilon moves into live states
@@ -268,34 +260,29 @@ def _moves(dfa: Dfa) -> list[list[tuple[int, int]]]:
     return [[(c, t) for c, t in enumerate(row) if t != FAIL] for row in dfa.transitions]
 
 
-def _trim(
-    initial: int, accepting: AbstractSet[int], rows: Sequence[Sequence[tuple[int, int]]]
-) -> tuple[list[int], set[int], dict[int, list[tuple[int, int]]]]:
-    """One pass over the sparse rows reachable from ``initial``.
+def _live(
+    rows: Sequence[Sequence[tuple]], accepting: Iterable[int]
+) -> tuple[set[int], list[list[tuple]]]:
+    """One backward search over the sparse rows ``rows``.
 
-    Returns ``(reach, live, into)``: the states reachable from the
-    initial state in breadth-first order, those among them that can
-    also reach acceptance or a move to ``FAIL``, and for each reachable
-    state ``t`` the ``(symbol, state)`` moves that enter it.  ``FAIL``
-    is never walked.
+    Returns ``(live, into)``: the states that can reach an accepting
+    state or a move to ``FAIL``, and for each state ``t`` the
+    ``(symbol, state)`` moves that enter it, with the moves to ``FAIL``
+    as the last list, ``into[FAIL]``.  Every row is read, reachable from
+    some initial state or not.
     """
-    into: dict[int, list[tuple[int, int]]] = {initial: [], FAIL: []}
-    reach = [initial]
-    for s in reach:  # reach grows while it is walked, so it is the queue
-        for c, t in rows[s]:
-            if t in into:
-                into[t].append((c, s))
-            else:
-                into[t] = [(c, s)]
-                reach.append(t)
-    stack = [s for _c, s in into.pop(FAIL)] + [s for s in reach if s in accepting]
-    live = set(stack)
+    into: list[list[tuple]] = [[] for _ in range(len(rows) + 1)]
+    for s, row in enumerate(rows):
+        for c, t in row:
+            into[t].append((c, s))
+    live = {s for _c, s in into[FAIL]}.union(accepting)
+    stack = list(live)
     while stack:
         for _c, s in into[stack.pop()]:
             if s not in live:
                 live.add(s)
                 stack.append(s)
-    return reach, live, into
+    return live, into
 
 
 def _hopcroft_quotient(
@@ -306,19 +293,21 @@ def _hopcroft_quotient(
     the refinement found them, with sparse rows.
 
     Refinement reads only defined moves between live states, and a move
-    to a state that is not live is left out of the quotient.  With no
+    to a state that is not live is left out of the quotient.  A live
+    state that ``initial`` does not reach is refined too, which is
+    correct for any set of states; :func:`canonical` walks from
+    ``initial`` and drops its class, so no forward walk comes first.  With no
     sink state a splitter's complement is not implied, so both initial
     blocks start in the work list (Valmari & Lehtinen, "Efficient
     minimization of DFAs with partial transition functions", STACS 2008).
     """
     accepting = frozenset(accepting)
-    _reach, live, into = _trim(initial, accepting, rows)
+    live, into = _live(rows, accepting)
     if initial not in live:
         return 0, set(), [[]]
     block_of = [FAIL] * len(rows)  # FAIL for states that are not live
     partition: list[set[int]] = []
-    acc = live & accepting
-    for block in (acc, live - acc):
+    for block in (set(accepting), live - accepting):
         if block:
             for s in block:
                 block_of[s] = len(partition)
@@ -446,9 +435,9 @@ def all_words_dfa(alphabet: Alphabet) -> Dfa:
 
 
 def live_states(dfa: Dfa) -> list[int]:
-    """States both reachable from the initial and able to reach acceptance."""
-    reach, live, _into = _trim(dfa.initial, dfa.accepting, _moves(dfa))
-    return [s for s in reach if s in live]
+    """The states that can reach acceptance, ascending, reachable from
+    the initial state or not."""
+    return sorted(_live(_moves(dfa), dfa.accepting)[0])
 
 
 def language_is_finite(dfa: Dfa) -> int | None:

@@ -11,6 +11,7 @@ from agt.fsa import FAIL, Dfa
 from agt.words import Alphabet, inverse_closed_alphabet
 
 from oracles import (
+    _live_states,
     count_words_by_length,
     empty_language_dfa,
     finite_language_size,
@@ -301,6 +302,20 @@ def random_partial_dfa(rng, alphabet, p_fail):
     return Dfa(alphabet, n + 2, rng.randrange(n), accepting, rows)
 
 
+def reachable_part(m: Dfa) -> Dfa:
+    """``m`` cut down to the states its initial state reaches, numbered
+    in the order a breadth-first walk finds them."""
+    number = {m.initial: 0}
+    order = [m.initial]
+    for s in order:  # order grows while it is walked
+        for t in m.transitions[s]:
+            if t != FAIL and t not in number:
+                number[t] = len(order)
+                order.append(t)
+    rows = [[FAIL if t == FAIL else number[t] for t in m.transitions[s]] for s in order]
+    return Dfa(m.alphabet, len(order), 0, [number[s] for s in order if s in m.accepting], rows)
+
+
 @pytest.mark.parametrize("p_fail", [0.0, 0.3, 0.6, 0.9])
 @pytest.mark.parametrize("n_syms", [1, 2, 4])
 def test_minimize_state_count_matches_moore_oracle(p_fail, n_syms):
@@ -313,6 +328,8 @@ def test_minimize_state_count_matches_moore_oracle(p_fail, n_syms):
             m.num_states, m.initial, m.accepting, m.transitions
         )
         assert fsa.minimize(mm) == mm
+        # unreachable live states are refined too, then dropped
+        assert mm == fsa.minimize(reachable_part(m))
 
 
 # -- boolean ops ----------------------------------------------------------
@@ -434,6 +451,27 @@ def test_growth_series_is_the_reduced_fraction_of_the_counts(m):
     assert g.denominator[0] == 1
     assert power_series(g.numerator, g.denominator, n) == count_words_by_length(m, n - 1)
     assert polynomials_coprime(g.numerator, g.denominator)
+
+
+def test_live_states_is_every_state_that_reaches_acceptance():
+    """Reachable or not: random_partial_dfa's last state accepts and
+    no move enters it."""
+    for n_syms in (1, 2, 4):
+        alphabet = Alphabet([f"x{i}" for i in range(n_syms)], list(range(n_syms)))
+        rng = random.Random(f"live/{n_syms}")
+        for p_fail in (0.0, 0.3, 0.6, 0.9):
+            for _ in range(50):
+                m = random_partial_dfa(rng, alphabet, p_fail)
+                live = fsa.live_states(m)
+                assert live == sorted(_live_states(m.transitions, m.accepting))
+                assert m.num_states - 1 in live
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfas())
+def test_live_states_and_minimize_read_unreachable_states(m):
+    assert fsa.live_states(m) == sorted(_live_states(m.transitions, m.accepting))
+    assert fsa.minimize(m) == fsa.minimize(reachable_part(m))
 
 
 def test_growth_oracles_examples():
