@@ -7,9 +7,11 @@ tests (feeding failure witnesses back into completion), and finally run
 axiom checking.  The elementary tests are exact whole-language tests:
 projection, uniqueness (M_eps is the diagonal) and the inverse test
 (compose(M_y, M_{y^-1}) is the diagonal), which together make every M_y
-a bijection of L(WA).  Axioms are then checked by relator halves over
-memoised composite multipliers.  Where a composite is only compared,
-never reused, the test is one inclusion walk
+a bijection of L(WA).  Each projection test is one subset walk against
+the word acceptor (:func:`pairfsa.projects_onto`), so passing
+elementary checks build no automaton.  Axioms are then checked by
+relator halves over memoised composite multipliers.  Where a composite
+is only compared, never reused, the test is one inclusion walk
 (:func:`pairfsa.composite_within`), which the bijections make an
 equality test: a passing inverse test and the last composition of a
 relator half build no automaton.  Passing axiom checks proves the
@@ -191,7 +193,17 @@ def elementary_checks(
     (a) the word acceptor accepts the empty word;
     (b) each generator's M_y projects onto L = L(WA) on both coordinates.
         (c) and (d) imply this, and (d) relies on it: it is what makes
-        (d)'s inclusion test exact;
+        (d)'s inclusion test exact.  Each side is decided by one subset
+        walk, :func:`pairfsa.projects_onto` of M_y and WA, which builds
+        no automaton.  It pairs WA's state on a word w with the set of
+        M_y states that reading w on the tested side reaches, and
+        checks that w is accepted by both or by neither.  It is exact
+        because M_y accepts only correctly padded strings: once the
+        tested side reads $ it reads only $, and one backward search
+        over those moves says which states can still accept.  The
+        projection is built, for the witness, only when the walk fails
+        or passes ``state_cap``, so failures, witnesses and the cap's
+        messages are those of the projection route;
     (c) uniqueness: M_eps is the diagonal of L, so no two accepted words
         represent the same element;
     (d) the inverse test: for each generator y, compose(M_y, M_{y^-1})
@@ -214,7 +226,10 @@ def elementary_checks(
     projections of (b) and that every u has exactly one partner.
 
     Minimized automata are canonical, so (c) is a structural equality.
-    Every failure is collected.  Its relation is M_eps (kind
+    A projection failure has the shortlex-least word of L outside the
+    projection as its witness, or none when L lies inside it; each
+    generator reports at most one, its first coordinate's if both fail.
+    Every failure of (c) and (d) is collected.  Its relation is M_eps (kind
     "uniqueness") or the composite, built only when the walk fails (kind
     "inverse").  If the relation has a pair (u, w) off the diagonal, the
     shortlex-least one gives witness u and partners (u, w); otherwise
@@ -227,7 +242,9 @@ def elementary_checks(
         return ElementaryReport(False, [CheckFailure(kind="epsilon")])
     A = s.alphabet
     for y in range(A.size):
-        for project in (pairfsa.project_first, pairfsa.project_second):
+        for side, project in enumerate((pairfsa.project_first, pairfsa.project_second)):
+            if _projects_onto(s.multipliers[y], wa, side, state_cap):
+                continue
             proj = project(s.multipliers[y], state_cap)
             if proj != wa:
                 witness = fsa.shortest_accepted(fsa.boolean_op("minus", wa, proj, state_cap))
@@ -254,6 +271,16 @@ def elementary_checks(
             missing = fsa.shortest_accepted(fsa.boolean_op("minus", diag.dfa, rel.dfa, state_cap))
             failures.append(CheckFailure(kind, key, pairfsa.decode_pair(rel.pairs, missing)[0]))
     return ElementaryReport(not failures, failures)
+
+
+def _projects_onto(m: PairDfa, wa: Dfa, side: int, state_cap: int) -> bool:
+    """:func:`pairfsa.projects_onto`, read as False when its walk passes
+    the cap: the projection route then answers, or stops at its own cap,
+    exactly as it does without the walk."""
+    try:
+        return pairfsa.projects_onto(m, wa, side, state_cap)
+    except ResourceLimitError:
+        return False
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .autostruct import AutomaticStructure
 from .coxeter import CoxeterMatrix
 from .errors import UsageError
 from .fsa import Dfa, GrowthSeries
-from .pairfsa import PairAlphabet, PairDfa
+from .pairfsa import PAD_NAME, PairAlphabet, PairDfa
 from .rewrite import Presentation, RewriteSystem
 from .words import Alphabet, inverse_closed_alphabet
 from .worddiff import WordDifferenceMachine
@@ -135,6 +135,10 @@ def presentation_from_json(data: dict) -> Presentation:
     if not isinstance(involutions, list) or not _all_str(involutions):
         raise UsageError("'involutions' must be a list of generator names")
     alphabet = inverse_closed_alphabet(generators, inverses, involutions)
+    if PAD_NAME in alphabet.names:
+        raise UsageError(
+            f"{PAD_NAME!r} is the padding symbol and cannot name a generator or an inverse"
+        )
     order = data.get("order")
     if order is not None:
         names = alphabet.names

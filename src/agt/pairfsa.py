@@ -11,8 +11,9 @@ Every pair automaton built here accepts only correctly padded strings:
 once a side reads $ it reads nothing else.  Being minimal, such an
 automaton has no move that leaves its language, so after a side's first
 $ every move reads $ on that side.  :func:`compose` and
-:func:`composite_within` need this of their first two inputs, and the
-automata :func:`compose` returns have it too.
+:func:`composite_within` need this of their first two inputs,
+:func:`projects_onto` of its first, and the automata :func:`compose`
+returns have it too.
 """
 
 from __future__ import annotations
@@ -190,6 +191,58 @@ def project_first(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
 def project_second(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     return project_first(swap(p), state_cap)
+
+
+def projects_onto(p: PairDfa, m: Dfa, side: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
+    """Whether side ``side`` of p's pairs, 0 the first and 1 the second,
+    is exactly L(m): the language test of :func:`project_first`, resp.
+    :func:`project_second`, against ``m``, with no automaton built.
+
+    p's moves are grouped by their letter on the tested side.  One
+    backward search over the moves that read $ there finds ``ends``, the
+    states that can finish accepting once that side has ended.  One
+    forward walk then numbers the pairs (m's state or FAIL, set of p
+    states) that the words w over the base alphabet reach, letters
+    ascending: the set holds the states p enters while its tested side
+    reads w, and a successor is kept while m moves or the set is not
+    empty.  w is on the tested side of an accepted pair iff its set
+    meets ``ends``, and in L(m) iff m's state accepts; a word past the
+    walk is in neither.  So the test holds iff every walked pair agrees.
+
+    p must accept only correctly padded strings, as every pair automaton
+    built here does: once the tested side reads $ it reads only $, which
+    ``ends`` covers.  m must be deterministic over p's base alphabet; it
+    need not be minimal.  :func:`fsa.explore` numbers the walked pairs
+    under ``state_cap``, as subset construction states.
+    """
+    if p.base != m.alphabet:
+        raise UsageError("projects_onto needs a common base alphabet")
+    pad = p.pairs.pad
+    # moves[q][c]: the states q enters reading c on the tested side, c = pad for $
+    view = p.by_first
+    moves: list[list[list[int]]] = [[[] for _ in range(pad + 1)] for _ in view]
+    for q, by_a in enumerate(view):
+        for a, bt in by_a.items():
+            for b, t in bt:
+                moves[q][b if side else a].append(t)
+    ends = fsa._live([[(pad, t) for t in row[pad]] for row in moves], p.dfa.accepting)[0]
+    letters = range(pad)
+    rows = (*m.transitions, (FAIL,) * pad)  # the FAIL sink's row last, where FAIL = -1 indexes it
+
+    def expand(state: tuple[int, frozenset], index: dict) -> list[int]:
+        sm, subset = state
+        row = rows[sm]
+        out = []
+        for c in letters:
+            targets = frozenset([t for q in subset for t in moves[q][c]])
+            if targets or row[c] != FAIL:
+                out.append(index[row[c], targets])
+        return out
+
+    start = (m.initial, frozenset((p.dfa.initial,)))
+    order, _ = fsa.explore(start, expand, state_cap, "subset construction states")
+    accepting = m.accepting
+    return all((sm in accepting) != ends.isdisjoint(subset) for sm, subset in order)
 
 
 def _closed(m: PairDfa) -> list[dict[int, list[tuple[int, int]]]]:

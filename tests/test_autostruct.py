@@ -198,19 +198,34 @@ def test_elementary_checks_pass_on_verified(z2_structure, free_structure):
         assert elementary_checks(s).ok
 
 
-def test_inverse_tests_that_pass_build_no_composite(b3_structure, monkeypatch):
-    """A passing inverse test is one inclusion walk: with the projections
-    passed, compose(M_y, M_{y^-1}) within the diagonal is equal to it."""
+def test_inverse_tests_that_pass_build_no_composite(
+    b3_structure, z2_structure, s3_structure, monkeypatch
+):
+    """Passing elementary checks build no automaton.  A passing inverse
+    test is one inclusion walk: with the projections passed,
+    compose(M_y, M_{y^-1}) within the diagonal is equal to it.  A passing
+    projection test is one subset walk against the word acceptor, with
+    no subset construction and no swap."""
     built = []
-    real = pairfsa.compose
 
-    def compose(p, q, state_cap):
-        built.append(1)
-        return real(p, q, state_cap)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(pairfsa, "compose", compose)
-    assert elementary_checks(b3_structure).ok
+        def call(*args):
+            built.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(pairfsa, "compose")
+    counted(pairfsa, "swap")
+    counted(fsa, "determinize")
+    for s in (b3_structure, z2_structure, s3_structure):
+        assert elementary_checks(s).ok
     assert built == []
+    # the counters count: the projection route builds both
+    pairfsa.project_second(z2_structure.multipliers[0])
+    assert built == ["swap", "determinize"]
 
 
 def test_elementary_checks_fail_on_starved_completion(starved_b3_structure):

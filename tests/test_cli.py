@@ -613,6 +613,20 @@ MALFORMED_FILES = {
         ["kb"], {"generators": ["a", "b"], "inverses": {"a": "A"}, "relators": []},
         "generator 'b'",
     ),
+    # the pad symbol's name would make the pair alphabet name two symbols ($,$)
+    "generator_named_pad": (
+        ["kb"], {"generators": ["$", "x"], "involutions": ["$", "x"], "relators": ["$x$x"]},
+        "'$' is the padding symbol and cannot name a generator or an inverse",
+    ),
+    "generator_named_pad_derived": (
+        ["autstructure"],
+        {"generators": ["$", "x"], "involutions": ["$", "x"], "relators": ["$x$x"]},
+        "'$' is the padding symbol and cannot name a generator or an inverse",
+    ),
+    "inverse_named_pad": (
+        ["autstructure"], {"generators": ["a"], "inverses": {"a": "$"}, "relators": []},
+        "'$' is the padding symbol and cannot name a generator or an inverse",
+    ),
 }
 
 

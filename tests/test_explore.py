@@ -3,9 +3,17 @@
 import pytest
 
 from agt import fsa, pairfsa
-from agt.autostruct import build_candidate_word_acceptor, build_multipliers, elementary_checks
+from agt.autostruct import (
+    build_candidate_word_acceptor,
+    build_multipliers,
+    derive_shortlex_structure,
+    elementary_checks,
+)
 from agt.coxeter import CoxeterMatrix, build_geodesic_acceptor, build_shortlex_word_acceptor
 from agt.errors import ResourceLimitError
+from agt.limits import Limits
+from agt.rewrite import Presentation
+from agt.words import inverse_closed_alphabet
 
 A2 = CoxeterMatrix([[1, 3], [3, 1]])
 H3 = CoxeterMatrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
@@ -165,3 +173,24 @@ def test_state_cap_bounds_the_walk_of_a_composition(starved_b3_structure):
     with pytest.raises(ResourceLimitError) as exc:
         elementary_checks(starved_b3_structure, 29)
     assert (exc.value.which, exc.value.cap) == ("composition product states", 29)
+
+
+def test_a_projection_walk_past_the_cap_leaves_the_test_to_the_projection_route():
+    # genus 2 after five passes fails five projection tests.  The walk
+    # of M_C's second side numbers 108 pairs, one more than any subset
+    # construction or witness product of the projection route; at cap
+    # 107 the checks still give that route's answer, and at 106 its cap
+    A = inverse_closed_alphabet(["a", "b", "c", "d"], {"a": "A", "b": "B", "c": "C", "d": "D"})
+    pres = Presentation(A, [A.parse_word("abABcdCD")])
+    s = derive_shortlex_structure(pres, Limits(stability_window=5, max_passes=5)).structure
+    m_c = s.multipliers[A.index("C")]
+    assert pairfsa.projects_onto(m_c, s.word_acceptor, 1, 108) is False
+    with pytest.raises(ResourceLimitError) as exc:
+        pairfsa.projects_onto(m_c, s.word_acceptor, 1, 107)
+    assert (exc.value.which, exc.value.cap) == ("subset construction states", 107)
+    report = elementary_checks(s)
+    assert [f.kind for f in report.failures] == ["projection"] * 5
+    assert elementary_checks(s, 107) == report
+    with pytest.raises(ResourceLimitError) as exc:
+        elementary_checks(s, 106)
+    assert (exc.value.which, exc.value.cap) == ("subset construction states", 106)

@@ -504,6 +504,7 @@ def test_genus2_retry_transcript_is_pinned():
     out = derive_shortlex_structure(pres, Limits(stability_window=5, max_passes=20))
     assert out.verified
     assert "inverse(" in out.transcript
+    assert "projection(" in out.transcript
     assert _digest([out.transcript]) == GENUS2_TRANSCRIPT
 
 

@@ -18,6 +18,7 @@ from agt.pairfsa import (
     partners,
     project_first,
     project_second,
+    projects_onto,
     swap,
 )
 from agt.words import Alphabet, inverse_closed_alphabet
@@ -287,6 +288,69 @@ def test_projection_shrinks_under_composition(ab):
     comp = compose(p, swap(p))
     sub = fsa.boolean_op("minus", project_first(comp), project_first(p))
     assert fsa.language_is_finite(sub) == 0
+
+
+# -- the projection walk against the projection route ---------------------
+
+
+def word_dfa(alphabet, w: bytes) -> Dfa:
+    """The automaton that accepts w alone."""
+    rows = [[FAIL] * alphabet.size for _ in range(len(w) + 1)]
+    for i, c in enumerate(w):
+        rows[i][c] = i + 1
+    return Dfa(alphabet, len(w) + 1, 0, (len(w),), rows)
+
+
+def doubled(m: Dfa) -> Dfa:
+    """m with every state split in two that alternate on each move: the
+    same language from an automaton that is not minimal."""
+    n = m.num_states
+    rows = [
+        [FAIL if t == FAIL else t + n * (1 - k) for t in m.transitions[s]]
+        for k in (0, 1)
+        for s in range(n)
+    ]
+    return Dfa(m.alphabet, 2 * n, m.initial, [*m.accepting, *(s + n for s in m.accepting)], rows)
+
+
+def assert_walk_agrees_with_projection(p: PairDfa):
+    """On both sides, against the projection, the projection less its
+    shortlex-least word and the projection plus the shortlex-least word
+    outside it: the walk's answer is ``project(p) == m``, also when m is
+    given by an automaton that is not minimal."""
+    for side, project in enumerate((project_first, project_second)):
+        proj = project(p)
+        outside = fsa.shortest_accepted(fsa.boolean_op("not", proj))
+        ms = [proj, fsa.boolean_op("or", proj, word_dfa(p.base, outside))]
+        inside = fsa.shortest_accepted(proj)
+        if inside is not None:
+            ms.append(fsa.boolean_op("minus", proj, word_dfa(p.base, inside)))
+        for k, m in enumerate(ms):
+            assert projects_onto(p, m, side) == (proj == m) == (k == 0), (side, k)
+            assert projects_onto(p, doubled(m), side) == (k == 0), (side, k)
+
+
+def test_projection_walk_agrees_on_random_relations(ab):
+    for trial in range(12):
+        assert_walk_agrees_with_projection(relation_dfa(ab, random_relation(trial)))
+    assert_walk_agrees_with_projection(anb_times_an(ab))
+    assert_walk_agrees_with_projection(PairDfa(ab, empty_language_dfa(PairAlphabet(ab).alphabet)))
+
+
+@pytest.mark.parametrize(
+    "fixture", ["z2_structure", "s3_structure", "b3_structure", "starved_b3_structure"]
+)
+def test_projection_walk_agrees_on_multipliers(fixture, request):
+    for mult in request.getfixturevalue(fixture).multipliers.values():
+        assert_walk_agrees_with_projection(mult)
+
+
+def test_projection_walk_needs_a_common_base(ab):
+    d = diagonal(fsa.all_words_dfa(ab))
+    other = fsa.all_words_dfa(inverse_closed_alphabet(["x"], {"x": "X"}))
+    for side in (0, 1):
+        with pytest.raises(UsageError):
+            projects_onto(d, other, side)
 
 
 def test_partners_lookup(ab, z2_structure):
