@@ -289,7 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--names", help="comma-separated generator names")
     p.add_argument("-o", "--output")
-    _add_limit_flags(p, ["state_cap"], "caps the subset states of wa and geo")
+    _add_limit_flags(
+        p, ["state_cap"],
+        "caps the states wa and geo explore: subsets of small roots, or for a finite"
+        " group's wa its coset representatives",
+    )
     p.set_defaults(func=cmd_cox)
 
     p = sub.add_parser("fsa", help="automaton algebra on JSON files")

@@ -33,11 +33,14 @@ class PairAlphabet:
     each component, matching the serialized column order: with the pad
     component index ``pad = base.size``, the pair (i, j) is symbol
     ``i * (pad + 1) + j``, and ($, $), which would be last, is omitted.
+    A base symbol named $ is refused: the pad's name would be taken twice.
     """
 
     __slots__ = ("base", "pad", "alphabet")
 
     def __init__(self, base: Alphabet):
+        if PAD_NAME in base.names:
+            raise UsageError(f"{PAD_NAME!r} is the padding symbol and cannot name a base symbol")
         self.base = base
         self.pad = n = base.size
         names = (*base.names, PAD_NAME)

@@ -406,7 +406,7 @@ def a3_file(tmp_path):
 
 
 def test_cox_acceptor_obeys_the_state_cap_flag(a3_file, capsys):
-    # A3's shortlex acceptor explores 24 subset states
+    # A3's shortlex acceptor explores 7 states, one per coset representative
     assert main(["cox", "wa", a3_file, "--state-cap", "5"]) == 3
     assert capsys.readouterr().err == "resource limit: acceptor subset states (cap 5)\n"
 
@@ -509,6 +509,12 @@ MALFORMED_FILES = {
     "automaton_short_row": (
         ["fsa", "min"], {**FLOAT_TARGET, "transitions": [[], [0]]},
         "transition row width must match alphabet size",
+    ),
+    "pair_automaton_names_the_pad": (
+        ["fsa", "min"],
+        {**FLOAT_TARGET, "alphabet": ["$"], "inverses": {"$": "$"}, "pairAlphabet": True,
+         "transitions": [[1, 1, 1], [0, 0, 0]]},
+        "'$' is the padding symbol and cannot name a base symbol",
     ),
     "automaton_alphabet_as_a_string": (
         ["fsa", "min"], {**FLOAT_TARGET, "alphabet": "a", "transitions": [[1], [0]]},

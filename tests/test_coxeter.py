@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -493,12 +494,75 @@ def test_oracle_models_satisfy_coxeter_relations():
                     assert x == e
 
 
-@pytest.mark.parametrize("matrix", [A2, B2, DINF])
+@pytest.mark.parametrize("matrix", [A2, B2, DINF, *(CORPUS[n] for n in ("A4", "D4", "H3", "F4"))])
 def test_cross_validation_with_kb_pipeline(matrix):
-    names = ["a", "b", "c"][: matrix.rank]
+    names = ["a", "b", "c", "d"][: matrix.rank]
     out = derive_shortlex_structure(coxeter_presentation(matrix, names))
     assert out.verified
     assert build_shortlex_word_acceptor(matrix, names) == out.structure.word_acceptor
+
+
+# [W_k : W_{k-1}] along the chain W_1 < ... < W_n, W_k generated by the
+# first k generators
+CHAIN_INDICES = {
+    "F4": (2, 3, 8, 24), "E6": (2, 3, 4, 5, 6, 72), "H4": (2, 5, 12, 120),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_INDICES))
+def test_chain_levels_are_the_parabolic_indices(name, monkeypatch):
+    """A finite group's shortlex acceptor explores one state per coset
+    representative of each level but 1, and one initial state.  The
+    subgroup orders are counted by the subset walk's geodesic tables."""
+    matrix, indices = FINITENESS_CASES[name], CHAIN_INDICES[name]
+    explored = []
+    real = fsa.explore
+
+    def recording(start, expand, state_cap, label):
+        order, rows = real(start, expand, state_cap, label)
+        if label == "acceptor subset states":
+            explored.append(order)
+        return order, rows
+
+    monkeypatch.setattr(fsa, "explore", recording)
+    build_shortlex_word_acceptor(matrix)
+    monkeypatch.undo()
+    [order] = explored
+    # a state of level k holds k images
+    levels = [sum(len(state) == k for state in order) + 1 for k in range(1, matrix.rank + 1)]
+    assert tuple(levels) == indices
+    assert len(order) == 1 + sum(k - 1 for k in indices)
+    orders = [1]
+    for k in range(1, matrix.rank):
+        sub = CoxeterMatrix([row[:k] for row in matrix.m[:k]])
+        orders.append(build_geodesic_acceptor(sub).num_states)
+    orders.append(ORDERS[name])
+    assert indices == tuple(b // a for a, b in zip(orders, orders[1:]))
+    assert math.prod(indices) == ORDERS[name]
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "H3", "F4", "E6", "H4"])
+def test_chain_acceptor_equals_the_subset_walk(name):
+    matrix = FINITENESS_CASES[name]
+    alphabet = coxeter._coxeter_alphabet(matrix, None)
+    action = small_roots(matrix)[2]
+    walked = coxeter._subset_walk(alphabet, action, True, True, fsa.DEFAULT_STATE_CAP)
+    assert build_shortlex_word_acceptor(matrix) == walked
+
+
+def test_only_a_finite_shortlex_acceptor_takes_the_chain(monkeypatch):
+    chained = []
+    real = coxeter._chain_acceptor
+
+    def recording(alphabet, action, state_cap):
+        chained.append(alphabet.size)
+        return real(alphabet, action, state_cap)
+
+    monkeypatch.setattr(coxeter, "_chain_acceptor", recording)
+    for matrix in (A2, B2, DINF, AFFINE_A2, CORPUS["T237"]):
+        build_geodesic_acceptor(matrix)
+        build_shortlex_word_acceptor(matrix)
+    assert chained == [2, 2]
 
 
 def test_affine_a2_counts_match_kb_pipeline():

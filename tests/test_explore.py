@@ -16,6 +16,7 @@ from agt.rewrite import Presentation
 from agt.words import inverse_closed_alphabet
 
 A2 = CoxeterMatrix([[1, 3], [3, 1]])
+AFFINE_A2 = CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
 H3 = CoxeterMatrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
 
 
@@ -113,10 +114,17 @@ CONSTRUCTIONS = {
         ["z2_structure"],
         lambda z2, cap: pairfsa.slice_first(z2.multipliers[0], b"\x00\x02", cap),
     ),
+    # finite A2 takes the parabolic chain: the cap counts representatives
     "coxeter_acceptor": (
         "acceptor subset states",
         [],
         lambda cap: build_shortlex_word_acceptor(A2, state_cap=cap),
+    ),
+    # an infinite group keeps the subset walk: the cap counts subsets
+    "coxeter_subset_acceptor": (
+        "acceptor subset states",
+        [],
+        lambda cap: build_shortlex_word_acceptor(AFFINE_A2, state_cap=cap),
     ),
 }
 
