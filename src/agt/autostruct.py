@@ -5,18 +5,19 @@ differences stabilise, build the candidate word acceptor and the
 multiplier automata from the difference machine, apply the elementary
 tests (feeding failure witnesses back into completion), and finally run
 axiom checking.  The elementary tests are exact whole-language tests:
-projection, uniqueness (M_eps is the diagonal) and the inverse test
-(compose(M_y, M_{y^-1}) is the diagonal), which together make every M_y
-a bijection of L(WA).  Each projection test is one subset walk against
-the word acceptor (:func:`pairfsa.projects_onto`), so passing
-elementary checks build no automaton.  Axioms are then checked by
-relator halves over memoised composite multipliers.  Where a composite
-is only compared, never reused, the test is one inclusion walk
-(:func:`pairfsa.composite_within`), which the bijections make an
-equality test: a passing inverse test and the last composition of a
-relator half build no automaton.  Passing axiom checks proves the
-automata form a shortlex automatic structure; failing them abandons the
-attempt.
+projection (dom M_y is L(WA)), uniqueness (M_eps is the diagonal) and
+the inverse test (compose(M_y, M_{y^-1}) is the diagonal), which
+together make every M_y a bijection of L(WA).  Each projection test is
+one subset walk against the word acceptor
+(:func:`pairfsa.projects_onto`) that also finds a failure's witness, so
+projection tests and passing elementary checks build no automaton.
+Axioms are then checked by relator halves over memoised composite
+multipliers.  Where a composite is only compared, never reused, the test
+is one inclusion walk (:func:`pairfsa.composite_within`), which the
+bijections make an equality test: a passing inverse test and the last
+composition of a relator half build no automaton.  Passing axiom checks
+proves the automata form a shortlex automatic structure; failing them
+abandons the attempt.
 """
 
 from __future__ import annotations
@@ -191,19 +192,15 @@ def elementary_checks(
     """The exact whole-language tests that must pass before axiom checking.
 
     (a) the word acceptor accepts the empty word;
-    (b) each generator's M_y projects onto L = L(WA) on both coordinates.
-        (c) and (d) imply this, and (d) relies on it: it is what makes
-        (d)'s inclusion test exact.  Each side is decided by one subset
-        walk, :func:`pairfsa.projects_onto` of M_y and WA, which builds
-        no automaton.  It pairs WA's state on a word w with the set of
-        M_y states that reading w on the tested side reaches, and
-        checks that w is accepted by both or by neither.  It is exact
-        because M_y accepts only correctly padded strings: once the
-        tested side reads $ it reads only $, and one backward search
-        over those moves says which states can still accept.  The
-        projection is built, for the witness, only when the walk fails
-        or passes ``state_cap``, so failures, witnesses and the cap's
-        messages are those of the projection route;
+    (b) each generator's M_y projects onto L = L(WA) on its first
+        coordinate.  (d) relies on this: it is what makes (d)'s
+        inclusion test exact.  The second coordinate follows from (b),
+        (c) and (d) (below), so it is not tested.  The test is one
+        subset walk, :func:`pairfsa.projects_onto` of M_y and WA,
+        bounded by ``state_cap``, which builds no automaton, passing or
+        failing.  It pairs WA's state on a word w with the set of M_y
+        states that reading w on the first side reaches: w must be
+        accepted by both or by neither;
     (c) uniqueness: M_eps is the diagonal of L, so no two accepted words
         represent the same element;
     (d) the inverse test: for each generator y, compose(M_y, M_{y^-1})
@@ -222,19 +219,18 @@ def elementary_checks(
     because (u, u) is in R;S.  R is functional: if u R v1 and u R v2,
     then v1 S w for some w (dom S = L), and u R v1 S w forces w = u; so
     v1 S u, and v1 S u R v2 gives v2 = v1.  R is injective by the mirror
-    argument, and onto because (v, v) is in S;R.  This implies the
-    projections of (b) and that every u has exactly one partner.
+    argument, and onto because (v, v) is in S;R.  So the range of every
+    M_y is L too, and every u has exactly one partner.
 
     Minimized automata are canonical, so (c) is a structural equality.
     A projection failure has the shortlex-least word of L outside the
-    projection as its witness, or none when L lies inside it; each
-    generator reports at most one, its first coordinate's if both fail.
-    Every failure of (c) and (d) is collected.  Its relation is M_eps (kind
-    "uniqueness") or the composite, built only when the walk fails (kind
-    "inverse").  If the relation has a pair (u, w) off the diagonal, the
-    shortlex-least one gives witness u and partners (u, w); otherwise
-    the shortlex-least missing (u, u) gives witness u.  Failures feed
-    the retry loop as equations.
+    projection as its witness, read off the walk, or none when L lies
+    inside it.  Every failure of (c) and (d) is collected.  Its relation
+    is M_eps (kind "uniqueness") or the composite, built only when the
+    walk fails (kind "inverse").  If the relation has a pair (u, w) off
+    the diagonal, the shortlex-least one gives witness u and partners
+    (u, w); otherwise the shortlex-least missing (u, u) gives witness u.
+    Failures feed the retry loop as equations.
     """
     failures: list[CheckFailure] = []
     wa = s.word_acceptor
@@ -242,14 +238,9 @@ def elementary_checks(
         return ElementaryReport(False, [CheckFailure(kind="epsilon")])
     A = s.alphabet
     for y in range(A.size):
-        for side, project in enumerate((pairfsa.project_first, pairfsa.project_second)):
-            if _projects_onto(s.multipliers[y], wa, side, state_cap):
-                continue
-            proj = project(s.multipliers[y], state_cap)
-            if proj != wa:
-                witness = fsa.shortest_accepted(fsa.boolean_op("minus", wa, proj, state_cap))
-                failures.append(CheckFailure("projection", y, witness))
-                break
+        onto, witness = pairfsa.projects_onto(s.multipliers[y], wa, state_cap)
+        if not onto:
+            failures.append(CheckFailure("projection", y, witness))
     if failures:
         return ElementaryReport(False, failures)
     diag = pairfsa.diagonal(wa)
@@ -271,16 +262,6 @@ def elementary_checks(
             missing = fsa.shortest_accepted(fsa.boolean_op("minus", diag.dfa, rel.dfa, state_cap))
             failures.append(CheckFailure(kind, key, pairfsa.decode_pair(rel.pairs, missing)[0]))
     return ElementaryReport(not failures, failures)
-
-
-def _projects_onto(m: PairDfa, wa: Dfa, side: int, state_cap: int) -> bool:
-    """:func:`pairfsa.projects_onto`, read as False when its walk passes
-    the cap: the projection route then answers, or stops at its own cap,
-    exactly as it does without the walk."""
-    try:
-        return pairfsa.projects_onto(m, wa, side, state_cap)
-    except ResourceLimitError:
-        return False
 
 
 @dataclass
@@ -393,6 +374,7 @@ def derive_shortlex_structure(
     """
     limits = limits or Limits()
     A = pres.alphabet
+    PairAlphabet(A)  # refuses, before any completion, a base too large for pair automata
     rs = system_from_presentation(pres)
     comp = Completion(rs, limits)
     lines: list[str] = []

@@ -13,7 +13,8 @@ automaton has no move that leaves its language, so after a side's first
 $ every move reads $ on that side.  :func:`compose` and
 :func:`composite_within` need this of their first two inputs,
 :func:`projects_onto` of its first, and the automata :func:`compose`
-returns have it too.
+returns have it too.  The first projection is tested, and a failure's
+witness found, by the walk of :func:`projects_onto`, which builds none.
 """
 
 from __future__ import annotations
@@ -34,11 +35,15 @@ class PairAlphabet:
     component index ``pad = base.size``, the pair (i, j) is symbol
     ``i * (pad + 1) + j``, and ($, $), which would be last, is omitted.
     A base symbol named $ is refused: the pad's name would be taken twice.
+    So is a base of more than 15 symbols, whose pairs would not fit in an
+    alphabet.
     """
 
     __slots__ = ("base", "pad", "alphabet")
 
     def __init__(self, base: Alphabet):
+        if base.size > 15:  # (15 + 1) ** 2 - 1 = 255 pair symbols, the most an Alphabet holds
+            raise UsageError(f"{base.size} symbols are too many for pair automata (at most 15)")
         if PAD_NAME in base.names:
             raise UsageError(f"{PAD_NAME!r} is the padding symbol and cannot name a base symbol")
         self.base = base
@@ -196,56 +201,66 @@ def project_second(p: PairDfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     return project_first(swap(p), state_cap)
 
 
-def projects_onto(p: PairDfa, m: Dfa, side: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
-    """Whether side ``side`` of p's pairs, 0 the first and 1 the second,
-    is exactly L(m): the language test of :func:`project_first`, resp.
-    :func:`project_second`, against ``m``, with no automaton built.
+def projects_onto(
+    p: PairDfa, m: Dfa, state_cap: int = DEFAULT_STATE_CAP
+) -> tuple[bool, Word | None]:
+    """Whether the first side of p's pairs is exactly L(m), and the
+    shortlex-least word of L(m) outside it or None (L(m) may then still
+    lie strictly inside it): the language test of :func:`project_first`
+    against ``m`` and its witness, with no automaton built.
 
-    p's moves are grouped by their letter on the tested side.  One
-    backward search over the moves that read $ there finds ``ends``, the
-    states that can finish accepting once that side has ended.  One
-    forward walk then numbers the pairs (m's state or FAIL, set of p
-    states) that the words w over the base alphabet reach, letters
-    ascending: the set holds the states p enters while its tested side
-    reads w, and a successor is kept while m moves or the set is not
-    empty.  w is on the tested side of an accepted pair iff its set
-    meets ``ends``, and in L(m) iff m's state accepts; a word past the
-    walk is in neither.  So the test holds iff every walked pair agrees.
+    One backward search over p's moves that read $ on the first side
+    finds ``ends``, the states that can finish accepting once that side
+    has ended.  One forward walk then numbers the pairs (m's state or
+    FAIL, set of p states) that the words w over the base alphabet
+    reach: the set holds the states p enters while its first side reads
+    w, and a successor is kept while m moves or the set is not empty.  w
+    is on the first side of an accepted pair iff its set meets ``ends``,
+    and in L(m) iff m's state accepts; a word past the walk is in
+    neither.  So the test holds iff every walked pair agrees.
+    :func:`fsa.explore` numbers the pairs breadth-first, letters
+    ascending, so in the shortlex order of the least words that reach
+    them: the first pair where m accepts and the set misses ``ends`` is
+    reached by the witness, which is read back along the first move
+    into each pair, the one that numbered it.
 
     p must accept only correctly padded strings, as every pair automaton
-    built here does: once the tested side reads $ it reads only $, which
+    built here does: once the first side reads $ it reads only $, which
     ``ends`` covers.  m must be deterministic over p's base alphabet; it
-    need not be minimal.  :func:`fsa.explore` numbers the walked pairs
-    under ``state_cap``, as subset construction states.
+    need not be minimal.  The walked pairs count under ``state_cap`` as
+    subset construction states.
     """
     if p.base != m.alphabet:
         raise UsageError("projects_onto needs a common base alphabet")
     pad = p.pairs.pad
-    # moves[q][c]: the states q enters reading c on the tested side, c = pad for $
     view = p.by_first
-    moves: list[list[list[int]]] = [[[] for _ in range(pad + 1)] for _ in view]
-    for q, by_a in enumerate(view):
-        for a, bt in by_a.items():
-            for b, t in bt:
-                moves[q][b if side else a].append(t)
-    ends = fsa._live([[(pad, t) for t in row[pad]] for row in moves], p.dfa.accepting)[0]
+    ends = fsa._live([[(pad, t) for _b, t in row.get(pad, ())] for row in view], p.dfa.accepting)[0]
     letters = range(pad)
     rows = (*m.transitions, (FAIL,) * pad)  # the FAIL sink's row last, where FAIL = -1 indexes it
 
-    def expand(state: tuple[int, frozenset], index: dict) -> list[int]:
+    def expand(state: tuple[int, frozenset], index: dict) -> list[tuple[int, int]]:
         sm, subset = state
         row = rows[sm]
         out = []
         for c in letters:
-            targets = frozenset([t for q in subset for t in moves[q][c]])
+            targets = frozenset([t for q in subset for _b, t in view[q].get(c, ())])
             if targets or row[c] != FAIL:
-                out.append(index[row[c], targets])
+                out.append((c, index[row[c], targets]))
         return out
 
     start = (m.initial, frozenset((p.dfa.initial,)))
-    order, _ = fsa.explore(start, expand, state_cap, "subset construction states")
+    order, moves = fsa.explore(start, expand, state_cap, "subset construction states")
     accepting = m.accepting
-    return all((sm in accepting) != ends.isdisjoint(subset) for sm, subset in order)
+    missing = [i for i, (sm, sub) in enumerate(order) if sm in accepting and ends.isdisjoint(sub)]
+    if not missing:
+        return all(sm in accepting or ends.isdisjoint(sub) for sm, sub in order), None
+    # each pair's first move in, the one that numbered it, kept as the last written
+    parent = {t: (i, c) for i in reversed(range(len(moves))) for c, t in reversed(moves[i])}
+    word, i = bytearray(), missing[0]
+    while i:
+        i, c = parent[i]
+        word.append(c)
+    return False, bytes(reversed(word))
 
 
 def _closed(m: PairDfa) -> list[dict[int, list[tuple[int, int]]]]:

@@ -71,3 +71,29 @@ def starved_b3_structure(ab_alphabet):
     d = accumulate_from_rules(rs)
     wa = build_candidate_word_acceptor(d, A)
     return AutomaticStructure(pres, wa, build_multipliers(wa, d), d, d.max_difference_length())
+
+
+@pytest.fixture(scope="session")
+def genus2_retry_structures():
+    """The structure of every pass of genus 2 derived with an early
+    pause (``stability_window=5, max_passes=20``), the first nine
+    failing the elementary checks and the tenth verified, recorded as
+    each pass hands it to the elementary checks."""
+    from agt import autostruct
+
+    A = inverse_closed_alphabet(list("abcd"), {"a": "A", "b": "B", "c": "C", "d": "D"})
+    pres = Presentation(A, [A.parse_word("abABcdCD")])
+    real = autostruct.elementary_checks
+    structures = []
+
+    def recorded(s, state_cap):
+        structures.append(s)
+        return real(s, state_cap)
+
+    autostruct.elementary_checks = recorded
+    try:
+        outcome = derive_shortlex_structure(pres, Limits(stability_window=5, max_passes=20))
+    finally:
+        autostruct.elementary_checks = real
+    assert outcome.verified, outcome.transcript
+    return structures

@@ -228,6 +228,81 @@ def test_inverse_tests_that_pass_build_no_composite(
     assert built == ["swap", "determinize"]
 
 
+def test_a_failing_projection_test_builds_no_automaton(genus2_retry_structures, monkeypatch):
+    """Genus 2 after five passes fails two projection tests.  Each walk
+    reads its own witness, so no projection, subset construction or
+    product is built, and the checks stop before the inverse tests."""
+    built = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            built.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in (
+        (pairfsa, "project_first"),
+        (pairfsa, "project_second"),
+        (pairfsa, "compose"),
+        (fsa, "determinize"),
+        (fsa, "boolean_op"),
+    ):
+        counted(module, name)
+    report = elementary_checks(genus2_retry_structures[4])
+    assert built == []
+    assert [f.kind for f in report.failures] == ["projection"] * 2
+    assert all(f.witness is not None for f in report.failures)
+
+
+def _route_verdict(s):
+    """The elementary checks made by building every automaton they
+    compare: both projections of each M_y are L(WA), M_eps is the
+    diagonal, and each compose(M_y, M_{y^-1}) is the diagonal."""
+    A = s.alphabet
+    wa = s.word_acceptor
+    m = s.multipliers
+    if any(
+        pairfsa.project_first(m[y]) != wa or pairfsa.project_second(m[y]) != wa
+        for y in range(A.size)
+    ):
+        return False
+    diag = diagonal(wa)
+    return m[EPSILON_KEY] == diag and all(
+        pairfsa.compose(m[y], m[A.inverse[y]]) == diag for y in range(A.size)
+    )
+
+
+@pytest.mark.parametrize(
+    "fixture", ["starved_b3_structure", "b3_structure", "z2_structure", "s3_structure"]
+)
+def test_checks_without_the_range_test_agree_with_the_route(fixture, request):
+    """The range of M_y is not tested: (b) on the first side, (c) and
+    (d) imply it.  Each verdict equals the route's, which tests both
+    sides."""
+    s = request.getfixturevalue(fixture)
+    assert elementary_checks(s).ok == _route_verdict(s)
+
+
+def test_checks_agree_with_the_route_on_every_genus2_retry_pass(genus2_retry_structures):
+    """As above, on each of the ten passes; each projection failure's
+    witness is the route's, the shortlex-least word of L(WA) outside
+    the first projection."""
+    verdicts = []
+    for s in genus2_retry_structures:
+        report = elementary_checks(s)
+        verdicts.append(report.ok)
+        assert report.ok == _route_verdict(s)
+        for f in report.failures:
+            if f.kind == "projection":
+                proj = pairfsa.project_first(s.multipliers[f.symbol])
+                minus = fsa.boolean_op("minus", s.word_acceptor, proj)
+                assert f.witness == fsa.shortest_accepted(minus)
+    assert verdicts == [False] * 9 + [True]
+
+
 def test_elementary_checks_fail_on_starved_completion(starved_b3_structure):
     """A premature pause leaves an inadequate difference set; the checks
     must fail and produce a witness."""
@@ -306,8 +381,8 @@ def test_uniqueness_defect(ab_alphabet, z2_structure):
 def test_elementary_checks_respect_state_cap(z2_structure, starved_b3_structure):
     with pytest.raises(ResourceLimitError, match="subset construction"):
         elementary_checks(z2_structure, 3)
-    # the starved B3 projections build at most 10 subsets, its
-    # compositions up to 29
+    # the starved B3 projection walks number 9 pairs each, its
+    # compositions up to 29 product states
     with pytest.raises(ResourceLimitError, match="composition product"):
         elementary_checks(starved_b3_structure, 20)
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from agt.cli import main
+from agt.rewrite import Completion
 
 
 @pytest.fixture()
@@ -219,6 +220,24 @@ def test_exit_code_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["kb", str(bad)]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_autstructure_refuses_more_symbols_than_pair_automata_hold(tmp_path, capsys, monkeypatch):
+    """Rank 7 and one involution make 15 symbols, whose 255 pairs fill a
+    pair alphabet; rank 8 makes 16, refused in one line that names both
+    counts, before completion starts."""
+    gens = list("abcdefgh")
+    inverses = {g: g.upper() for g in gens}
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps({"generators": [*gens[:7], "z"], "involutions": ["z"],
+                               "inverses": {g: inverses[g] for g in gens[:7]}, "relators": []}))
+    assert main(["autstructure", str(src), "--quiet"]) == 0
+    assert capsys.readouterr().out == "verified: k=1\n"
+    src.write_text(json.dumps({"generators": gens, "inverses": inverses, "relators": []}))
+    monkeypatch.setattr(Completion, "run", lambda *args: pytest.fail("completion started"))
+    assert main(["autstructure", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: 16 symbols are too many for pair automata (at most 15)\n"
 
 
 def test_exit_code_abandoned(tmp_path, capsys):
@@ -515,6 +534,13 @@ MALFORMED_FILES = {
         {**FLOAT_TARGET, "alphabet": ["$"], "inverses": {"$": "$"}, "pairAlphabet": True,
          "transitions": [[1, 1, 1], [0, 0, 0]]},
         "'$' is the padding symbol and cannot name a base symbol",
+    ),
+    "pair_automaton_over_sixteen_symbols": (
+        ["fsa", "min"],
+        {**FLOAT_TARGET, "alphabet": list("abcdefghijklmnop"),
+         "inverses": {c: c for c in "abcdefghijklmnop"}, "pairAlphabet": True,
+         "transitions": [[1], [0]]},
+        "16 symbols are too many for pair automata (at most 15)",
     ),
     "automaton_alphabet_as_a_string": (
         ["fsa", "min"], {**FLOAT_TARGET, "alphabet": "a", "transitions": [[1], [0]]},

@@ -183,22 +183,25 @@ def test_state_cap_bounds_the_walk_of_a_composition(starved_b3_structure):
     assert (exc.value.which, exc.value.cap) == ("composition product states", 29)
 
 
-def test_a_projection_walk_past_the_cap_leaves_the_test_to_the_projection_route():
-    # genus 2 after five passes fails five projection tests.  The walk
-    # of M_C's second side numbers 108 pairs, one more than any subset
-    # construction or witness product of the projection route; at cap
-    # 107 the checks still give that route's answer, and at 106 its cap
+def test_a_projection_walk_past_the_cap_stops_the_checks():
+    # genus 2 after five passes fails two projection tests.  The walk of
+    # M_b's first side numbers 84 pairs, the most of the eight walks; at
+    # cap 84 the checks give their answer, and at 83 that walk's cap
+    # stops them, with no other route to fall back on
     A = inverse_closed_alphabet(["a", "b", "c", "d"], {"a": "A", "b": "B", "c": "C", "d": "D"})
     pres = Presentation(A, [A.parse_word("abABcdCD")])
     s = derive_shortlex_structure(pres, Limits(stability_window=5, max_passes=5)).structure
-    m_c = s.multipliers[A.index("C")]
-    assert pairfsa.projects_onto(m_c, s.word_acceptor, 1, 108) is False
+    m_b = s.multipliers[A.index("b")]
+    assert pairfsa.projects_onto(m_b, s.word_acceptor, 84) == (True, None)
     with pytest.raises(ResourceLimitError) as exc:
-        pairfsa.projects_onto(m_c, s.word_acceptor, 1, 107)
-    assert (exc.value.which, exc.value.cap) == ("subset construction states", 107)
+        pairfsa.projects_onto(m_b, s.word_acceptor, 83)
+    assert (exc.value.which, exc.value.cap) == ("subset construction states", 83)
     report = elementary_checks(s)
-    assert [f.kind for f in report.failures] == ["projection"] * 5
-    assert elementary_checks(s, 107) == report
+    assert [(f.kind, A.names[f.symbol]) for f in report.failures] == [
+        ("projection", "a"),
+        ("projection", "d"),
+    ]
+    assert elementary_checks(s, 84) == report
     with pytest.raises(ResourceLimitError) as exc:
-        elementary_checks(s, 106)
-    assert (exc.value.which, exc.value.cap) == ("subset construction states", 106)
+        elementary_checks(s, 83)
+    assert (exc.value.which, exc.value.cap) == ("subset construction states", 83)

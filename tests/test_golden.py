@@ -491,11 +491,12 @@ def test_boolean_operations_are_pinned(pair, kind, request):
 # -- the retry path --------------------------------------------------------------
 #
 # Genus 2, derived with an early pause, fails the inverse test, builds
-# witness products for its failures and then verifies.  The digest covers
-# its transcript.
+# witness products for its failures, then fails first-side projection
+# tests, whose walks give their witnesses, and then verifies.  The digest
+# covers its transcript.
 
 
-GENUS2_TRANSCRIPT = "83f12859e318bee7dd1bd8664b57e736b6ca26a9a090900224361b64f4df803d"
+GENUS2_TRANSCRIPT = "00f81d00cd550e948ab370a0c12cf439c4850e15f292f8165d99af2dbf58bafd"
 
 
 def test_genus2_retry_transcript_is_pinned():
